@@ -70,13 +70,6 @@ pub fn catalog_with_view(values: &[f64], lx: i64, hx: i64) -> Catalog {
     catalog
 }
 
-/// Wall-clock one closure, returning seconds.
-pub fn time_secs(f: impl FnOnce()) -> f64 {
-    let start = std::time::Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
-
 /// Checksum helper so benchmark results cannot be optimized away and are
 /// sanity-checked across strategies.
 pub fn checksum(rows: &[rfv_types::Row], col: usize) -> f64 {

@@ -54,6 +54,10 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 /// the bytes).
 const PLAN_CAP_ENTRIES: usize = 512;
 
+/// Entry cap of [`crate::stats::StatementStats`] (≈ 820 B per entry, so
+/// ≈ 3.4 MB when full).
+pub(crate) const STMT_STATS_CAP_ENTRIES: usize = 4096;
+
 /// Key of one cached plan: what planning *reads* besides table data.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {

@@ -57,44 +57,61 @@ pub(crate) enum WalRecord {
     Sql(String),
     /// `INSERT` payload *after* expression evaluation: exact row values,
     /// no re-evaluation on replay.
-    InsertRows {
-        table: String,
-        rows: Vec<Row>,
-    },
-    /// [`crate::Database::sequence_update`] and friends.
-    SeqUpdate {
-        table: String,
-        pos: i64,
-        val: f64,
-    },
-    SeqInsert {
-        table: String,
-        pos: i64,
-        val: f64,
-    },
-    SeqDelete {
-        table: String,
-        pos: i64,
-    },
+    InsertRows { table: String, rows: Vec<Row> },
+    /// One [`crate::Database::sequence_update`] / `sequence_insert` /
+    /// `sequence_delete` call. On disk each kind keeps its own record
+    /// tag ([`TAG_SEQ_UPDATE`] + the op's batch tag).
+    SeqOp { table: String, op: BatchOp },
     /// One coalesced [`crate::Database::apply_batch`] call
     /// (`sequence_append_bulk` funnels through it).
-    Batch {
-        table: String,
-        ops: Vec<BatchOp>,
-    },
+    Batch { table: String, ops: Vec<BatchOp> },
     /// [`crate::Database::refresh_views`].
-    Refresh {
-        table: String,
-    },
+    Refresh { table: String },
 }
 
 const TAG_SQL: u8 = 1;
 const TAG_INSERT_ROWS: u8 = 2;
+/// Single-op records: 3 = update, 4 = insert, 5 = delete.
 const TAG_SEQ_UPDATE: u8 = 3;
-const TAG_SEQ_INSERT: u8 = 4;
 const TAG_SEQ_DELETE: u8 = 5;
 const TAG_BATCH: u8 = 6;
 const TAG_REFRESH: u8 = 7;
+
+/// Tag of one sequence op inside a `Batch` record (and, offset by
+/// [`TAG_SEQ_UPDATE`], the record tag of a single-op record).
+fn op_tag(op: &BatchOp) -> u8 {
+    match op {
+        BatchOp::Update { .. } => 0,
+        BatchOp::Insert { .. } => 1,
+        BatchOp::Delete { .. } => 2,
+    }
+}
+
+/// The op's payload after its tag: position, then the value if any.
+fn put_op_body(out: &mut Vec<u8>, op: &BatchOp) {
+    match *op {
+        BatchOp::Update { k, val } | BatchOp::Insert { k, val } => {
+            codec::put_i64(out, k);
+            codec::put_f64(out, val);
+        }
+        BatchOp::Delete { k } => codec::put_i64(out, k),
+    }
+}
+
+fn read_op_body(r: &mut Reader<'_>, tag: u8) -> Result<BatchOp> {
+    Ok(match tag {
+        0 => BatchOp::Update {
+            k: r.i64()?,
+            val: r.f64()?,
+        },
+        1 => BatchOp::Insert {
+            k: r.i64()?,
+            val: r.f64()?,
+        },
+        2 => BatchOp::Delete { k: r.i64()? },
+        t => return Err(bad(&format!("unknown batch op tag {t}"))),
+    })
+}
 
 impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
@@ -112,44 +129,18 @@ impl WalRecord {
                     codec::put_row(&mut out, row);
                 }
             }
-            WalRecord::SeqUpdate { table, pos, val } => {
-                codec::put_u8(&mut out, TAG_SEQ_UPDATE);
+            WalRecord::SeqOp { table, op } => {
+                codec::put_u8(&mut out, TAG_SEQ_UPDATE + op_tag(op));
                 codec::put_str(&mut out, table);
-                codec::put_i64(&mut out, *pos);
-                codec::put_f64(&mut out, *val);
-            }
-            WalRecord::SeqInsert { table, pos, val } => {
-                codec::put_u8(&mut out, TAG_SEQ_INSERT);
-                codec::put_str(&mut out, table);
-                codec::put_i64(&mut out, *pos);
-                codec::put_f64(&mut out, *val);
-            }
-            WalRecord::SeqDelete { table, pos } => {
-                codec::put_u8(&mut out, TAG_SEQ_DELETE);
-                codec::put_str(&mut out, table);
-                codec::put_i64(&mut out, *pos);
+                put_op_body(&mut out, op);
             }
             WalRecord::Batch { table, ops } => {
                 codec::put_u8(&mut out, TAG_BATCH);
                 codec::put_str(&mut out, table);
                 codec::put_u32(&mut out, ops.len() as u32);
                 for op in ops {
-                    match op {
-                        BatchOp::Update { k, val } => {
-                            codec::put_u8(&mut out, 0);
-                            codec::put_i64(&mut out, *k);
-                            codec::put_f64(&mut out, *val);
-                        }
-                        BatchOp::Insert { k, val } => {
-                            codec::put_u8(&mut out, 1);
-                            codec::put_i64(&mut out, *k);
-                            codec::put_f64(&mut out, *val);
-                        }
-                        BatchOp::Delete { k } => {
-                            codec::put_u8(&mut out, 2);
-                            codec::put_i64(&mut out, *k);
-                        }
-                    }
+                    codec::put_u8(&mut out, op_tag(op));
+                    put_op_body(&mut out, op);
                 }
             }
             WalRecord::Refresh { table } => {
@@ -176,19 +167,9 @@ impl WalRecord {
                 }
                 WalRecord::InsertRows { table, rows }
             }
-            TAG_SEQ_UPDATE => WalRecord::SeqUpdate {
+            tag @ TAG_SEQ_UPDATE..=TAG_SEQ_DELETE => WalRecord::SeqOp {
                 table: r.str()?,
-                pos: r.i64()?,
-                val: r.f64()?,
-            },
-            TAG_SEQ_INSERT => WalRecord::SeqInsert {
-                table: r.str()?,
-                pos: r.i64()?,
-                val: r.f64()?,
-            },
-            TAG_SEQ_DELETE => WalRecord::SeqDelete {
-                table: r.str()?,
-                pos: r.i64()?,
+                op: read_op_body(&mut r, tag - TAG_SEQ_UPDATE)?,
             },
             TAG_BATCH => {
                 let table = r.str()?;
@@ -198,18 +179,8 @@ impl WalRecord {
                 }
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
-                    ops.push(match r.u8()? {
-                        0 => BatchOp::Update {
-                            k: r.i64()?,
-                            val: r.f64()?,
-                        },
-                        1 => BatchOp::Insert {
-                            k: r.i64()?,
-                            val: r.f64()?,
-                        },
-                        2 => BatchOp::Delete { k: r.i64()? },
-                        t => return Err(bad(&format!("unknown batch op tag {t}"))),
-                    });
+                    let tag = r.u8()?;
+                    ops.push(read_op_body(&mut r, tag)?);
                 }
                 WalRecord::Batch { table, ops }
             }
@@ -490,6 +461,8 @@ pub(crate) struct Recovered {
 /// and snapshot bookkeeping for one data directory.
 pub(crate) struct Persistence {
     dir: PathBuf,
+    /// Whether WAL appends fsync (`RFV_FSYNC`, read once by the engine).
+    fsync: bool,
     /// Write lock only for `compact` (which swaps the handle); appends
     /// take the read side plus the WAL's own append mutex.
     wal: RwLock<Wal>,
@@ -505,13 +478,14 @@ pub(crate) struct Persistence {
 impl Persistence {
     /// Fresh durable directory: create it (and an empty WAL) with no
     /// recovery — the `Database::new()` + `RFV_DATA_DIR` path.
-    pub fn create(dir: &Path) -> Result<Persistence> {
+    pub fn create(dir: &Path, fsync: bool) -> Result<Persistence> {
         std::fs::create_dir_all(dir).map_err(|e| {
             RfvError::execution(format!("cannot create data dir {}: {e}", dir.display()))
         })?;
-        let wal = Wal::create(&dir.join(WAL_FILE), 0)?;
+        let wal = Wal::create(&dir.join(WAL_FILE), 0, fsync)?;
         Ok(Persistence {
             dir: dir.to_path_buf(),
+            fsync,
             wal: RwLock::new(wal),
             commit: Mutex::new(()),
             snapshot_lsn: AtomicU64::new(0),
@@ -527,7 +501,7 @@ impl Persistence {
     /// committed records newer than the snapshot. The engine applies the
     /// tail *before* attaching the returned handle, so replay is never
     /// re-logged.
-    pub fn recover(dir: &Path) -> Result<Recovered> {
+    pub fn recover(dir: &Path, fsync: bool) -> Result<Recovered> {
         std::fs::create_dir_all(dir).map_err(|e| {
             RfvError::execution(format!("cannot create data dir {}: {e}", dir.display()))
         })?;
@@ -548,15 +522,16 @@ impl Persistence {
                     tail.push(WalRecord::decode(payload)?);
                 }
             }
-            let wal = Wal::open(&wal_path, scan.base_lsn, committed)?;
+            let wal = Wal::open(&wal_path, scan.base_lsn, committed, fsync)?;
             (wal, tail, scan.truncated_bytes)
         } else {
             // Snapshot without a WAL (or an empty directory): start a
             // fresh log whose LSNs continue from the snapshot.
-            (Wal::create(&wal_path, snap_lsn)?, Vec::new(), 0)
+            (Wal::create(&wal_path, snap_lsn, fsync)?, Vec::new(), 0)
         };
         let persistence = Persistence {
             dir: dir.to_path_buf(),
+            fsync,
             wal: RwLock::new(wal),
             commit: Mutex::new(()),
             snapshot_lsn: AtomicU64::new(snap_lsn),
@@ -615,11 +590,11 @@ impl Persistence {
         self.snapshots_written.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(WAL_ROTATE_TMP);
         let final_path = self.dir.join(WAL_FILE);
-        drop(Wal::create(&tmp, lsn)?);
+        drop(Wal::create(&tmp, lsn, self.fsync)?);
         std::fs::rename(&tmp, &final_path).map_err(|e| {
             RfvError::execution(format!("cannot rotate wal {}: {e}", final_path.display()))
         })?;
-        *wal = Wal::open(&final_path, lsn, 0)?;
+        *wal = Wal::open(&final_path, lsn, 0, self.fsync)?;
         let removed = snapshot::prune(&self.dir, lsn);
         Ok((path, removed))
     }
@@ -657,19 +632,20 @@ mod tests {
                     Row::new(vec![Value::Null, Value::str("x'y")]),
                 ],
             },
-            WalRecord::SeqUpdate {
+            WalRecord::SeqOp {
                 table: "s".into(),
-                pos: -3,
-                val: f64::MIN_POSITIVE,
+                op: BatchOp::Update {
+                    k: -3,
+                    val: f64::MIN_POSITIVE,
+                },
             },
-            WalRecord::SeqInsert {
+            WalRecord::SeqOp {
                 table: "s".into(),
-                pos: 7,
-                val: -0.0,
+                op: BatchOp::Insert { k: 7, val: -0.0 },
             },
-            WalRecord::SeqDelete {
+            WalRecord::SeqOp {
                 table: "s".into(),
-                pos: 1,
+                op: BatchOp::Delete { k: 1 },
             },
             WalRecord::Batch {
                 table: "s".into(),
@@ -681,6 +657,9 @@ mod tests {
             },
             WalRecord::Refresh { table: "s".into() },
         ];
+        // The on-disk record tags are part of the format: one per kind.
+        let tags: Vec<u8> = records.iter().map(|r| r.encode()[0]).collect();
+        assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7]);
         for rec in records {
             let bytes = rec.encode();
             let back = WalRecord::decode(&bytes).unwrap();

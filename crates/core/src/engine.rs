@@ -17,6 +17,19 @@
 //!   base-data changes and propagate them to all dependent views with the
 //!   local update rules. Plain SQL `INSERT` of the next position
 //!   (`pos = n+1`) is maintained incrementally as well.
+//!
+//! This file holds the [`Database`] struct, its constructors and the
+//! plain accessors; the behaviour lives in four child modules split
+//! along the layers `rfv-bench` measures: `session` (the statement
+//! lifecycle), `planner` (bind → plan cache), `write` (DML, views, the
+//! single write path) and `admin` (durability, recorder, governance).
+
+mod admin;
+mod planner;
+mod session;
+#[cfg(test)]
+mod tests;
+mod write;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -24,32 +37,24 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use rfv_exec::{ExecCounters, ExecProbe, WindowMode};
-use rfv_expr::AggFunc;
-use rfv_obs::event::{self, EventPh};
-use rfv_obs::{Collector, Counter, Histogram, MetricsRegistry, RecorderStats, Stopwatch};
-use rfv_plan::{optimize, Binder, LogicalPlan, PhysicalPlanner};
-use rfv_sql::{self as ast, parse_statement, parse_statements};
-use rfv_storage::{Catalog, IndexKind, VirtualTable};
+use rfv_exec::{ExecCounters, WindowMode};
+use rfv_obs::event;
+use rfv_obs::{Counter, Histogram, MetricsRegistry};
+use rfv_storage::{Catalog, VirtualTable};
+use rfv_types::governance::UNLIMITED;
 use rfv_types::sync::RwLock;
-use rfv_types::{CancelToken, DataType, Field, Result, RfvError, Row, Schema, SchemaRef, Value};
+use rfv_types::{Result, Row, Schema, SchemaRef};
 
-use crate::cache::{
-    CacheCounters, CacheStats, PlanDep, PlanEntry, PlanKey, PlanOutcome, QueryCache, ResultKey,
-    DEFAULT_CACHE_BYTES,
-};
-use crate::durability::{self, PersistStatus, Persistence, WalRecord};
-use crate::governor::Governor;
-use crate::maintenance::{self, BatchOp, MaintBatch, MaintenanceStats};
+use crate::cache::{CacheCounters, CacheStats, QueryCache, DEFAULT_CACHE_BYTES};
+use crate::durability::{self, Persistence};
+use crate::governor::{GovLimits, Governor};
 use crate::patterns::PatternVariant;
-use crate::rewrite::{RewriteOutcome, RewriteReport, Rewriter};
-use crate::sequence::{CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, WindowSpec};
-use crate::stats::{slow_ms_from_env, StatementStat, StatementStats};
+use crate::rewrite::{RewriteReport, RewriteStrategy};
+use crate::stats::StatementStats;
 use crate::systab;
 use crate::trace::QueryTrace;
-use crate::view::{SequenceView, ViewData, ViewRegistry};
+use crate::view::ViewRegistry;
 
-/// Result of executing one statement.
 ///
 /// Rows are behind an `Arc` so the result cache can hand the same
 /// materialized row set to every repeat of a query without copying.
@@ -164,7 +169,7 @@ impl fmt::Display for QueryResult {
     }
 }
 
-/// Engine configuration knobs (benchmark axes).
+/// Engine configuration knobs (benchmark axes), settable at runtime.
 #[derive(Debug, Clone, Copy)]
 struct Config {
     view_rewrite: bool,
@@ -172,6 +177,54 @@ struct Config {
     pattern_variant: PatternVariant,
     /// Record per-phase spans and a [`QueryTrace`] for every query.
     tracing: bool,
+}
+
+/// Everything one engine takes from the process environment, read once
+/// per [`Database`] construction (a caller may set a variable between two).
+struct EngineConfig {
+    /// `RFV_CACHE_BYTES` (`0` disables; default [`DEFAULT_CACHE_BYTES`]).
+    cache_bytes: usize,
+    /// `RFV_DATA_DIR`: makes [`Database::new`] durable.
+    data_dir: Option<PathBuf>,
+    /// `RFV_TRACE_FILE`: recorder on; where the shell dumps the trace.
+    trace_file: Option<PathBuf>,
+    /// `RFV_SLOW_MS`: slow-query threshold (`None` disables the log).
+    slow_ms: Option<u64>,
+    /// `RFV_STATEMENT_TIMEOUT_MS`, `RFV_MEM_BUDGET` (bytes),
+    /// `RFV_MAX_CONCURRENT_QUERIES`; zero or unparsable disables each.
+    limits: GovLimits,
+    /// `RFV_FSYNC`: fsync every WAL append (anything but `0`/empty).
+    fsync: bool,
+}
+
+impl EngineConfig {
+    fn from_env() -> Self {
+        let path = |name: &str| {
+            std::env::var_os(name)
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from)
+        };
+        let number = |name: &str| -> Option<u64> {
+            std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+        };
+        EngineConfig {
+            cache_bytes: number("RFV_CACHE_BYTES").map_or(DEFAULT_CACHE_BYTES, |b| b as usize),
+            data_dir: path("RFV_DATA_DIR"),
+            trace_file: path("RFV_TRACE_FILE"),
+            slow_ms: number("RFV_SLOW_MS"),
+            limits: GovLimits {
+                timeout: number("RFV_STATEMENT_TIMEOUT_MS")
+                    .filter(|&ms| ms > 0)
+                    .map(Duration::from_millis),
+                mem_budget: number("RFV_MEM_BUDGET")
+                    .filter(|&b| b > 0)
+                    .unwrap_or(UNLIMITED),
+                max_concurrent: number("RFV_MAX_CONCURRENT_QUERIES").unwrap_or(0) as usize,
+                interrupt: false,
+            },
+            fsync: std::env::var("RFV_FSYNC").is_ok_and(|v| !v.is_empty() && v != "0"),
+        }
+    }
 }
 
 /// Pre-resolved handles into the metrics registry, so hot paths never
@@ -197,6 +250,8 @@ struct EngineCounters {
     rewrite_disabled: Counter,
     rewrite_expressions: Counter,
     rewrite_expr_fallback: Counter,
+    /// `rewrite.strategy.<label>`, indexed by [`RewriteStrategy::index`].
+    rewrite_strategy: Arc<[Counter]>,
     maint_update: Counter,
     maint_insert: Counter,
     maint_delete: Counter,
@@ -243,6 +298,10 @@ impl EngineCounters {
             rewrite_disabled: metrics.counter("rewrite.disabled"),
             rewrite_expressions: metrics.counter("rewrite.expressions"),
             rewrite_expr_fallback: metrics.counter("rewrite.expr_fallback"),
+            rewrite_strategy: RewriteStrategy::LABELS
+                .iter()
+                .map(|l| metrics.counter(&format!("rewrite.strategy.{l}")))
+                .collect(),
             maint_update: metrics.counter("maintenance.update"),
             maint_insert: metrics.counter("maintenance.insert"),
             maint_delete: metrics.counter("maintenance.delete"),
@@ -262,46 +321,6 @@ impl EngineCounters {
     }
 }
 
-/// Packed planning-relevant config bits for the plan-cache key. The
-/// `tracing` knob is deliberately excluded: it changes what is measured,
-/// never what is planned.
-fn config_bits(config: &Config) -> u8 {
-    let mode = match config.window_mode {
-        WindowMode::Naive => 0u8,
-        WindowMode::Pipelined => 1,
-    };
-    let variant = match config.pattern_variant {
-        PatternVariant::Disjunctive => 0u8,
-        PatternVariant::UnionSimple => 1,
-        PatternVariant::UnionHash => 2,
-    };
-    u8::from(config.view_rewrite) | (mode << 1) | (variant << 2)
-}
-
-/// Bound the free-form `detail` payload of flight-recorder events so a
-/// pathological statement cannot bloat the ring (events are dropped on
-/// contention, never resized).
-fn truncate_sql(sql: &str) -> String {
-    const MAX: usize = 120;
-    if sql.len() <= MAX {
-        return sql.to_string();
-    }
-    let mut cut = MAX;
-    while !sql.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    format!("{}…", &sql[..cut])
-}
-
-/// Result-cache capacity from `RFV_CACHE_BYTES` (`0` disables; unset or
-/// unparsable falls back to [`DEFAULT_CACHE_BYTES`]).
-fn cache_bytes_from_env() -> usize {
-    match std::env::var("RFV_CACHE_BYTES") {
-        Ok(s) => s.trim().parse().unwrap_or(DEFAULT_CACHE_BYTES),
-        Err(_) => DEFAULT_CACHE_BYTES,
-    }
-}
-
 /// The full engine. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct Database {
@@ -314,6 +333,8 @@ pub struct Database {
     cache: Arc<QueryCache>,
     /// Always-on cumulative per-statement statistics (see [`crate::stats`]).
     stmt_stats: StatementStats,
+    /// Slow-query threshold in milliseconds (`RFV_SLOW_MS`; `None` = off).
+    slow_ms: Option<u64>,
     /// Owning references to this engine's virtual system tables — the
     /// catalog holds them weakly, so the `rfv_stat_*` names resolve
     /// exactly as long as the engine is alive.
@@ -346,15 +367,15 @@ impl Database {
     /// own WAL without interference. Use [`Database::open`] to reopen an
     /// existing data directory with recovery.
     pub fn new() -> Self {
-        let db = Self::build();
-        if let Some(dir) = std::env::var_os("RFV_DATA_DIR").filter(|v| !v.is_empty()) {
+        let (db, env) = Self::build();
+        if let Some(dir) = env.data_dir {
             static ENGINE_SEQ: AtomicU64 = AtomicU64::new(0);
-            let sub = PathBuf::from(dir).join(format!(
+            let sub = dir.join(format!(
                 "engine-{}-{}",
                 std::process::id(),
                 ENGINE_SEQ.fetch_add(1, AtomicOrdering::Relaxed)
             ));
-            match Persistence::create(&sub) {
+            match Persistence::create(&sub, env.fsync) {
                 Ok(p) => {
                     let _ = db.persist.set(Arc::new(p));
                 }
@@ -374,14 +395,16 @@ impl Database {
     /// replayed and never a panic.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         let dir = dir.as_ref();
-        let db = Self::build();
+        let (db, env) = Self::build();
+        // Recovery spans are recorded when the flight recorder is on
+        // (`complete_since` is a no-op otherwise).
         let rec = event::recorder();
-        let total_start = rec.is_enabled().then(event::now_ns);
-        let recovered = Persistence::recover(dir)?;
+        let total_start = event::now_ns();
+        let recovered = Persistence::recover(dir, env.fsync)?;
         let status = recovered.persistence.status();
         if let Some(snap) = recovered.snapshot {
-            let span_start = rec.is_enabled().then(event::now_ns);
-            let n_tables = snap.tables.len();
+            let start = event::now_ns();
+            let detail = format!("lsn {}, {} tables", snap.lsn, snap.tables.len());
             for image in snap.tables {
                 db.catalog.register(image.restore()?)?;
             }
@@ -391,58 +414,38 @@ impl Database {
                 db.catalog.table(&view.name)?;
                 db.registry.restore(view)?;
             }
-            if let Some(start) = span_start {
-                rec.complete_since(
-                    "recovery.snapshot",
-                    "recovery",
-                    start,
-                    Some(format!("lsn {}, {n_tables} tables", snap.lsn)),
-                );
-            }
+            rec.complete_since("recovery.snapshot", "recovery", start, Some(detail));
             db.metrics.counter("recovery.snapshot_loaded").incr();
         }
-        let span_start = rec.is_enabled().then(event::now_ns);
+        let start = event::now_ns();
         for record in &recovered.tail {
             db.apply_wal_record(record)?;
         }
-        if let Some(start) = span_start {
-            rec.complete_since(
-                "recovery.replay",
-                "recovery",
-                start,
-                Some(format!("{} records", recovered.tail.len())),
-            );
-        }
-        db.metrics
-            .counter("recovery.replayed")
-            .add(recovered.tail.len() as u64);
+        let replayed = recovered.tail.len() as u64;
+        let detail = format!("{replayed} records");
+        rec.complete_since("recovery.replay", "recovery", start, Some(detail));
+        db.metrics.counter("recovery.replayed").add(replayed);
         db.metrics
             .counter("recovery.truncated_bytes")
             .add(status.truncated_bytes);
-        if let Some(start) = total_start {
-            rec.complete_since(
-                "recovery",
-                "recovery",
-                start,
-                Some(dir.display().to_string()),
-            );
-        }
+        let detail = dir.display().to_string();
+        rec.complete_since("recovery", "recovery", total_start, Some(detail));
         let _ = db.persist.set(Arc::new(recovered.persistence));
         Ok(db)
     }
 
-    fn build() -> Self {
+    /// An in-memory engine configured from the environment it returns.
+    fn build() -> (Self, EngineConfig) {
+        let env = EngineConfig::from_env();
         let metrics = MetricsRegistry::new();
         let counters = EngineCounters::new(&metrics);
-        let cache = Arc::new(QueryCache::new(
-            cache_bytes_from_env(),
-            counters.cache.clone(),
-        ));
+        let cache = Arc::new(QueryCache::new(env.cache_bytes, counters.cache.clone()));
         let catalog = Catalog::new();
         let registry = ViewRegistry::new();
         let stmt_stats = StatementStats::new();
+        metrics.register_counter("stats.evicted", stmt_stats.evicted().clone());
         let persist: Arc<OnceLock<Arc<Persistence>>> = Arc::new(OnceLock::new());
-        let governor = Arc::new(Governor::from_env());
+        let governor = Arc::new(Governor::new(env.limits));
         let systabs = systab::standard_providers(
             stmt_stats.clone(),
             catalog.clone(),
@@ -457,17 +460,17 @@ impl Database {
         }
         // RFV_TRACE_FILE turns the flight recorder on for the whole
         // process and tells the shell where to dump the trace on exit.
-        let trace_file = std::env::var_os("RFV_TRACE_FILE").map(PathBuf::from);
-        if trace_file.is_some() {
+        if env.trace_file.is_some() {
             event::recorder().set_enabled(true);
         }
-        Database {
+        let db = Database {
             catalog,
             registry,
             cache,
             stmt_stats,
+            slow_ms: env.slow_ms,
             systabs: Arc::new(systabs),
-            trace_file: Arc::new(trace_file),
+            trace_file: Arc::new(env.trace_file.clone()),
             config: Arc::new(RwLock::new(Config {
                 view_rewrite: true,
                 window_mode: WindowMode::Pipelined,
@@ -480,109 +483,8 @@ impl Database {
             last_trace: Arc::new(RwLock::new(None)),
             persist,
             governor,
-        }
-    }
-
-    /// The attached durability handle, if any.
-    fn persistence(&self) -> Option<Arc<Persistence>> {
-        self.persist.get().cloned()
-    }
-
-    /// Append one logical WAL record when durable (no-op otherwise).
-    fn wal_log(&self, persist: &Option<Arc<Persistence>>, rec: WalRecord) -> Result<()> {
-        if let Some(p) = persist {
-            let (_, bytes) = p.log(&rec)?;
-            self.counters.wal_append.incr();
-            self.counters.wal_bytes.add(bytes);
-        }
-        Ok(())
-    }
-
-    /// Redo one WAL record through the live engine code paths (recovery
-    /// replay — `persist` is not yet attached, so nothing is re-logged).
-    fn apply_wal_record(&self, rec: &WalRecord) -> Result<()> {
-        match rec {
-            WalRecord::Sql(text) => {
-                let stmt = parse_statement(text)?;
-                self.execute_statement(&stmt).map(|_| ())
-            }
-            WalRecord::InsertRows { table, rows } => {
-                self.insert_rows(table, rows.clone()).map(|_| ())
-            }
-            WalRecord::SeqUpdate { table, pos, val } => self.sequence_update(table, *pos, *val),
-            WalRecord::SeqInsert { table, pos, val } => self.sequence_insert(table, *pos, *val),
-            WalRecord::SeqDelete { table, pos } => self.sequence_delete(table, *pos),
-            WalRecord::Batch { table, ops } => {
-                let mut batch = MaintBatch::new();
-                for op in ops {
-                    batch.push(*op);
-                }
-                self.apply_batch(table, &batch).map(|_| ())
-            }
-            WalRecord::Refresh { table } => self.refresh_views(table),
-        }
-    }
-
-    /// Where this engine persists, if durable.
-    pub fn data_dir(&self) -> Option<PathBuf> {
-        self.persistence().map(|p| p.dir().to_path_buf())
-    }
-
-    /// Durability status (`None` for in-memory engines). Also queryable
-    /// as the `rfv_stat_wal` system table.
-    pub fn persist_status(&self) -> Option<PersistStatus> {
-        self.persistence().map(|p| p.status())
-    }
-
-    /// Write a point-in-time snapshot covering everything logged so far.
-    /// DML is frozen for the duration (the snapshot holds the commit
-    /// lock). Errors if the engine is not durable.
-    pub fn persist_snapshot(&self) -> Result<PathBuf> {
-        let p = self.require_persistence()?;
-        let _commit = p.commit_lock();
-        let (images, extension) = self.snapshot_images()?;
-        let path = p.write_snapshot(&images, &extension)?;
-        self.metrics.counter("snapshot.written").incr();
-        event::recorder().instant("snapshot.written", "recovery", None);
-        Ok(path)
-    }
-
-    /// Snapshot, rotate the WAL behind it, and prune older snapshots.
-    /// Returns the new snapshot path and how many old snapshot files
-    /// were removed.
-    pub fn persist_compact(&self) -> Result<(PathBuf, u64)> {
-        let p = self.require_persistence()?;
-        let _commit = p.commit_lock();
-        let (images, extension) = self.snapshot_images()?;
-        let out = p.compact(&images, &extension)?;
-        self.metrics.counter("snapshot.written").incr();
-        event::recorder().instant("snapshot.compact", "recovery", None);
-        Ok(out)
-    }
-
-    fn require_persistence(&self) -> Result<Arc<Persistence>> {
-        self.persistence().ok_or_else(|| {
-            RfvError::execution("engine is not durable — set RFV_DATA_DIR or use Database::open")
-        })
-    }
-
-    /// Image every real catalog table (mirrors included) plus the view
-    /// registry. Caller holds the commit lock, so the set is a
-    /// consistent cut.
-    fn snapshot_images(&self) -> Result<(Vec<rfv_storage::snapshot::TableImage>, Vec<u8>)> {
-        let mut images = Vec::new();
-        for name in self.catalog.table_names() {
-            let t = self.catalog.table(&name)?;
-            let guard = t.read();
-            images.push(rfv_storage::snapshot::TableImage::of(&guard));
-        }
-        let views: Vec<SequenceView> = self
-            .registry
-            .names()
-            .iter()
-            .filter_map(|n| self.registry.get(n))
-            .collect();
-        Ok((images, durability::encode_views(&views)))
+        };
+        (db, env)
     }
 
     /// The [`RewriteReport`] of the most recently planned query: per
@@ -657,2451 +559,5 @@ impl Database {
     /// Point-in-time statistics of the two-level query cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Turn the process-wide flight recorder on or off (the buffer is
-    /// kept on `off`, so a dump after stopping still works).
-    pub fn set_recording(&self, on: bool) {
-        event::recorder().set_enabled(on);
-    }
-
-    /// Whether the flight recorder is currently recording.
-    pub fn recording(&self) -> bool {
-        event::recorder().is_enabled()
-    }
-
-    /// Flight-recorder state: enabled flag, ring capacity, events
-    /// accepted, events dropped under contention.
-    pub fn recorder_stats(&self) -> RecorderStats {
-        event::recorder().stats()
-    }
-
-    /// Drop all buffered flight-recorder events.
-    pub fn clear_recording(&self) {
-        event::recorder().clear();
-    }
-
-    /// The buffered flight-recorder events as a Chrome Trace Event JSON
-    /// document (open in Perfetto or `chrome://tracing`).
-    pub fn trace_json(&self) -> String {
-        event::recorder().chrome_trace().to_string()
-    }
-
-    /// Write [`trace_json`](Self::trace_json) to `path`.
-    pub fn export_trace(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.trace_json()).map_err(|e| {
-            RfvError::execution(format!("cannot write trace to {}: {e}", path.display()))
-        })
-    }
-
-    /// Where `RFV_TRACE_FILE` asked the trace to be dumped on exit
-    /// (`None` when the variable is unset).
-    pub fn trace_file(&self) -> Option<&Path> {
-        self.trace_file.as_deref()
-    }
-
-    /// Names of this engine's virtual system tables (`rfv_stat_*`),
-    /// queryable with ordinary SQL.
-    pub fn system_table_names(&self) -> Vec<String> {
-        self.systabs.iter().map(|p| p.name().to_string()).collect()
-    }
-
-    /// Snapshot of the always-on per-statement statistics, sorted by
-    /// normalized query text (also queryable as `rfv_stat_statements`).
-    pub fn statement_stats(&self) -> Vec<StatementStat> {
-        self.stmt_stats.snapshot()
-    }
-
-    /// Drop all per-statement statistics entries.
-    pub fn reset_statement_stats(&self) {
-        self.stmt_stats.reset();
-    }
-
-    /// Cap the shared worker pool at `n` threads (`0` resets to the
-    /// `RFV_THREADS` env var / hardware default). The pool is
-    /// process-wide, so this affects every engine in the process; results
-    /// are byte-identical at any setting — only speed changes.
-    pub fn set_threads(&self, n: usize) {
-        rfv_exec::sched::set_threads(n);
-    }
-
-    /// The thread budget parallel operators currently plan for.
-    pub fn threads(&self) -> usize {
-        rfv_exec::sched::effective_threads()
-    }
-
-    /// Cooperatively cancel every in-flight statement: each aborts at
-    /// its next operator checkpoint with [`RfvError::Cancelled`], leaving
-    /// tables, views, and caches exactly as they were. Returns how many
-    /// running statements were signalled. Safe from any thread.
-    pub fn cancel(&self) -> usize {
-        self.governor.cancel_all()
-    }
-
-    /// Per-statement wall-clock deadline for subsequently submitted
-    /// statements (`None` disables). A running statement that crosses the
-    /// deadline aborts at its next checkpoint with [`RfvError::Timeout`].
-    /// The initial value comes from `RFV_STATEMENT_TIMEOUT_MS`.
-    pub fn set_statement_timeout(&self, timeout: Option<Duration>) {
-        self.governor.set_timeout(timeout);
-    }
-
-    /// Per-statement budget for materialized intermediate bytes (`None`
-    /// or `Some(0)` disables); exceeding it aborts the statement with
-    /// [`RfvError::ResourceExhausted`]. Initial value: `RFV_MEM_BUDGET`.
-    pub fn set_mem_budget(&self, bytes: Option<u64>) {
-        self.governor.set_mem_budget(bytes);
-    }
-
-    /// Cap on concurrently executing statements (`0` = unlimited); a
-    /// statement that cannot be admitted within a bounded wait fails with
-    /// [`RfvError::Overloaded`]. Initial value: `RFV_MAX_CONCURRENT_QUERIES`.
-    pub fn set_max_concurrent(&self, n: usize) {
-        self.governor.set_max_concurrent(n);
-    }
-
-    /// Make subsequently minted statement tokens consume the
-    /// process-global interrupt flag (the shell's SIGINT handler raises
-    /// it), so Ctrl-C cancels the running query. Default off — library
-    /// embedders rarely want a process-global side channel.
-    pub fn set_interrupt_handling(&self, on: bool) {
-        self.governor.set_interrupt(on);
-    }
-
-    /// Statements currently between admission and completion.
-    pub fn running_statements(&self) -> usize {
-        self.governor.running()
-    }
-
-    /// Execute one SQL statement.
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let collector = self.make_collector();
-        let stmt = collector.time("parse", || parse_statement(sql))?;
-        self.execute_statement_traced(&stmt, &collector)
-    }
-
-    /// A span collector for one statement: enabled when tracing is on
-    /// **or** the flight recorder is recording (the recorder re-uses the
-    /// phase spans; PR-3 tracing artifacts — `query.ns`, `last_trace` —
-    /// stay gated on the `tracing` config bit alone).
-    fn make_collector(&self) -> Collector {
-        Collector::new(self.config.read().tracing || event::recorder().is_enabled())
-    }
-
-    /// Execute a `;`-separated script, returning one result per statement.
-    pub fn execute_script(&self, sql: &str) -> Result<Vec<QueryResult>> {
-        parse_statements(sql)?
-            .iter()
-            .map(|s| self.execute_statement(s))
-            .collect()
-    }
-
-    /// EXPLAIN: the bound logical plan and the physical plan actually
-    /// chosen (including whether a view rewrite fired). Accepts either a
-    /// bare query or an `EXPLAIN [ANALYZE]` statement.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        match parse_statement(sql)? {
-            ast::Statement::Query(q) => self.explain_query(&q),
-            ast::Statement::Explain {
-                analyze: false,
-                query,
-            } => self.explain_query(&query),
-            ast::Statement::Explain {
-                analyze: true,
-                query,
-            } => self.explain_analyze_query(&query),
-            _ => Err(RfvError::plan("EXPLAIN supports queries only")),
-        }
-    }
-
-    fn explain_query(&self, q: &ast::Query) -> Result<String> {
-        let entry = self.plan_query(q)?;
-        let mut out = format!(
-            "== logical ==\n{}== physical ({}) ==\n{}",
-            entry.logical.explain(),
-            if entry.from_view {
-                "view rewrite"
-            } else {
-                "direct"
-            },
-            entry.physical.explain()
-        );
-        if let Some(report) = self.last_rewrite_report() {
-            out.push_str(&format!("== rewrite ==\n{report}"));
-        }
-        Ok(out)
-    }
-
-    /// EXPLAIN ANALYZE: plan and *run* the query, rendering the physical
-    /// tree with measured actuals (rows, batches, wall time) on every
-    /// node, the phase-span timeline, and the rewrite report.
-    fn explain_analyze_query(&self, q: &ast::Query) -> Result<String> {
-        // ANALYZE always traces, independent of `set_tracing`.
-        let collector = Collector::enabled();
-        let (entry, plan_key) = self.plan_query_cached(q, &collector)?;
-        // Annotate-only peek: would a plain run of this query be served
-        // from the result cache right now? Never serves from nor
-        // populates the cache — ANALYZE must measure real execution —
-        // and never perturbs recency order or the hit/miss counters.
-        let cache_hit = plan_key
-            .map(|plan| ResultKey {
-                gens: entry.dep_generations(),
-                plan,
-            })
-            .is_some_and(|key| self.cache.result_contains(&key));
-        // ANALYZE executes for real, so it is governed like a plain run
-        // (timeout / budget / cancel) — but not admission-gated: the
-        // `Explain` statement dispatch would double-count the slot.
-        let probe = ExecProbe {
-            counters: Some(self.counters.exec.clone()),
-            trace: true,
-            token: Some(self.governor.statement_token()),
-        };
-        let (rows, metrics) =
-            collector.time("execute", || entry.physical.execute_probed(&probe))?;
-        self.counters.query_executed.incr();
-        self.counters.exec.rows_emitted.add(rows.len() as u64);
-        let metrics = metrics
-            .ok_or_else(|| RfvError::internal("traced execution produced no metrics tree"))?;
-        let trace = self.store_trace(
-            &collector,
-            ast::Statement::Query(q.clone()),
-            entry.from_view,
-        );
-        let mut out = format!(
-            "== physical ({}){} ==\n{}",
-            if entry.from_view {
-                "view rewrite"
-            } else {
-                "direct"
-            },
-            if cache_hit { " [cache: hit]" } else { "" },
-            entry.physical.explain_analyzed(&metrics)
-        );
-        out.push_str(&format!(
-            "rows emitted: {}, rows scanned: {}\n",
-            rows.len(),
-            metrics.rows_scanned()
-        ));
-        out.push_str("== phases ==\n");
-        for s in &trace.spans {
-            out.push_str(&format!("{s}\n"));
-        }
-        out.push_str(&format!(
-            "{:<14} {}\n",
-            "total",
-            rfv_obs::fmt_ns(trace.total_ns)
-        ));
-        if let Some(report) = self.last_rewrite_report() {
-            out.push_str(&format!("== rewrite ==\n{report}"));
-        }
-        Ok(out)
-    }
-
-    /// Finish `collector` into a stored [`QueryTrace`] (no-op sentinel
-    /// values when the collector is disabled — callers only store it
-    /// when tracing was on).
-    fn store_trace(
-        &self,
-        collector: &Collector,
-        stmt: ast::Statement,
-        rewritten: bool,
-    ) -> Arc<QueryTrace> {
-        let trace = Arc::new(QueryTrace {
-            sql: stmt.to_string(),
-            spans: collector.take(),
-            total_ns: collector.elapsed_ns(),
-            rewritten,
-            rewrite: self.last_rewrite_report(),
-        });
-        *self.last_trace.write() = Some(trace.clone());
-        trace
-    }
-
-    /// Post-execution observation of one query, independent of whether
-    /// it hit the result cache: fold it into the always-on statement
-    /// statistics, apply the `RFV_SLOW_MS` slow-query log, and emit the
-    /// flight-recorder events (per-phase spans re-origined onto the
-    /// process timeline plus one overall `query` span).
-    #[allow(clippy::too_many_arguments)]
-    fn observe_query(
-        &self,
-        q: &ast::Query,
-        sql_key: Option<String>,
-        collector: &Collector,
-        entry: &PlanEntry,
-        elapsed_ns: u64,
-        rows: u64,
-        cache_hit: bool,
-        rec_start: Option<u64>,
-    ) {
-        // With the cache disabled there is no PlanKey; normalize the
-        // same way it would have (`Display` of the AST).
-        let sql = sql_key.unwrap_or_else(|| q.to_string());
-        self.stmt_stats.record(
-            &sql,
-            elapsed_ns,
-            rows,
-            cache_hit,
-            entry.outcome,
-            &entry.report,
-        );
-        if let Some(ms) = slow_ms_from_env() {
-            if elapsed_ns >= ms.saturating_mul(1_000_000) {
-                self.counters.query_slow.incr();
-                eprintln!(
-                    "[rfv] slow query ({}, {} rows): {}",
-                    rfv_obs::fmt_ns(elapsed_ns),
-                    rows,
-                    sql
-                );
-                event::recorder().instant("query.slow", "engine", Some(truncate_sql(&sql)));
-            }
-        }
-        if let Some(start) = rec_start {
-            let rec = event::recorder();
-            // The collector's spans sit on its own timeline (0 = its
-            // creation); shift them onto the shared process origin.
-            let origin = event::now_ns().saturating_sub(collector.elapsed_ns());
-            let lane = event::thread_lane();
-            for s in collector.snapshot() {
-                rec.record(event::Event {
-                    name: s.name,
-                    cat: "engine",
-                    ph: EventPh::Complete,
-                    ts_ns: origin.saturating_add(s.start_ns),
-                    dur_ns: s.elapsed_ns,
-                    lane,
-                    detail: None,
-                });
-            }
-            rec.complete(
-                "query",
-                "engine",
-                start,
-                elapsed_ns,
-                Some(truncate_sql(&sql)),
-            );
-        }
-    }
-
-    /// Account one **errored** statement: classify the failure into the
-    /// governance counters, fold it into the per-statement statistics
-    /// (satellite of the governance work — before PR 10 an errored
-    /// statement vanished from `rfv_stat_statements` and every `query.*`
-    /// counter), and drop a flight-recorder instant. `query.executed` is
-    /// deliberately *not* bumped: it counts completed executions.
-    fn note_query_failure(&self, q: &ast::Query, elapsed_ns: u64, err: &RfvError) {
-        self.counters.query_failed.incr();
-        let instant = match err {
-            RfvError::Cancelled(_) => {
-                self.counters.query_cancelled.incr();
-                "query.cancelled"
-            }
-            RfvError::Timeout(_) => {
-                self.counters.query_timeout.incr();
-                "query.timeout"
-            }
-            RfvError::ResourceExhausted(_) => {
-                self.counters.query_oom.incr();
-                "query.oom"
-            }
-            RfvError::Overloaded(_) => {
-                self.counters.query_rejected.incr();
-                "query.rejected"
-            }
-            _ => "query.failed",
-        };
-        // Same normalization as the success path with the cache disabled:
-        // the AST's canonical Display, so the failed and successful runs
-        // of one query share a statistics entry.
-        let sql = q.to_string();
-        self.stmt_stats.record_failure(&sql, elapsed_ns);
-        event::recorder().instant(instant, "engine", Some(truncate_sql(&sql)));
-    }
-
-    /// The governed query path: plan (cached), result-cache lookup,
-    /// execute under `token`, validate-after publish, observe. Failure
-    /// accounting lives in the caller so *every* error — plan-time or
-    /// execution-time — is recorded exactly once.
-    #[allow(clippy::too_many_arguments)]
-    fn run_query(
-        &self,
-        q: &ast::Query,
-        stmt: &ast::Statement,
-        collector: &Collector,
-        tracing: bool,
-        clock: &Stopwatch,
-        token: &Arc<CancelToken>,
-        rec_start: Option<u64>,
-    ) -> Result<QueryResult> {
-        let rec = event::recorder();
-        let (entry, plan_key) = self.plan_query_cached(q, collector)?;
-        let sql_key = plan_key.as_ref().map(|k| k.sql.clone());
-        // The result-cache key binds the plan to the *current*
-        // data generation of every table it reads.
-        let result_key = plan_key.map(|plan| ResultKey {
-            gens: entry.dep_generations(),
-            plan,
-        });
-        if let Some(key) = &result_key {
-            if let Some(hit) = self.cache.result_get(key) {
-                self.counters.cache.hits.incr();
-                self.counters.query_executed.incr();
-                self.counters.exec.rows_emitted.add(hit.rows().len() as u64);
-                rec.instant("cache.hit", "cache", None);
-                if tracing {
-                    self.counters.query_ns.record(collector.elapsed_ns());
-                    self.store_trace(collector, stmt.clone(), entry.from_view);
-                }
-                self.observe_query(
-                    q,
-                    sql_key,
-                    collector,
-                    &entry,
-                    clock.elapsed_ns(),
-                    hit.rows().len() as u64,
-                    true,
-                    rec_start,
-                );
-                return Ok(hit);
-            }
-            self.counters.cache.misses.incr();
-            rec.instant("cache.miss", "cache", None);
-        }
-        let probe = ExecProbe {
-            counters: Some(self.counters.exec.clone()),
-            trace: false,
-            token: Some(Arc::clone(token)),
-        };
-        let (rows, _) = collector.time("execute", || entry.physical.execute_probed(&probe))?;
-        self.counters.query_executed.incr();
-        self.counters.exec.rows_emitted.add(rows.len() as u64);
-        if tracing {
-            self.counters.query_ns.record(collector.elapsed_ns());
-            self.store_trace(collector, stmt.clone(), entry.from_view);
-        }
-        let result = QueryResult::with_rows(entry.logical.schema(), rows);
-        if let Some(key) = result_key {
-            // Validate-after: publish only if no dep mutated while
-            // we were scanning — a torn read must never be cached.
-            // (An aborted execution never reaches this point, so the
-            // result cache cannot observe partial results either.)
-            if key.gens == entry.dep_generations() {
-                self.cache.result_put(key, result.clone());
-            }
-        }
-        self.observe_query(
-            q,
-            sql_key,
-            collector,
-            &entry,
-            clock.elapsed_ns(),
-            result.rows().len() as u64,
-            false,
-            rec_start,
-        );
-        Ok(result)
-    }
-
-    fn execute_statement(&self, stmt: &ast::Statement) -> Result<QueryResult> {
-        let collector = self.make_collector();
-        self.execute_statement_traced(stmt, &collector)
-    }
-
-    fn execute_statement_traced(
-        &self,
-        stmt: &ast::Statement,
-        collector: &Collector,
-    ) -> Result<QueryResult> {
-        match stmt {
-            ast::Statement::Query(q) => {
-                // PR-3 tracing artifacts stay gated on the config bit —
-                // the collector may be enabled for the recorder alone.
-                let tracing = self.config.read().tracing;
-                let rec_start = event::recorder().is_enabled().then(event::now_ns);
-                // Always-on statement-stats clock: plan + execute
-                // (parse happens before statement dispatch).
-                let clock = Stopwatch::start();
-                // Admission first: a shed statement must not spend plan
-                // work. The guard releases its slot on any exit path,
-                // including unwinding past a governance error.
-                let _slot = match self.governor.admit() {
-                    Ok(slot) => slot,
-                    Err(e) => {
-                        self.note_query_failure(q, clock.elapsed_ns(), &e);
-                        return Err(e);
-                    }
-                };
-                let token = self.governor.statement_token();
-                let result = self.run_query(q, stmt, collector, tracing, &clock, &token, rec_start);
-                if let Err(e) = &result {
-                    self.note_query_failure(q, clock.elapsed_ns(), e);
-                }
-                result
-            }
-            ast::Statement::Explain { analyze, query } => {
-                let text = if *analyze {
-                    self.explain_analyze_query(query)?
-                } else {
-                    self.explain_query(query)?
-                };
-                Ok(QueryResult::with_rows(
-                    SchemaRef::new(Schema::new(vec![Field::not_null(
-                        "plan".to_string(),
-                        DataType::Str,
-                    )])),
-                    text.lines()
-                        .map(|l| Row::new(vec![Value::from(l)]))
-                        .collect(),
-                ))
-            }
-            ast::Statement::CreateTable { name, columns } => {
-                let persist = self.persistence();
-                let _commit = persist.as_ref().map(|p| p.commit_lock());
-                let fields = columns
-                    .iter()
-                    .map(|c| {
-                        let mut f = if c.not_null {
-                            rfv_types::Field::not_null(c.name.clone(), c.data_type)
-                        } else {
-                            rfv_types::Field::new(c.name.clone(), c.data_type)
-                        };
-                        f.qualifier = None;
-                        f
-                    })
-                    .collect();
-                let table = self.catalog.create_table(name, Schema::new(fields))?;
-                for (i, c) in columns.iter().enumerate() {
-                    if c.primary_key {
-                        table.write().create_index(i, IndexKind::Unique)?;
-                    }
-                }
-                self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-                Ok(QueryResult::empty())
-            }
-            ast::Statement::CreateIndex {
-                table,
-                column,
-                unique,
-            } => {
-                let persist = self.persistence();
-                let _commit = persist.as_ref().map(|p| p.commit_lock());
-                let t = self.catalog.table(table)?;
-                {
-                    let mut guard = t.write();
-                    let idx = guard.schema().index_of(None, column)?;
-                    guard.create_index(
-                        idx,
-                        if *unique {
-                            IndexKind::Unique
-                        } else {
-                            IndexKind::NonUnique
-                        },
-                    )?;
-                }
-                self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-                Ok(QueryResult::empty())
-            }
-            ast::Statement::CreateMaterializedView { name, query } => {
-                let persist = self.persistence();
-                let _commit = persist.as_ref().map(|p| p.commit_lock());
-                self.create_materialized_view(name, query)?;
-                self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-                Ok(QueryResult::empty())
-            }
-            ast::Statement::Insert {
-                table,
-                columns,
-                values,
-            } => {
-                let n = self.insert(table, columns, values)?;
-                Ok(QueryResult::command("INSERT", n))
-            }
-            ast::Statement::Update {
-                table,
-                assignments,
-                selection,
-            } => {
-                let n = self.update(table, assignments, selection.as_ref())?;
-                Ok(QueryResult::command("UPDATE", n))
-            }
-            ast::Statement::Delete { table, selection } => {
-                let n = self.delete(table, selection.as_ref())?;
-                Ok(QueryResult::command("DELETE", n))
-            }
-            ast::Statement::DropTable { name } => {
-                let persist = self.persistence();
-                let _commit = persist.as_ref().map(|p| p.commit_lock());
-                if !self.registry.views_for(name).is_empty() {
-                    return Err(RfvError::catalog(format!(
-                        "cannot drop `{name}`: materialized sequence views depend on it"
-                    )));
-                }
-                if self.registry.get(name).is_some() {
-                    self.registry.drop(&self.catalog, name)?;
-                } else {
-                    self.catalog.drop_table(name)?;
-                }
-                self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-                Ok(QueryResult::empty())
-            }
-        }
-    }
-
-    fn plan_query(&self, q: &ast::Query) -> Result<Arc<PlanEntry>> {
-        self.plan_query_cached(q, &Collector::disabled())
-            .map(|(entry, _)| entry)
-    }
-
-    /// Plan `q` through the plan cache. Returns the shared plan entry
-    /// plus the cache key when the statement is cacheable (`None` means
-    /// the cache is disabled and the result must not be cached either).
-    ///
-    /// A hit must be observationally identical to a fresh planning pass:
-    /// it bumps `query.planned`, replays the rewrite-outcome counters,
-    /// and republishes the *same* `Arc<RewriteReport>` — so
-    /// [`last_rewrite_report`](Self::last_rewrite_report) and the PR-3
-    /// counter invariants hold whether or not the cache fired.
-    fn plan_query_cached(
-        &self,
-        q: &ast::Query,
-        collector: &Collector,
-    ) -> Result<(Arc<PlanEntry>, Option<PlanKey>)> {
-        let config = *self.config.read();
-        if !self.cache.enabled() {
-            return Ok((Arc::new(self.plan_fresh(q, config, collector)?), None));
-        }
-        let key = PlanKey {
-            sql: q.to_string(),
-            config: config_bits(&config),
-            catalog_gen: self.catalog.generation(),
-            registry_gen: self.registry.generation(),
-        };
-        if let Some(entry) = self.cache.plan_get(&key) {
-            self.counters.cache.plan_hits.incr();
-            self.counters.query_planned.incr();
-            event::recorder().instant("plan_cache.hit", "cache", None);
-            self.replay_rewrite(&entry);
-            return Ok((entry, Some(key)));
-        }
-        self.counters.cache.plan_misses.incr();
-        event::recorder().instant("plan_cache.miss", "cache", None);
-        let entry = Arc::new(self.plan_fresh(q, config, collector)?);
-        if !entry.cacheable() {
-            // Plans over virtual system-table snapshots are throwaway:
-            // never cached at either level (a `None` key also keeps the
-            // result out of the result cache).
-            return Ok((entry, None));
-        }
-        self.cache.plan_put(key.clone(), Arc::clone(&entry));
-        Ok((entry, Some(key)))
-    }
-
-    /// One full planning pass: bind, optimize, attempt the view rewrite,
-    /// fall back to the direct physical planner — exactly the pre-cache
-    /// pipeline, plus dependency capture for the cache.
-    fn plan_fresh(
-        &self,
-        q: &ast::Query,
-        config: Config,
-        collector: &Collector,
-    ) -> Result<PlanEntry> {
-        let binder = Binder::new(&self.catalog).with_window_mode(config.window_mode);
-        let bound = collector.time("bind", || binder.bind_query(q))?;
-        let logical = collector.time("optimize", || optimize(bound));
-        self.counters.query_planned.incr();
-        let (physical, from_view, outcome, report) = if config.view_rewrite {
-            let rewriter =
-                Rewriter::new(&self.catalog, &self.registry).with_variant(config.pattern_variant);
-            let (planned, report) =
-                collector.time("rewrite", || rewriter.plan_with_views_traced(&logical))?;
-            let outcome = if report.rewritten {
-                PlanOutcome::Rewritten
-            } else {
-                PlanOutcome::Fallback
-            };
-            let report = self.record_rewrite(report);
-            match planned {
-                Some(physical) => (physical, true, outcome, report),
-                None => {
-                    let physical = collector.time("physical-plan", || {
-                        PhysicalPlanner::new(&self.catalog).plan(&logical)
-                    })?;
-                    (physical, false, outcome, report)
-                }
-            }
-        } else {
-            self.counters.rewrite_disabled.incr();
-            let report = Arc::new(RewriteReport::disabled());
-            *self.last_rewrite.write() = Some(Arc::clone(&report));
-            let physical = collector.time("physical-plan", || {
-                PhysicalPlanner::new(&self.catalog).plan(&logical)
-            })?;
-            (physical, false, PlanOutcome::Disabled, report)
-        };
-        // Capture the data generation of every table the plan reads —
-        // the cache's invalidation dependency set.
-        let deps = physical
-            .referenced_tables()
-            .into_iter()
-            .map(|table| {
-                let generation = table.read().generation();
-                PlanDep { table, generation }
-            })
-            .collect();
-        Ok(PlanEntry {
-            logical,
-            physical,
-            from_view,
-            outcome,
-            report,
-            deps,
-        })
-    }
-
-    /// Store the report of one planning pass (shared via `Arc`) and fold
-    /// it into the always-on counters: one report-level outcome counter,
-    /// plus per-expression strategy counters that satisfy
-    /// `rewrite.expressions == Σ rewrite.strategy.* + rewrite.expr_fallback`.
-    fn record_rewrite(&self, report: RewriteReport) -> Arc<RewriteReport> {
-        if report.rewritten {
-            self.counters.rewrite_rewritten.incr();
-        } else {
-            self.counters.rewrite_fallback.incr();
-        }
-        let rec = event::recorder();
-        let rec_on = rec.is_enabled();
-        for d in &report.decisions {
-            self.counters.rewrite_expressions.incr();
-            match &d.outcome {
-                RewriteOutcome::FromView { strategy, .. } => {
-                    self.metrics
-                        .counter(&format!("rewrite.strategy.{}", strategy.label()))
-                        .incr();
-                    if rec_on {
-                        rec.instant(
-                            "rewrite.decision",
-                            "rewrite",
-                            Some(strategy.label().to_string()),
-                        );
-                    }
-                }
-                RewriteOutcome::Fallback { .. } => {
-                    self.counters.rewrite_expr_fallback.incr();
-                    if rec_on {
-                        rec.instant("rewrite.decision", "rewrite", Some("fallback".to_string()));
-                    }
-                }
-            }
-        }
-        let report = Arc::new(report);
-        *self.last_rewrite.write() = Some(Arc::clone(&report));
-        report
-    }
-
-    /// Replay what [`record_rewrite`](Self::record_rewrite) (or the
-    /// rewrite-disabled branch) did for a cached plan, so counters
-    /// advance identically on hits and misses.
-    fn replay_rewrite(&self, entry: &PlanEntry) {
-        match entry.outcome {
-            PlanOutcome::Rewritten => self.counters.rewrite_rewritten.incr(),
-            PlanOutcome::Fallback => self.counters.rewrite_fallback.incr(),
-            PlanOutcome::Disabled => self.counters.rewrite_disabled.incr(),
-        }
-        let rec = event::recorder();
-        let rec_on = rec.is_enabled();
-        for d in &entry.report.decisions {
-            self.counters.rewrite_expressions.incr();
-            match &d.outcome {
-                RewriteOutcome::FromView { strategy, .. } => {
-                    self.metrics
-                        .counter(&format!("rewrite.strategy.{}", strategy.label()))
-                        .incr();
-                    if rec_on {
-                        rec.instant(
-                            "rewrite.decision",
-                            "rewrite",
-                            Some(strategy.label().to_string()),
-                        );
-                    }
-                }
-                RewriteOutcome::Fallback { .. } => {
-                    self.counters.rewrite_expr_fallback.incr();
-                    if rec_on {
-                        rec.instant("rewrite.decision", "rewrite", Some("fallback".to_string()));
-                    }
-                }
-            }
-        }
-        *self.last_rewrite.write() = Some(Arc::clone(&entry.report));
-    }
-
-    // -- INSERT -------------------------------------------------------------
-
-    fn insert(&self, table: &str, columns: &[String], values: &[Vec<ast::Expr>]) -> Result<usize> {
-        let t = self.catalog.table(table)?;
-        let schema = t.read().schema().clone();
-        let binder = Binder::new(&self.catalog);
-        let empty = Schema::empty();
-        let column_indexes: Vec<usize> = if columns.is_empty() {
-            (0..schema.len()).collect()
-        } else {
-            columns
-                .iter()
-                .map(|c| schema.index_of(None, c))
-                .collect::<Result<_>>()?
-        };
-        // Evaluate every tuple before touching the table: a multi-row
-        // INSERT lands all-or-nothing.
-        let mut rows: Vec<Row> = Vec::with_capacity(values.len());
-        for tuple in values {
-            if tuple.len() != column_indexes.len() {
-                return Err(RfvError::schema(format!(
-                    "INSERT expects {} values, got {}",
-                    column_indexes.len(),
-                    tuple.len()
-                )));
-            }
-            let mut row_values = vec![Value::Null; schema.len()];
-            for (expr, &idx) in tuple.iter().zip(&column_indexes) {
-                let bound = binder.bind_scalar(expr, &empty)?;
-                row_values[idx] = bound.eval(&Row::empty())?;
-            }
-            rows.push(Row::new(row_values));
-        }
-        self.insert_rows(table, rows)
-    }
-
-    /// Apply pre-evaluated rows to `table` (the post-expression half of
-    /// INSERT, and the WAL replay entry point — the log stores evaluated
-    /// rows, so replay is exact and never re-evaluates).
-    fn insert_rows(&self, table: &str, mut rows: Vec<Row>) -> Result<usize> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let logged = persist.as_ref().map(|_| WalRecord::InsertRows {
-            table: table.to_string(),
-            rows: rows.clone(),
-        });
-        let t = self.catalog.table(table)?;
-        let schema = t.read().schema().clone();
-        let dependents = self.registry.views_for(table);
-        let inserted = rows.len();
-        if dependents.is_empty() {
-            // One write lock for the whole statement, not one per row.
-            t.write().insert_many(rows)?;
-        } else if dependents.iter().all(|v| v.is_partitioned()) {
-            // §6 partitioned reporting functions: positions are local to
-            // partitions, so any insert is accepted and the views are
-            // rematerialized from the new base state — once per statement.
-            t.write().insert_many(rows)?;
-            self.refresh_partitioned_views(table)?;
-        } else {
-            // Base of materialized sequence views: only appends at the
-            // successive tail positions n+1, n+2, … can be maintained
-            // through plain INSERT.
-            let view = dependents
-                .iter()
-                .find(|v| !v.is_partitioned())
-                .ok_or_else(|| {
-                    RfvError::internal("no unpartitioned view among sequence-view dependents")
-                })?;
-            let pos_idx = schema.index_of(None, &view.pos_column)?;
-            let val_idx = schema.index_of(None, &view.val_column)?;
-            let n = view.n();
-            let mut pos_vals: Vec<(i64, f64)> = Vec::with_capacity(rows.len());
-            for (j, row) in rows.iter().enumerate() {
-                let pos = row.get(pos_idx).as_int()?.ok_or_else(|| {
-                    RfvError::execution("NULL position inserted into sequence table")
-                })?;
-                let expected = n + 1 + j as i64;
-                if pos != expected {
-                    return Err(RfvError::execution(format!(
-                        "table `{table}` backs materialized sequence views; plain \
-                         INSERT must append position {expected} (got {pos}) — use \
-                         Database::sequence_insert for mid-sequence inserts",
-                    )));
-                }
-                let val = row.get(val_idx).as_f64()?.ok_or_else(|| {
-                    RfvError::execution("NULL value inserted into sequence table")
-                })?;
-                pos_vals.push((pos, val));
-            }
-            if rows.len() == 1 {
-                // Single-row appends keep the per-row §2.3 path (and its
-                // maintenance.insert accounting).
-                let (pos, val) = pos_vals[0];
-                let row = rows
-                    .pop()
-                    .ok_or_else(|| RfvError::internal("single-row INSERT lost its row"))?;
-                t.write().insert(row)?;
-                self.maintain_views(table, MaintOp::Insert { k: pos, val })?;
-            } else {
-                // Multi-row appends take the batched path: pre-image read,
-                // one insert_many under one lock, one coalesced
-                // maintenance pass per view.
-                let raw_before = self
-                    .read_sequence_table(table, &view.pos_column, &view.val_column)?
-                    .0;
-                let mut batch = MaintBatch::new();
-                for (pos, val) in pos_vals {
-                    batch.push(BatchOp::Insert { k: pos, val });
-                }
-                t.write().insert_many(rows)?;
-                self.maintain_views_batch(table, &batch, raw_before)?;
-            }
-        }
-        if let Some(rec) = logged {
-            self.wal_log(&persist, rec)?;
-        }
-        Ok(inserted)
-    }
-
-    /// Guard shared by UPDATE/DELETE: simple sequence views need the §2.3
-    /// positional rules (SQL row-level DML can't express them), partitioned
-    /// views can be rematerialized afterwards.
-    fn dml_view_guard(&self, table: &str) -> Result<bool> {
-        let dependents = self.registry.views_for(table);
-        if dependents.iter().any(|v| !v.is_partitioned()) {
-            return Err(RfvError::execution(format!(
-                "table `{table}` backs simple materialized sequence views; use \
-                 Database::sequence_update / sequence_delete so the §2.3 \
-                 incremental rules can be applied"
-            )));
-        }
-        Ok(!dependents.is_empty())
-    }
-
-    /// `UPDATE table SET … [WHERE …]`. Returns the number of updated rows.
-    pub fn update(
-        &self,
-        table: &str,
-        assignments: &[(String, ast::Expr)],
-        selection: Option<&ast::Expr>,
-    ) -> Result<usize> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let has_partitioned = self.dml_view_guard(table)?;
-        let t = self.catalog.table(table)?;
-        let binder = Binder::new(&self.catalog);
-        let updated = {
-            let schema = t.read().schema().as_ref().clone();
-            let bound_assignments: Vec<(usize, rfv_expr::Expr)> = assignments
-                .iter()
-                .map(|(col, e)| Ok((schema.index_of(None, col)?, binder.bind_scalar(e, &schema)?)))
-                .collect::<Result<_>>()?;
-            let predicate = selection
-                .map(|e| binder.bind_scalar(e, &schema))
-                .transpose()?;
-            let mut guard = t.write();
-            let targets: Vec<(usize, Row)> =
-                guard.scan().map(|(rid, r)| (rid, r.clone())).collect();
-            let mut updated = 0usize;
-            for (rid, row) in targets {
-                let keep = match &predicate {
-                    None => true,
-                    Some(p) => p.eval(&row)?.as_bool()? == Some(true),
-                };
-                if !keep {
-                    continue;
-                }
-                let mut new_row = row.clone();
-                for (idx, expr) in &bound_assignments {
-                    new_row.set(*idx, expr.eval(&row)?);
-                }
-                guard.update(rid, new_row)?;
-                updated += 1;
-            }
-            updated
-        };
-        if has_partitioned {
-            self.refresh_partitioned_views(table)?;
-        }
-        if persist.is_some() {
-            // Log the statement form: assignments re-evaluate per row on
-            // replay, deterministically (parsed exprs round-trip exactly).
-            let stmt = ast::Statement::Update {
-                table: table.to_string(),
-                assignments: assignments.to_vec(),
-                selection: selection.cloned(),
-            };
-            self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-        }
-        Ok(updated)
-    }
-
-    /// `DELETE FROM table [WHERE …]`. Returns the number of deleted rows.
-    pub fn delete(&self, table: &str, selection: Option<&ast::Expr>) -> Result<usize> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let has_partitioned = self.dml_view_guard(table)?;
-        let t = self.catalog.table(table)?;
-        let binder = Binder::new(&self.catalog);
-        let deleted = {
-            let schema = t.read().schema().as_ref().clone();
-            let predicate = selection
-                .map(|e| binder.bind_scalar(e, &schema))
-                .transpose()?;
-            let mut guard = t.write();
-            let targets: Vec<(usize, Row)> =
-                guard.scan().map(|(rid, r)| (rid, r.clone())).collect();
-            let mut deleted = 0usize;
-            for (rid, row) in targets {
-                let keep = match &predicate {
-                    None => true,
-                    Some(p) => p.eval(&row)?.as_bool()? == Some(true),
-                };
-                if keep {
-                    guard.delete(rid)?;
-                    deleted += 1;
-                }
-            }
-            deleted
-        };
-        if has_partitioned {
-            self.refresh_partitioned_views(table)?;
-        }
-        if persist.is_some() {
-            let stmt = ast::Statement::Delete {
-                table: table.to_string(),
-                selection: selection.cloned(),
-            };
-            self.wal_log(&persist, WalRecord::Sql(stmt.to_string()))?;
-        }
-        Ok(deleted)
-    }
-
-    // -- materialized views ---------------------------------------------------
-
-    /// Recognize `SELECT pos, agg(val) OVER (ORDER BY pos ROWS …) FROM base`
-    /// and register a sequence view; any other query is materialized as a
-    /// plain snapshot table (documented fallback).
-    fn create_materialized_view(&self, name: &str, query: &ast::Query) -> Result<()> {
-        let config = *self.config.read();
-        let binder = Binder::new(&self.catalog).with_window_mode(config.window_mode);
-        let logical = binder.bind_query(query)?;
-        if let Some(spec) = recognize_sequence_view(&logical) {
-            if !spec.partition.is_empty() {
-                // §6: a partitioned reporting function — one complete
-                // sequence per partition-key tuple.
-                let (WindowSpec::Sliding { l, h }, AggFunc::Sum) = (spec.window, spec.func) else {
-                    return Err(RfvError::plan(
-                        "partitioned sequence views currently support SUM over \
-                         sliding windows",
-                    ));
-                };
-                let part_cols: Vec<String> =
-                    spec.partition.iter().map(|(c, _)| c.clone()).collect();
-                let part_types: Vec<rfv_types::DataType> =
-                    spec.partition.iter().map(|(_, t)| *t).collect();
-                let grouped = self.read_partitioned_sequence_table(
-                    &spec.base_table,
-                    &part_cols,
-                    &spec.pos_column,
-                    &spec.val_column,
-                )?;
-                let mut parts = std::collections::BTreeMap::new();
-                for (key, raw) in grouped {
-                    parts.insert(key, CompleteSequence::materialize(&raw, l, h)?);
-                }
-                self.registry.register(
-                    &self.catalog,
-                    SequenceView {
-                        name: name.to_string(),
-                        base_table: spec.base_table,
-                        pos_column: spec.pos_column,
-                        val_column: spec.val_column,
-                        partition_columns: part_cols,
-                        partition_types: part_types,
-                        func: spec.func,
-                        window: spec.window,
-                        data: ViewData::PartitionedSum(parts),
-                    },
-                )?;
-                self.counters.view_created.incr();
-                return Ok(());
-            }
-            let (raw, _) =
-                self.read_sequence_table(&spec.base_table, &spec.pos_column, &spec.val_column)?;
-            let data = match (spec.func, spec.window) {
-                (AggFunc::Sum, WindowSpec::Sliding { l, h }) => {
-                    ViewData::Sum(CompleteSequence::materialize(&raw, l, h)?)
-                }
-                (AggFunc::Sum, WindowSpec::Cumulative) => {
-                    ViewData::CumulativeSum(CumulativeSequence::materialize(&raw))
-                }
-                (AggFunc::Min, WindowSpec::Sliding { l, h }) => {
-                    ViewData::MinMax(CompleteMinMaxSequence::materialize(&raw, l, h, false)?)
-                }
-                (AggFunc::Max, WindowSpec::Sliding { l, h }) => {
-                    ViewData::MinMax(CompleteMinMaxSequence::materialize(&raw, l, h, true)?)
-                }
-                (func, window) => {
-                    return Err(RfvError::plan(format!(
-                        "materialized sequence views support SUM/MIN/MAX over \
-                         sliding windows and cumulative SUM; got {func} over {window:?}"
-                    )))
-                }
-            };
-            self.registry.register(
-                &self.catalog,
-                SequenceView {
-                    name: name.to_string(),
-                    base_table: spec.base_table,
-                    pos_column: spec.pos_column,
-                    val_column: spec.val_column,
-                    partition_columns: vec![],
-                    partition_types: vec![],
-                    func: spec.func,
-                    window: spec.window,
-                    data,
-                },
-            )?;
-            self.counters.view_created.incr();
-            return Ok(());
-        }
-        // Fallback: CTAS-style snapshot.
-        self.counters.view_snapshot_fallback.incr();
-        let entry = self.plan_query(query)?;
-        let rows = entry.physical.execute()?;
-        let fields = entry
-            .logical
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| {
-                let mut f = f.clone();
-                f.qualifier = None;
-                f
-            })
-            .collect();
-        let t = self.catalog.create_table(name, Schema::new(fields))?;
-        let mut guard = t.write();
-        for r in rows {
-            guard.insert(r)?;
-        }
-        Ok(())
-    }
-
-    /// Read a dense sequence table `(pos 1..=n, val)` into raw values.
-    fn read_sequence_table(
-        &self,
-        table: &str,
-        pos_column: &str,
-        val_column: &str,
-    ) -> Result<(Vec<f64>, usize)> {
-        let t = self.catalog.table(table)?;
-        let guard = t.read();
-        let pos_idx = guard.schema().index_of(None, pos_column)?;
-        let val_idx = guard.schema().index_of(None, val_column)?;
-        let mut rows: Vec<(i64, f64)> = guard
-            .scan()
-            .map(|(_, r)| {
-                let pos = r
-                    .get(pos_idx)
-                    .as_int()?
-                    .ok_or_else(|| RfvError::derivation(format!("NULL position in `{table}`")))?;
-                let val = r.get(val_idx).as_f64()?.ok_or_else(|| {
-                    RfvError::derivation(format!(
-                        "NULL value at position {pos} of `{table}`: sequence \
-                         views require a dense non-null value column"
-                    ))
-                })?;
-                Ok((pos, val))
-            })
-            .collect::<Result<_>>()?;
-        rows.sort_by_key(|(p, _)| *p);
-        for (i, (p, _)) in rows.iter().enumerate() {
-            if *p != i as i64 + 1 {
-                return Err(RfvError::derivation(format!(
-                    "`{table}` must have dense positions 1..=n (found {p} at rank {})",
-                    i + 1
-                )));
-            }
-        }
-        let n = rows.len();
-        Ok((rows.into_iter().map(|(_, v)| v).collect(), n))
-    }
-
-    /// Read a partitioned sequence table into per-partition raw vectors
-    /// (each partition must have dense positions `1..=n_p`), in partition
-    /// key order.
-    fn read_partitioned_sequence_table(
-        &self,
-        table: &str,
-        part_columns: &[String],
-        pos_column: &str,
-        val_column: &str,
-    ) -> Result<std::collections::BTreeMap<Vec<Value>, Vec<f64>>> {
-        let t = self.catalog.table(table)?;
-        let guard = t.read();
-        let part_idxs: Vec<usize> = part_columns
-            .iter()
-            .map(|c| guard.schema().index_of(None, c))
-            .collect::<Result<_>>()?;
-        let pos_idx = guard.schema().index_of(None, pos_column)?;
-        let val_idx = guard.schema().index_of(None, val_column)?;
-        let mut grouped: std::collections::BTreeMap<Vec<Value>, Vec<(i64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (_, r) in guard.scan() {
-            let part: Vec<Value> = part_idxs.iter().map(|&i| r.get(i).clone()).collect();
-            if part.iter().any(Value::is_null) {
-                return Err(RfvError::derivation(format!(
-                    "NULL partition key in `{table}`"
-                )));
-            }
-            let pos = r
-                .get(pos_idx)
-                .as_int()?
-                .ok_or_else(|| RfvError::derivation(format!("NULL position in `{table}`")))?;
-            let val = r.get(val_idx).as_f64()?.ok_or_else(|| {
-                RfvError::derivation(format!("NULL value at ({part:?}, {pos}) of `{table}`"))
-            })?;
-            grouped.entry(part).or_default().push((pos, val));
-        }
-        grouped
-            .into_iter()
-            .map(|(key, mut rows)| {
-                rows.sort_by_key(|(p, _)| *p);
-                for (i, (p, _)) in rows.iter().enumerate() {
-                    if *p != i as i64 + 1 {
-                        return Err(RfvError::derivation(format!(
-                            "partition {key:?} of `{table}` must have dense \
-                             positions 1..=n (found {p} at rank {})",
-                            i + 1
-                        )));
-                    }
-                }
-                Ok((key, rows.into_iter().map(|(_, v)| v).collect()))
-            })
-            .collect()
-    }
-
-    // -- sequence maintenance (§2.3) ------------------------------------------
-
-    /// Update the raw value at position `pos` of sequence table `table`,
-    /// incrementally maintaining all dependent views.
-    pub fn sequence_update(&self, table: &str, pos: i64, val: f64) -> Result<()> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let t = self.catalog.table(table)?;
-        let (pos_idx, val_idx) = self.sequence_columns(table)?;
-        {
-            let guard = t.read();
-            let rids = guard.index_lookup(pos_idx, &Value::Int(pos))?;
-            let rid = *rids.first().ok_or_else(|| {
-                RfvError::execution(format!("position {pos} not found in `{table}`"))
-            })?;
-            let mut new = guard
-                .get(rid)
-                .ok_or_else(|| {
-                    RfvError::internal(format!("index of `{table}` returned stale row id {rid}"))
-                })?
-                .clone();
-            drop(guard);
-            new.set(val_idx, Value::Float(val));
-            t.write().update(rid, new)?;
-        }
-        self.maintain_views(table, MaintOp::Update { k: pos, val })?;
-        self.wal_log(
-            &persist,
-            WalRecord::SeqUpdate {
-                table: table.to_string(),
-                pos,
-                val,
-            },
-        )
-    }
-
-    /// Insert a raw value *at* position `pos` (shifting later positions),
-    /// incrementally maintaining all dependent views.
-    pub fn sequence_insert(&self, table: &str, pos: i64, val: f64) -> Result<()> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let t = self.catalog.table(table)?;
-        let (pos_idx, val_idx) = self.sequence_columns(table)?;
-        {
-            let mut guard = t.write();
-            // Validate the position *before* mutating anything: the base
-            // insert and the view maintenance must succeed or fail together.
-            let n = guard.stats().row_count as i64;
-            if !(1..=n + 1).contains(&pos) {
-                return Err(RfvError::execution(format!(
-                    "insert position {pos} out of range 1..={}",
-                    n + 1
-                )));
-            }
-            // Shift positions ≥ pos upwards, highest first (unique index).
-            let mut to_shift: Vec<(usize, Row)> = guard
-                .scan()
-                .filter(|(_, r)| {
-                    r.get(pos_idx)
-                        .as_int()
-                        .ok()
-                        .flatten()
-                        .is_some_and(|p| p >= pos)
-                })
-                .map(|(rid, r)| (rid, r.clone()))
-                .collect();
-            to_shift.sort_by_key(|(_, r)| {
-                std::cmp::Reverse(r.get(pos_idx).as_int().ok().flatten().unwrap_or(i64::MIN))
-            });
-            for (rid, mut r) in to_shift {
-                let p = r.get(pos_idx).as_int()?.ok_or_else(|| {
-                    RfvError::internal("NULL position survived the non-null shift filter")
-                })?;
-                r.set(pos_idx, Value::Int(p + 1));
-                guard.update(rid, r)?;
-            }
-            let mut values = vec![Value::Null; guard.schema().len()];
-            values[pos_idx] = Value::Int(pos);
-            values[val_idx] = Value::Float(val);
-            guard.insert(Row::new(values))?;
-        }
-        self.maintain_views(table, MaintOp::Insert { k: pos, val })?;
-        self.wal_log(
-            &persist,
-            WalRecord::SeqInsert {
-                table: table.to_string(),
-                pos,
-                val,
-            },
-        )
-    }
-
-    /// Delete the raw value at position `pos` (shifting later positions),
-    /// incrementally maintaining all dependent views.
-    pub fn sequence_delete(&self, table: &str, pos: i64) -> Result<()> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let t = self.catalog.table(table)?;
-        let (pos_idx, _) = self.sequence_columns(table)?;
-        {
-            let mut guard = t.write();
-            let rids = guard.index_lookup(pos_idx, &Value::Int(pos))?;
-            let rid = *rids.first().ok_or_else(|| {
-                RfvError::execution(format!("position {pos} not found in `{table}`"))
-            })?;
-            guard.delete(rid)?;
-            // Shift positions > pos downwards, lowest first.
-            let mut to_shift: Vec<(usize, Row)> = guard
-                .scan()
-                .filter(|(_, r)| {
-                    r.get(pos_idx)
-                        .as_int()
-                        .ok()
-                        .flatten()
-                        .is_some_and(|p| p > pos)
-                })
-                .map(|(rid, r)| (rid, r.clone()))
-                .collect();
-            to_shift
-                .sort_by_key(|(_, r)| r.get(pos_idx).as_int().ok().flatten().unwrap_or(i64::MAX));
-            for (rid, mut r) in to_shift {
-                let p = r.get(pos_idx).as_int()?.ok_or_else(|| {
-                    RfvError::internal("NULL position survived the non-null shift filter")
-                })?;
-                r.set(pos_idx, Value::Int(p - 1));
-                guard.update(rid, r)?;
-            }
-        }
-        self.maintain_views(table, MaintOp::Delete { k: pos })?;
-        self.wal_log(
-            &persist,
-            WalRecord::SeqDelete {
-                table: table.to_string(),
-                pos,
-            },
-        )
-    }
-
-    /// Append `vals` at the tail positions `n+1 ..= n+m` of sequence table
-    /// `table` in one batch: one table write-lock, one storage insert call,
-    /// and one coalesced maintenance pass per dependent view — the bulk-load
-    /// fast path. Returns the aggregated per-batch [`MaintenanceStats`].
-    pub fn sequence_append_bulk(&self, table: &str, vals: &[f64]) -> Result<MaintenanceStats> {
-        let t = self.catalog.table(table)?;
-        let n = t.read().stats().row_count as i64;
-        let mut batch = MaintBatch::new();
-        for (j, &val) in vals.iter().enumerate() {
-            batch.push(BatchOp::Insert {
-                k: n + 1 + j as i64,
-                val,
-            });
-        }
-        self.apply_batch(table, &batch)
-    }
-
-    /// Apply a coalesced batch of sequence edits to `table` and maintain
-    /// all dependent views **once per affected window region** instead of
-    /// once per row (§2.3, batched).
-    ///
-    /// The base table is mutated under a single write lock, with a
-    /// no-shift fast path when the batch is a pure tail append. View
-    /// maintenance reads the pre-image raw sequence once, then computes
-    /// each view's new body in parallel (one worker per view, mirroring
-    /// the window operator's partition parallelism). Batches whose ops
-    /// interleave mid-sequence inserts/deletes with other edits fall back
-    /// to per-op §2.3 rules — still under one lock round-trip, but with
-    /// `maintenance.batch_fallback` incremented so the regression is
-    /// observable.
-    pub fn apply_batch(&self, table: &str, batch: &MaintBatch) -> Result<MaintenanceStats> {
-        if batch.is_empty() {
-            return Ok(MaintenanceStats::default());
-        }
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        let t = self.catalog.table(table)?;
-        let (pos_idx, val_idx) = self.sequence_columns(table)?;
-        let views = self.registry.views_for(table);
-        let has_simple = views.iter().any(|v| !v.is_partitioned());
-
-        // Pre-image raw sequence, read before any base mutation: the §2.3
-        // rules run against it, which spares per-op pre-image
-        // reconstruction from the view bodies.
-        let raw_before: Vec<f64> = if has_simple {
-            let view = views.iter().find(|v| !v.is_partitioned()).ok_or_else(|| {
-                RfvError::internal("no unpartitioned view among sequence-view dependents")
-            })?;
-            self.read_sequence_table(table, &view.pos_column, &view.val_column)?
-                .0
-        } else {
-            Vec::new()
-        };
-
-        // Mutate the base table under ONE write lock.
-        {
-            let mut guard = t.write();
-            let n = guard.stats().row_count as i64;
-            batch.validate(n)?;
-            if batch.is_append_run(n) {
-                // Tail appends never shift stored positions: build the rows
-                // and land them in one storage call.
-                let width = guard.schema().len();
-                let rows: Vec<Row> = batch
-                    .ops()
-                    .iter()
-                    .map(|op| {
-                        let BatchOp::Insert { k, val } = op else {
-                            unreachable!("append run contains only inserts");
-                        };
-                        let mut values = vec![Value::Null; width];
-                        values[pos_idx] = Value::Int(*k);
-                        values[val_idx] = Value::Float(*val);
-                        Row::new(values)
-                    })
-                    .collect();
-                guard.insert_many(rows)?;
-            } else {
-                for op in batch.ops() {
-                    self.apply_base_op(&mut guard, pos_idx, val_idx, *op)?;
-                }
-            }
-        }
-
-        let stats = self.maintain_views_batch(table, batch, raw_before)?;
-        self.wal_log(
-            &persist,
-            WalRecord::Batch {
-                table: table.to_string(),
-                ops: batch.ops().to_vec(),
-            },
-        )?;
-        Ok(stats)
-    }
-
-    /// Apply one batch op to the base table, `guard` already held. The
-    /// caller has validated positions, so shifts are the only extra work.
-    fn apply_base_op(
-        &self,
-        guard: &mut rfv_types::sync::RwLockWriteGuard<'_, rfv_storage::Table>,
-        pos_idx: usize,
-        val_idx: usize,
-        op: BatchOp,
-    ) -> Result<()> {
-        let shift = |guard: &mut rfv_types::sync::RwLockWriteGuard<'_, rfv_storage::Table>,
-                     from: i64,
-                     delta: i64|
-         -> Result<()> {
-            let mut to_shift: Vec<(usize, Row)> = guard
-                .scan()
-                .filter(|(_, r)| {
-                    r.get(pos_idx)
-                        .as_int()
-                        .ok()
-                        .flatten()
-                        .is_some_and(|p| p >= from)
-                })
-                .map(|(rid, r)| (rid, r.clone()))
-                .collect();
-            // Unique pos index: move the far end first.
-            to_shift.sort_by_key(|(_, r)| {
-                let p = r.get(pos_idx).as_int().ok().flatten().unwrap_or(0);
-                if delta > 0 {
-                    -p
-                } else {
-                    p
-                }
-            });
-            for (rid, mut r) in to_shift {
-                let p = r.get(pos_idx).as_int()?.ok_or_else(|| {
-                    RfvError::internal("NULL position survived the non-null shift filter")
-                })?;
-                r.set(pos_idx, Value::Int(p + delta));
-                guard.update(rid, r)?;
-            }
-            Ok(())
-        };
-        match op {
-            BatchOp::Update { k, val } => {
-                let rids = guard.index_lookup(pos_idx, &Value::Int(k))?;
-                let rid = *rids.first().ok_or_else(|| {
-                    RfvError::execution(format!("position {k} not found in sequence table"))
-                })?;
-                let mut new = guard
-                    .get(rid)
-                    .ok_or_else(|| RfvError::internal("index returned stale row id"))?
-                    .clone();
-                new.set(val_idx, Value::Float(val));
-                guard.update(rid, new)?;
-            }
-            BatchOp::Insert { k, val } => {
-                let n = guard.stats().row_count as i64;
-                if k != n + 1 {
-                    shift(guard, k, 1)?;
-                }
-                let mut values = vec![Value::Null; guard.schema().len()];
-                values[pos_idx] = Value::Int(k);
-                values[val_idx] = Value::Float(val);
-                guard.insert(Row::new(values))?;
-            }
-            BatchOp::Delete { k } => {
-                let rids = guard.index_lookup(pos_idx, &Value::Int(k))?;
-                let rid = *rids.first().ok_or_else(|| {
-                    RfvError::execution(format!("position {k} not found in sequence table"))
-                })?;
-                guard.delete(rid)?;
-                shift(guard, k + 1, -1)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched counterpart of [`maintain_views`](Self::maintain_views):
-    /// partitioned views are rematerialized **once** for the whole batch,
-    /// and each simple view's new body is computed on its own worker
-    /// thread before the registry is refreshed sequentially (the registry
-    /// holds the views write lock during refresh).
-    fn maintain_views_batch(
-        &self,
-        table: &str,
-        batch: &MaintBatch,
-        raw_before: Vec<f64>,
-    ) -> Result<MaintenanceStats> {
-        let rec = event::recorder();
-        let rec_start = rec.is_enabled().then(event::now_ns);
-        let result = self.maintain_views_batch_inner(table, batch, raw_before);
-        if let Some(start) = rec_start {
-            rec.complete_since(
-                "maintenance.batch",
-                "maintenance",
-                start,
-                Some(format!("{table}: {} ops", batch.len())),
-            );
-        }
-        result
-    }
-
-    fn maintain_views_batch_inner(
-        &self,
-        table: &str,
-        batch: &MaintBatch,
-        raw_before: Vec<f64>,
-    ) -> Result<MaintenanceStats> {
-        let views = self.registry.views_for(table);
-        let n_before = raw_before.len() as i64;
-        self.counters.maint_batch.incr();
-        self.counters.maint_batch_rows.add(batch.len() as u64);
-        if !batch.coalesces(n_before) {
-            self.counters.maint_batch_fallback.incr();
-        }
-        if views.is_empty() {
-            return Ok(MaintenanceStats::default());
-        }
-        self.refresh_partitioned_views(table)?;
-
-        let simple: Vec<&SequenceView> = views.iter().filter(|v| !v.is_partitioned()).collect();
-        if simple.is_empty() {
-            return Ok(MaintenanceStats::default());
-        }
-        let append_run = batch.is_append_run(n_before);
-        let appended: Vec<f64> = if append_run {
-            batch
-                .ops()
-                .iter()
-                .map(|op| match op {
-                    BatchOp::Insert { val, .. } => *val,
-                    _ => unreachable!("append run contains only inserts"),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Post-image raw data, needed only by views that rematerialize
-        // (MIN/MAX always; cumulative SUM outside the append fast path).
-        let needs_after = simple.iter().any(|v| match &v.data {
-            ViewData::MinMax(_) => true,
-            ViewData::CumulativeSum(_) => !append_run,
-            _ => false,
-        });
-        let raw_after: Vec<f64> = if needs_after {
-            let v = simple[0];
-            self.read_sequence_table(table, &v.pos_column, &v.val_column)?
-                .0
-        } else {
-            Vec::new()
-        };
-
-        // Each simple view's new body is an independent unit of work;
-        // run them on the shared scheduler pool (panic-safe join, steal
-        // balancing) and refresh the registry serially afterwards, in
-        // declaration order.
-        let jobs: Vec<(String, ViewData)> = simple
-            .iter()
-            .map(|v| (v.name.clone(), v.data.clone()))
-            .collect();
-        let batch = batch.clone();
-        let results = rfv_exec::sched::run_ordered(jobs, move |_, (name, data)| {
-            let (data, stats) = match data {
-                ViewData::PartitionedSum(_) => {
-                    return Err(RfvError::internal(
-                        "partitioned view reached simple-sequence maintenance",
-                    ))
-                }
-                ViewData::Sum(mut seq) => {
-                    let mut raw = raw_before.clone();
-                    let stats = batch.apply(&mut seq, &mut raw)?;
-                    (ViewData::Sum(seq), stats)
-                }
-                ViewData::CumulativeSum(mut c) => {
-                    if append_run {
-                        c.append_bulk(&appended);
-                        let stats = MaintenanceStats {
-                            recomputed: appended.len(),
-                            shifted: 0,
-                            coalesced: appended.len().saturating_sub(1),
-                        };
-                        (ViewData::CumulativeSum(c), stats)
-                    } else {
-                        let c = CumulativeSequence::materialize(&raw_after);
-                        let stats = MaintenanceStats {
-                            recomputed: raw_after.len(),
-                            shifted: 0,
-                            coalesced: 0,
-                        };
-                        (ViewData::CumulativeSum(c), stats)
-                    }
-                }
-                ViewData::MinMax(seq) => {
-                    // MIN/MAX stays a full rematerialization
-                    // (§2.3 footnote), but now once per batch.
-                    let new = CompleteMinMaxSequence::materialize(
-                        &raw_after,
-                        seq.l(),
-                        seq.h(),
-                        seq.is_max(),
-                    )?;
-                    let stats = MaintenanceStats {
-                        recomputed: raw_after.len(),
-                        shifted: 0,
-                        coalesced: 0,
-                    };
-                    (ViewData::MinMax(new), stats)
-                }
-            };
-            Ok((name, data, stats))
-        })?;
-
-        let mut total = MaintenanceStats::default();
-        for (name, data, stats) in results {
-            self.registry.refresh(&self.catalog, &name, data)?;
-            total.merge(stats);
-        }
-        self.counters
-            .maint_batch_recomputed
-            .add(total.recomputed as u64);
-        self.counters.maint_batch_shifted.add(total.shifted as u64);
-        self.counters
-            .maint_batch_coalesced
-            .add(total.coalesced as u64);
-        Ok(total)
-    }
-
-    /// The (pos, val) column indexes of a sequence table, taken from its
-    /// first dependent view (or defaulting to columns 0/1).
-    fn sequence_columns(&self, table: &str) -> Result<(usize, usize)> {
-        let t = self.catalog.table(table)?;
-        let guard = t.read();
-        match self.registry.views_for(table).first() {
-            Some(v) => Ok((
-                guard.schema().index_of(None, &v.pos_column)?,
-                guard.schema().index_of(None, &v.val_column)?,
-            )),
-            None => {
-                if guard.schema().len() < 2 {
-                    return Err(RfvError::schema(format!(
-                        "`{table}` is not a (pos, val) sequence table"
-                    )));
-                }
-                Ok((0, 1))
-            }
-        }
-    }
-
-    /// Rematerialize **all** views over `table` from its current contents —
-    /// the full-recomputation path the paper contrasts the §2.3 incremental
-    /// rules against. Useful after bulk loads performed directly through
-    /// the catalog.
-    pub fn refresh_views(&self, table: &str) -> Result<()> {
-        let persist = self.persistence();
-        let _commit = persist.as_ref().map(|p| p.commit_lock());
-        self.counters.maint_refresh.incr();
-        self.refresh_partitioned_views(table)?;
-        for view in self.registry.views_for(table) {
-            if view.is_partitioned() {
-                continue;
-            }
-            let (raw, _) = self.read_sequence_table(table, &view.pos_column, &view.val_column)?;
-            let data = match (&view.data, view.window) {
-                (ViewData::Sum(_), WindowSpec::Sliding { l, h }) => {
-                    ViewData::Sum(CompleteSequence::materialize(&raw, l, h)?)
-                }
-                (ViewData::CumulativeSum(_), _) => {
-                    ViewData::CumulativeSum(CumulativeSequence::materialize(&raw))
-                }
-                (ViewData::MinMax(seq), WindowSpec::Sliding { .. }) => ViewData::MinMax(
-                    CompleteMinMaxSequence::materialize(&raw, seq.l(), seq.h(), seq.is_max())?,
-                ),
-                _ => {
-                    return Err(RfvError::internal(
-                        "inconsistent view data/window combination",
-                    ))
-                }
-            };
-            self.registry.refresh(&self.catalog, &view.name, data)?;
-        }
-        self.wal_log(
-            &persist,
-            WalRecord::Refresh {
-                table: table.to_string(),
-            },
-        )
-    }
-
-    /// Rematerialize all §6 partitioned views over `table` from the
-    /// current base state (their positions are partition-local, so the
-    /// simple-sequence §2.3 rules don't apply).
-    fn refresh_partitioned_views(&self, table: &str) -> Result<()> {
-        for view in self.registry.views_for(table) {
-            if !view.is_partitioned() {
-                continue;
-            }
-            if view.partition_columns.is_empty() {
-                return Err(RfvError::internal(
-                    "partitioned view without partition columns",
-                ));
-            }
-            let WindowSpec::Sliding { l, h } = view.window else {
-                return Err(RfvError::internal(
-                    "partitioned cumulative views are not registered",
-                ));
-            };
-            let grouped = self.read_partitioned_sequence_table(
-                table,
-                &view.partition_columns,
-                &view.pos_column,
-                &view.val_column,
-            )?;
-            let mut new_parts = std::collections::BTreeMap::new();
-            for (key, raw) in grouped {
-                new_parts.insert(key, CompleteSequence::materialize(&raw, l, h)?);
-            }
-            self.registry.refresh(
-                &self.catalog,
-                &view.name,
-                ViewData::PartitionedSum(new_parts),
-            )?;
-        }
-        Ok(())
-    }
-
-    fn maintain_views(&self, table: &str, op: MaintOp) -> Result<()> {
-        let views = self.registry.views_for(table);
-        if views.is_empty() {
-            return Ok(());
-        }
-        match op {
-            MaintOp::Update { .. } => self.counters.maint_update.incr(),
-            MaintOp::Insert { .. } => self.counters.maint_insert.incr(),
-            MaintOp::Delete { .. } => self.counters.maint_delete.incr(),
-        }
-        // The §2.3 rules need the *pre-image* raw data, which each view can
-        // reproduce from its own body; the cheapest correct source here is
-        // the base table *post-image*, from which we rebuild the pre-image.
-        // Partitioned reporting functions (§6): positions are local to
-        // partitions, so the simple-sequence rules don't apply —
-        // rematerialize those from the (already changed) base.
-        self.refresh_partitioned_views(table)?;
-        for view in views {
-            if view.is_partitioned() {
-                continue;
-            }
-            let (raw_after, _) =
-                self.read_sequence_table(table, &view.pos_column, &view.val_column)?;
-            let new_data = match &view.data {
-                ViewData::PartitionedSum(_) => {
-                    return Err(RfvError::internal(
-                        "partitioned view reached simple-sequence maintenance",
-                    ))
-                }
-                ViewData::Sum(seq) => {
-                    let mut seq = seq.clone();
-                    // Reconstruct the pre-image raw vector for the rule.
-                    let mut raw_before = raw_after.clone();
-                    match op {
-                        MaintOp::Update { k, val } => {
-                            // pre-image: same, except position k held old value.
-                            // The update rule only needs the delta, which we
-                            // can recover from the view itself: feed it the
-                            // *old* value read from the sequence.
-                            let old = old_value_from_view(&seq, &raw_after, k);
-                            raw_before[(k - 1) as usize] = old;
-                            maintenance::update(&mut seq, &mut raw_before, k, val)?;
-                        }
-                        MaintOp::Insert { k, val } => {
-                            raw_before.remove((k - 1) as usize);
-                            maintenance::insert(&mut seq, &mut raw_before, k, val)?;
-                        }
-                        MaintOp::Delete { k } => {
-                            let old = deleted_value_from_view(&seq, &raw_after, k);
-                            raw_before.insert((k - 1) as usize, old);
-                            maintenance::delete(&mut seq, &mut raw_before, k)?;
-                        }
-                    }
-                    ViewData::Sum(seq)
-                }
-                ViewData::CumulativeSum(_) => {
-                    ViewData::CumulativeSum(CumulativeSequence::materialize(&raw_after))
-                }
-                ViewData::MinMax(seq) => {
-                    // MIN/MAX are only incrementally updateable in special
-                    // cases (§2.3 footnote); rematerialize.
-                    ViewData::MinMax(CompleteMinMaxSequence::materialize(
-                        &raw_after,
-                        seq.l(),
-                        seq.h(),
-                        seq.is_max(),
-                    )?)
-                }
-            };
-            self.registry.refresh(&self.catalog, &view.name, new_data)?;
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MaintOp {
-    Update { k: i64, val: f64 },
-    Insert { k: i64, val: f64 },
-    Delete { k: i64 },
-}
-
-/// Recover the pre-update raw value at `k` from the view itself
-/// (§3.2 reconstruction): `x_k = x̃ window sum minus the other raw values`,
-/// here simply via the stored sequence and the post-image neighbours.
-fn old_value_from_view(seq: &CompleteSequence, raw_after: &[f64], k: i64) -> f64 {
-    // x̃ at position k+h (whose window ends at k+h+h?) — simplest correct
-    // recovery: the window [k−l, k+h] at position k sums old raw values;
-    // all of them except x_k are unchanged in raw_after.
-    let (l, h) = (seq.l(), seq.h());
-    let mut others = 0.0;
-    for p in (k - l)..=(k + h) {
-        if p != k && p >= 1 && p <= raw_after.len() as i64 {
-            others += raw_after[(p - 1) as usize];
-        }
-    }
-    seq.get(k) - others
-}
-
-/// Recover the deleted raw value: before deletion the window of position
-/// `k` summed the old neighbourhood; after deletion positions ≥ k shifted
-/// left by one.
-fn deleted_value_from_view(seq: &CompleteSequence, raw_after: &[f64], k: i64) -> f64 {
-    let (l, h) = (seq.l(), seq.h());
-    let mut others = 0.0;
-    for p in (k - l)..=(k + h) {
-        if p == k {
-            continue;
-        }
-        // Pre-image position p maps to post-image p (p < k) or p−1 (p > k).
-        let q = if p < k { p } else { p - 1 };
-        if q >= 1 && q <= raw_after.len() as i64 {
-            others += raw_after[(q - 1) as usize];
-        }
-    }
-    seq.get(k) - others
-}
-
-/// What `recognize_sequence_view` extracts from a bound view definition.
-struct SequenceViewSpec {
-    base_table: String,
-    pos_column: String,
-    val_column: String,
-    /// `(column name, type)` of each §6 partitioning column, in order.
-    partition: Vec<(String, rfv_types::DataType)>,
-    func: AggFunc,
-    window: WindowSpec,
-}
-
-/// Match `Project([…, pos, w], Window(Scan(base)))` with a single window
-/// expression ordered ascending by `pos`, with either no partitioning
-/// (projection `[pos, w]`) or one plain partition column (projection
-/// `[part, pos, w]`).
-fn recognize_sequence_view(plan: &LogicalPlan) -> Option<SequenceViewSpec> {
-    let LogicalPlan::Project { input, exprs, .. } = plan else {
-        return None;
-    };
-    let LogicalPlan::Window {
-        input: win_input,
-        partition_by,
-        order_by,
-        window_exprs,
-        ..
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    let LogicalPlan::Scan { table, schema } = win_input.as_ref() else {
-        return None;
-    };
-    if window_exprs.len() != 1 {
-        return None;
-    }
-    let [rfv_exec::SortKey {
-        expr: rfv_expr::Expr::Column(pos_idx),
-        desc: false,
-    }] = order_by.as_slice()
-    else {
-        return None;
-    };
-    let spec = &window_exprs[0];
-    let rfv_exec::WindowFuncKind::Agg(func) = spec.func else {
-        return None;
-    };
-    let Some(rfv_expr::Expr::Column(val_idx)) = &spec.arg else {
-        return None;
-    };
-    let base_len = schema.len();
-    // Partition columns must all be plain column references…
-    let mut part_idxs: Vec<usize> = Vec::new();
-    for p in partition_by {
-        let rfv_expr::Expr::Column(i) = p else {
-            return None;
-        };
-        part_idxs.push(*i);
-    }
-    // …and the projection must be exactly [p_1 … p_m, pos, window-column].
-    if exprs.len() != part_idxs.len() + 2 {
-        return None;
-    }
-    for (e, want) in exprs
-        .iter()
-        .zip(part_idxs.iter().copied().chain([*pos_idx, base_len]))
-    {
-        let rfv_expr::Expr::Column(i) = e else {
-            return None;
-        };
-        if *i != want {
-            return None;
-        }
-    }
-    let partition: Vec<(String, rfv_types::DataType)> = part_idxs
-        .iter()
-        .map(|&i| {
-            let f = schema.field(i);
-            (f.name.clone(), f.data_type)
-        })
-        .collect();
-    let window = match (spec.frame.start(), spec.frame.end()) {
-        (rfv_exec::FrameBound::UnboundedPreceding, rfv_exec::FrameBound::Offset(0)) => {
-            WindowSpec::Cumulative
-        }
-        (rfv_exec::FrameBound::Offset(s), rfv_exec::FrameBound::Offset(e)) if s <= 0 && e >= 0 => {
-            WindowSpec::Sliding { l: -s, h: e }
-        }
-        _ => return None,
-    };
-    Some(SequenceViewSpec {
-        base_table: table.clone(),
-        pos_column: schema.field(*pos_idx).name.clone(),
-        val_column: schema.field(*val_idx).name.clone(),
-        partition,
-        func,
-        window,
-    })
-}
-
-// Re-export for the doc example's convenience.
-pub use crate::patterns::PatternVariant as RewriteVariant;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn db_with_seq(n: i64) -> Database {
-        let db = Database::new();
-        db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
-            .unwrap();
-        for i in 1..=n {
-            db.execute(&format!("INSERT INTO seq VALUES ({i}, {})", i as f64))
-                .unwrap();
-        }
-        db
-    }
-
-    fn vals(r: &QueryResult, col: usize) -> Vec<f64> {
-        r.column_f64(col)
-            .unwrap()
-            .into_iter()
-            .map(|v| v.unwrap())
-            .collect()
-    }
-
-    #[test]
-    fn ddl_dml_query_round_trip() {
-        let db = db_with_seq(5);
-        let r = db.execute("SELECT pos, val FROM seq ORDER BY pos").unwrap();
-        assert_eq!(r.rows().len(), 5);
-        assert_eq!(vals(&r, 1), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn window_query_without_views() {
-        let db = db_with_seq(5);
-        db.set_view_rewrite(false);
-        let r = db
-            .execute(
-                "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING \
-                 AND 1 FOLLOWING) AS s FROM seq",
-            )
-            .unwrap();
-        assert_eq!(vals(&r, 1), vec![3.0, 6.0, 9.0, 12.0, 9.0]);
-    }
-
-    #[test]
-    fn materialized_view_is_recognized_and_mirrored() {
-        let db = db_with_seq(6);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        assert!(db.registry().get("mv").is_some());
-        // Mirror table queryable, includes header/trailer rows.
-        let r = db.execute("SELECT pos, val FROM mv ORDER BY pos").unwrap();
-        assert_eq!(r.rows().len(), 6 + 2 + 1); // body + l trailer + h header
-    }
-
-    #[test]
-    fn query_answered_from_view_matches_direct() {
-        let db = db_with_seq(30);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
-                   AND 1 FOLLOWING) AS s FROM seq";
-        let rewritten = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&rewritten, 1), vals(&direct, 1));
-        db.set_view_rewrite(true);
-        let explain = db.explain(sql).unwrap();
-        assert!(explain.contains("view rewrite"), "{explain}");
-    }
-
-    #[test]
-    fn exact_match_reads_view_body() {
-        let db = db_with_seq(10);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING \
-                   AND 1 FOLLOWING) AS s FROM seq";
-        let r = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&r, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn cumulative_view_answers_sliding_queries() {
-        let db = db_with_seq(12);
-        db.execute(
-            "CREATE MATERIALIZED VIEW cv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS s FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING \
-                   AND 2 FOLLOWING) AS s FROM seq";
-        let rewritten = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&rewritten, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn minmax_views() {
-        let db = Database::new();
-        db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
-            .unwrap();
-        for (i, v) in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0].iter().enumerate() {
-            db.execute(&format!("INSERT INTO seq VALUES ({}, {v})", i + 1))
-                .unwrap();
-        }
-        db.execute(
-            "CREATE MATERIALIZED VIEW mx AS SELECT pos, MAX(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS m FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
-                   AND 2 FOLLOWING) AS m FROM seq";
-        let rewritten = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&rewritten, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn avg_from_sum_view() {
-        let db = db_with_seq(15);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
-                   AND 1 FOLLOWING) AS a FROM seq";
-        let rewritten = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        let (a, b) = (vals(&rewritten, 1), vals(&direct, 1));
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9, "{a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn incremental_maintenance_keeps_views_fresh() {
-        let db = db_with_seq(10);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        db.sequence_update("seq", 5, 50.0).unwrap();
-        db.sequence_insert("seq", 3, 30.0).unwrap();
-        db.sequence_delete("seq", 1).unwrap();
-        // Append through SQL is also maintained.
-        db.execute("INSERT INTO seq VALUES (11, 110.0)").unwrap();
-
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING \
-                   AND 1 FOLLOWING) AS s FROM seq";
-        let from_view = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&from_view, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn sql_mid_insert_on_viewed_table_is_rejected() {
-        let db = db_with_seq(5);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let err = db.execute("INSERT INTO seq VALUES (3, 9.0)").unwrap_err();
-        assert!(err.to_string().contains("sequence_insert"), "{err}");
-    }
-
-    #[test]
-    fn drop_protection_and_view_drop() {
-        let db = db_with_seq(3);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        assert!(db.execute("DROP TABLE seq").is_err());
-        db.execute("DROP TABLE mv").unwrap();
-        assert!(db.registry().get("mv").is_none());
-        db.execute("DROP TABLE seq").unwrap();
-    }
-
-    #[test]
-    fn non_sequence_view_falls_back_to_snapshot() {
-        let db = db_with_seq(4);
-        db.execute("CREATE MATERIALIZED VIEW snap AS SELECT pos FROM seq WHERE pos > 2")
-            .unwrap();
-        assert!(db.registry().get("snap").is_none());
-        let r = db.execute("SELECT pos FROM snap ORDER BY pos").unwrap();
-        assert_eq!(r.rows().len(), 2);
-    }
-
-    #[test]
-    fn pattern_variants_agree() {
-        let db = db_with_seq(40);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING \
-                   AND 2 FOLLOWING) AS s FROM seq";
-        let mut results = Vec::new();
-        for variant in [
-            PatternVariant::Disjunctive,
-            PatternVariant::UnionSimple,
-            PatternVariant::UnionHash,
-        ] {
-            db.set_pattern_variant(variant);
-            results.push(vals(&db.execute(sql).unwrap(), 1));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
-    fn query_result_display_renders_table() {
-        let db = db_with_seq(2);
-        let out = db
-            .execute("SELECT pos, val FROM seq ORDER BY pos")
-            .unwrap()
-            .to_string();
-        assert!(out.contains("pos"), "{out}");
-        assert!(out.lines().count() >= 4);
-    }
-
-    #[test]
-    fn execute_script_runs_all() {
-        let db = Database::new();
-        let results = db
-            .execute_script(
-                "CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1), (2); \
-                 SELECT a FROM t ORDER BY a;",
-            )
-            .unwrap();
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[2].rows().len(), 2);
-    }
-
-    /// Every dependent view (sliding SUM, cumulative SUM, MAX) stays
-    /// consistent through a multi-row SQL append, which takes the batched
-    /// maintenance path and its counters.
-    #[test]
-    fn multi_row_sql_insert_takes_batched_path() {
-        let db = db_with_seq(5);
-        db.execute_script(
-            "CREATE MATERIALIZED VIEW mv_sum AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq; \
-             CREATE MATERIALIZED VIEW mv_cum AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS s FROM seq; \
-             CREATE MATERIALIZED VIEW mv_max AS SELECT pos, MAX(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq;",
-        )
-        .unwrap();
-        let inserts_before = db.metrics().counter_value("maintenance.insert");
-        db.execute("INSERT INTO seq VALUES (6, 60.0), (7, 70.0), (8, 80.0)")
-            .unwrap();
-        assert_eq!(db.metrics().counter_value("maintenance.batch"), 1);
-        assert_eq!(db.metrics().counter_value("maintenance.batch_rows"), 3);
-        assert_eq!(db.metrics().counter_value("maintenance.batch_fallback"), 0);
-        assert!(db.metrics().counter_value("maintenance.batch_coalesced") > 0);
-        // The per-row counter is untouched by the batched path.
-        assert_eq!(
-            db.metrics().counter_value("maintenance.insert"),
-            inserts_before
-        );
-        for frame in [
-            "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING",
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
-        ] {
-            let sql = format!("SELECT pos, SUM(val) OVER (ORDER BY pos {frame}) AS s FROM seq");
-            let from_view = db.execute(&sql).unwrap();
-            db.set_view_rewrite(false);
-            let direct = db.execute(&sql).unwrap();
-            db.set_view_rewrite(true);
-            assert_eq!(vals(&from_view, 1), vals(&direct, 1), "{frame}");
-        }
-        let max_sql = "SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 1 \
-                       PRECEDING AND 1 FOLLOWING) AS s FROM seq";
-        let from_view = db.execute(max_sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(max_sql).unwrap();
-        assert_eq!(vals(&from_view, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn sequence_append_bulk_matches_row_at_a_time() {
-        let mk = |db: &Database| {
-            db.execute(
-                "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-                 (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-            )
-            .unwrap();
-        };
-        let bulk_db = db_with_seq(8);
-        mk(&bulk_db);
-        let row_db = db_with_seq(8);
-        mk(&row_db);
-
-        let vals_in: Vec<f64> = (1..=10).map(|i| (i * i) as f64).collect();
-        let stats = bulk_db.sequence_append_bulk("seq", &vals_in).unwrap();
-        // One coalesced pass: m + l + h recomputed, m − 1 ops coalesced.
-        assert_eq!(stats.recomputed, 10 + 2 + 1);
-        assert_eq!(stats.coalesced, 9);
-        for (j, &v) in vals_in.iter().enumerate() {
-            row_db.sequence_insert("seq", 9 + j as i64, v).unwrap();
-        }
-
-        let sql = "SELECT pos, val FROM mv ORDER BY pos";
-        assert_eq!(
-            vals(&bulk_db.execute(sql).unwrap(), 1),
-            vals(&row_db.execute(sql).unwrap(), 1)
-        );
-        assert_eq!(
-            vals(
-                &bulk_db
-                    .execute("SELECT pos, val FROM seq ORDER BY pos")
-                    .unwrap(),
-                1
-            ),
-            vals(
-                &row_db
-                    .execute("SELECT pos, val FROM seq ORDER BY pos")
-                    .unwrap(),
-                1
-            )
-        );
-    }
-
-    #[test]
-    fn apply_batch_update_set_coalesces_and_fallback_is_counted() {
-        let db = db_with_seq(12);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        // Pure update set: coalesced, no fallback.
-        let mut batch = MaintBatch::new();
-        batch.push(BatchOp::Update { k: 4, val: 40.0 });
-        batch.push(BatchOp::Update { k: 5, val: 50.0 });
-        batch.push(BatchOp::Update { k: 11, val: -1.0 });
-        let stats = db.apply_batch("seq", &batch).unwrap();
-        assert!(stats.coalesced > 0);
-        assert_eq!(db.metrics().counter_value("maintenance.batch_fallback"), 0);
-
-        // Interleaved edits: fall back, still correct.
-        let mut batch = MaintBatch::new();
-        batch.push(BatchOp::Insert { k: 2, val: 7.0 });
-        batch.push(BatchOp::Delete { k: 9 });
-        batch.push(BatchOp::Update { k: 1, val: 0.5 });
-        let stats = db.apply_batch("seq", &batch).unwrap();
-        assert_eq!(stats.coalesced, 0);
-        assert_eq!(db.metrics().counter_value("maintenance.batch_fallback"), 1);
-
-        let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING \
-                   AND 1 FOLLOWING) AS s FROM seq";
-        let from_view = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&from_view, 1), vals(&direct, 1));
-    }
-
-    #[test]
-    fn bad_batch_leaves_base_and_views_untouched() {
-        let db = db_with_seq(4);
-        db.execute(
-            "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
-             (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
-        )
-        .unwrap();
-        let before = vals(
-            &db.execute("SELECT pos, val FROM seq ORDER BY pos").unwrap(),
-            1,
-        );
-        // Second op's position is invalid under sequential semantics:
-        // validation must reject the batch before the first op lands.
-        let mut batch = MaintBatch::new();
-        batch.push(BatchOp::Update { k: 1, val: 99.0 });
-        batch.push(BatchOp::Delete { k: 40 });
-        assert!(db.apply_batch("seq", &batch).is_err());
-        let after = vals(
-            &db.execute("SELECT pos, val FROM seq ORDER BY pos").unwrap(),
-            1,
-        );
-        assert_eq!(before, after);
-        // A mis-positioned multi-row INSERT is also rejected atomically.
-        let err = db
-            .execute("INSERT INTO seq VALUES (5, 5.0), (9, 9.0)")
-            .unwrap_err();
-        assert!(err.to_string().contains("sequence_insert"), "{err}");
-        assert_eq!(db.execute("SELECT pos FROM seq").unwrap().rows().len(), 4);
-    }
-
-    #[test]
-    fn multi_row_insert_on_plain_table_is_atomic() {
-        let db = Database::new();
-        db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, b DOUBLE)")
-            .unwrap();
-        db.execute("INSERT INTO t VALUES (1, 1.0)").unwrap();
-        // Intra-statement duplicate key: nothing lands.
-        assert!(db
-            .execute("INSERT INTO t VALUES (2, 2.0), (2, 9.0)")
-            .is_err());
-        assert_eq!(db.execute("SELECT a FROM t").unwrap().rows().len(), 1);
-        db.execute("INSERT INTO t VALUES (2, 2.0), (3, 3.0)")
-            .unwrap();
-        assert_eq!(db.execute("SELECT a FROM t").unwrap().rows().len(), 3);
-    }
-
-    #[test]
-    fn multi_row_insert_on_partitioned_views_refreshes_once() {
-        let db = Database::new();
-        db.execute("CREATE TABLE pt (grp BIGINT, pos BIGINT, val DOUBLE)")
-            .unwrap();
-        db.execute("INSERT INTO pt VALUES (1, 1, 10.0), (2, 1, 20.0)")
-            .unwrap();
-        db.execute(
-            "CREATE MATERIALIZED VIEW pv AS SELECT grp, pos, SUM(val) OVER \
-             (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND \
-             0 FOLLOWING) AS s FROM pt",
-        )
-        .unwrap();
-        db.execute("INSERT INTO pt VALUES (1, 2, 11.0), (2, 2, 21.0), (1, 3, 12.0)")
-            .unwrap();
-        let sql = "SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos \
-                   ROWS BETWEEN 1 PRECEDING AND 0 FOLLOWING) AS s FROM pt";
-        let from_view = db.execute(sql).unwrap();
-        db.set_view_rewrite(false);
-        let direct = db.execute(sql).unwrap();
-        assert_eq!(vals(&from_view, 2), vals(&direct, 2));
     }
 }

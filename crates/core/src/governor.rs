@@ -7,7 +7,7 @@
 //! them, keeps a weak registry of in-flight tokens so
 //! [`Database::cancel`](crate::Database::cancel) can sweep every running
 //! statement, and gates statement entry through a bounded-wait admission
-//! turnstile (`RFV_MAX_CONCURRENT_QUERIES`).
+//! turnstile.
 //!
 //! Admission is deliberately *bounded*: a statement arriving while the
 //! engine is saturated waits with doubling backoff for at most
@@ -27,7 +27,8 @@ use rfv_types::{Result, RfvError};
 /// before the engine sheds it with [`RfvError::Overloaded`].
 pub(crate) const ADMIT_WAIT_MAX: Duration = Duration::from_millis(100);
 
-/// Runtime-settable governance limits (env-seeded at engine build).
+/// Runtime-settable governance limits (seeded from the environment at
+/// engine build).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GovLimits {
     /// Per-statement deadline; `None` disables.
@@ -41,26 +42,15 @@ pub(crate) struct GovLimits {
     pub interrupt: bool,
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
-
+#[cfg(test)]
 impl GovLimits {
-    /// Limits from the environment: `RFV_STATEMENT_TIMEOUT_MS`,
-    /// `RFV_MEM_BUDGET` (bytes), `RFV_MAX_CONCURRENT_QUERIES`. Zero or
-    /// unparsable values disable the respective limit.
-    fn from_env() -> GovLimits {
-        GovLimits {
-            timeout: env_u64("RFV_STATEMENT_TIMEOUT_MS")
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
-            mem_budget: env_u64("RFV_MEM_BUDGET")
-                .filter(|&b| b > 0)
-                .unwrap_or(UNLIMITED),
-            max_concurrent: env_u64("RFV_MAX_CONCURRENT_QUERIES").unwrap_or(0) as usize,
-            interrupt: false,
-        }
-    }
+    /// No timeout, no memory budget, no concurrency cap.
+    pub const UNLIMITED: GovLimits = GovLimits {
+        timeout: None,
+        mem_budget: UNLIMITED,
+        max_concurrent: 0,
+        interrupt: false,
+    };
 }
 
 /// Per-engine resource governor: limit store, token mint, in-flight
@@ -82,10 +72,10 @@ pub(crate) struct Governor {
 }
 
 impl Governor {
-    /// A governor seeded from the environment (see [`GovLimits::from_env`]).
-    pub fn from_env() -> Governor {
+    /// A governor starting from `limits`.
+    pub fn new(limits: GovLimits) -> Governor {
         Governor {
-            limits: RwLock::new(GovLimits::from_env()),
+            limits: RwLock::new(limits),
             running: Mutex::new(0),
             turnstile: Condvar::new(),
             inflight: Mutex::new(Vec::new()),
@@ -222,11 +212,7 @@ mod tests {
     use super::*;
 
     fn unlimited() -> Arc<Governor> {
-        let gov = Arc::new(Governor::from_env());
-        gov.set_timeout(None);
-        gov.set_mem_budget(None);
-        gov.set_max_concurrent(0);
-        gov
+        Arc::new(Governor::new(GovLimits::UNLIMITED))
     }
 
     #[test]

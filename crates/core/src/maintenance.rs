@@ -191,6 +191,14 @@ pub struct MaintBatch {
     ops: Vec<BatchOp>,
 }
 
+impl FromIterator<BatchOp> for MaintBatch {
+    fn from_iter<I: IntoIterator<Item = BatchOp>>(ops: I) -> Self {
+        MaintBatch {
+            ops: ops.into_iter().collect(),
+        }
+    }
+}
+
 impl MaintBatch {
     pub fn new() -> Self {
         MaintBatch::default()
@@ -217,6 +225,20 @@ impl MaintBatch {
     /// bulk loads take, and the one with the cheapest batched plan.
     pub fn is_append_run(&self, n: i64) -> bool {
         !self.ops.is_empty() && self.classify(n) == BatchPlan::AppendRun
+    }
+
+    /// The appended values when the batch [is an append
+    /// run](Self::is_append_run) at `n`, `None` otherwise.
+    pub fn append_run(&self, n: i64) -> Option<Vec<f64>> {
+        self.is_append_run(n).then(|| {
+            self.ops
+                .iter()
+                .filter_map(|op| match op {
+                    BatchOp::Insert { val, .. } => Some(*val),
+                    _ => None,
+                })
+                .collect()
+        })
     }
 
     /// True when the batch will coalesce into region passes rather than
@@ -296,17 +318,7 @@ impl MaintBatch {
         }
         let n = raw.len() as i64;
         match self.classify(n) {
-            BatchPlan::AppendRun => {
-                let vals: Vec<f64> = self
-                    .ops
-                    .iter()
-                    .map(|op| match op {
-                        BatchOp::Insert { val, .. } => *val,
-                        _ => unreachable!("AppendRun contains only inserts"),
-                    })
-                    .collect();
-                append_bulk(seq, raw, &vals)
-            }
+            BatchPlan::AppendRun => append_bulk(seq, raw, &self.append_run(n).unwrap_or_default()),
             BatchPlan::UpdateSet => {
                 let updates: Vec<(i64, f64)> = self
                     .ops

@@ -73,22 +73,41 @@ pub enum RewriteStrategy {
 }
 
 impl RewriteStrategy {
-    /// Stable snake_case label used as the metrics-counter suffix
-    /// (`rewrite.strategy.<label>`). `AvgFromSum` reports itself, not
+    /// Stable snake_case labels used as the metrics-counter suffix
+    /// (`rewrite.strategy.<label>`), indexed by [`Self::index`].
+    pub const LABELS: [&'static str; 9] = [
+        "exact_match",
+        "cumulative_difference",
+        "cumulative_from_sliding",
+        "minoa",
+        "maxoa",
+        "closed_form_count",
+        "avg_from_sum",
+        "partitioned_minoa",
+        "partition_reduction",
+    ];
+
+    /// Position of this strategy in [`Self::LABELS`] (and in the
+    /// engine's pre-resolved per-strategy counters).
+    pub fn index(&self) -> usize {
+        match self {
+            RewriteStrategy::ExactMatch => 0,
+            RewriteStrategy::CumulativeDifference => 1,
+            RewriteStrategy::CumulativeFromSliding => 2,
+            RewriteStrategy::MinOA { .. } => 3,
+            RewriteStrategy::MaxOA { .. } => 4,
+            RewriteStrategy::ClosedFormCount => 5,
+            RewriteStrategy::AvgFromSum { .. } => 6,
+            RewriteStrategy::PartitionedMinOA { .. } => 7,
+            RewriteStrategy::PartitionReduction { .. } => 8,
+        }
+    }
+
+    /// The strategy's stable label. `AvgFromSum` reports itself, not
     /// its inner SUM strategy, so the per-strategy counters sum to the
     /// number of rewritten expressions.
     pub fn label(&self) -> &'static str {
-        match self {
-            RewriteStrategy::ExactMatch => "exact_match",
-            RewriteStrategy::CumulativeDifference => "cumulative_difference",
-            RewriteStrategy::CumulativeFromSliding => "cumulative_from_sliding",
-            RewriteStrategy::MinOA { .. } => "minoa",
-            RewriteStrategy::MaxOA { .. } => "maxoa",
-            RewriteStrategy::ClosedFormCount => "closed_form_count",
-            RewriteStrategy::AvgFromSum { .. } => "avg_from_sum",
-            RewriteStrategy::PartitionedMinOA { .. } => "partitioned_minoa",
-            RewriteStrategy::PartitionReduction { .. } => "partition_reduction",
-        }
+        Self::LABELS[self.index()]
     }
 }
 

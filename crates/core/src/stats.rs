@@ -8,9 +8,9 @@
 //! read plus a handful of relaxed atomic adds (the per-statement
 //! [`Histogram`] supplies p50/p95 without keeping raw samples).
 //!
-//! The slow-query log rides on the same clock reads: set `RFV_SLOW_MS`
-//! and every statement at or above the threshold is logged to stderr,
-//! counted in `query.slow`, and marked in the flight recorder.
+//! The map is bounded ([`STMT_STATS_CAP_ENTRIES`]) — ever-new literals
+//! would otherwise grow it forever: when full, the stalest tenth (by
+//! last call) is dropped in one pass and counted in `stats.evicted`.
 //!
 //! Surfaced as the `rfv_stat_statements` virtual system table
 //! ([`crate::systab`]) and as [`crate::Database::statement_stats`].
@@ -19,10 +19,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rfv_obs::Histogram;
+use rfv_obs::{Counter, Histogram};
 use rfv_types::sync::RwLock;
 
-use crate::cache::PlanOutcome;
+use crate::cache::{PlanOutcome, STMT_STATS_CAP_ENTRIES};
 use crate::rewrite::{RewriteOutcome, RewriteReport};
 
 /// Lifetime totals of one statement entry (relaxed atomics — totals,
@@ -45,6 +45,8 @@ struct StmtEntry {
     ns: Histogram,
     /// Rewrite strategy label → times a window expression used it.
     strategies: RwLock<BTreeMap<&'static str, u64>>,
+    /// The store's tick at this entry's most recent call (eviction age).
+    last_call: AtomicU64,
 }
 
 /// A point-in-time snapshot of one statement's totals.
@@ -76,6 +78,10 @@ pub struct StatementStat {
 #[derive(Debug, Clone, Default)]
 pub struct StatementStats {
     entries: Arc<RwLock<HashMap<String, Arc<StmtEntry>>>>,
+    /// Monotonic call counter; each call stamps its entry with it.
+    tick: Arc<AtomicU64>,
+    /// Entries dropped to keep the map bounded (`stats.evicted`).
+    evicted: Counter,
 }
 
 impl StatementStats {
@@ -83,11 +89,36 @@ impl StatementStats {
         StatementStats::default()
     }
 
+    /// Lifetime count of entries dropped by the cap.
+    pub fn evicted(&self) -> &Counter {
+        &self.evicted
+    }
+
+    /// The entry for `sql`, stamped as just called. The hot path is a
+    /// read-locked lookup plus relaxed atomics; only a first-seen
+    /// statement takes the write lock.
     fn entry(&self, sql: &str) -> Arc<StmtEntry> {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         if let Some(e) = self.entries.read().get(sql) {
+            e.last_call.store(tick, Ordering::Relaxed);
             return Arc::clone(e);
         }
-        Arc::clone(self.entries.write().entry(sql.to_string()).or_default())
+        let mut entries = self.entries.write();
+        if entries.len() >= STMT_STATS_CAP_ENTRIES && !entries.contains_key(sql) {
+            // Drop the stalest tenth in one pass, so a stream of new
+            // statements pays for eviction once per cap/10 insertions.
+            let mut ages: Vec<u64> = entries
+                .values()
+                .map(|e| e.last_call.load(Ordering::Relaxed))
+                .collect();
+            let (_, &mut cutoff, _) = ages.select_nth_unstable(STMT_STATS_CAP_ENTRIES / 10);
+            let before = entries.len();
+            entries.retain(|_, e| e.last_call.load(Ordering::Relaxed) > cutoff);
+            self.evicted.add((before - entries.len()) as u64);
+        }
+        let e = entries.entry(sql.to_string()).or_default();
+        e.last_call.store(tick, Ordering::Relaxed);
+        Arc::clone(e)
     }
 
     /// Fold one executed statement into its entry.
@@ -175,17 +206,6 @@ impl StatementStats {
     }
 }
 
-/// `RFV_SLOW_MS` parsed once: the slow-query threshold in milliseconds
-/// (`None` disables the log entirely — the default).
-pub(crate) fn slow_ms_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("RFV_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,5 +270,33 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].calls, 4000);
         assert_eq!(snap[0].rows, 4000);
+    }
+
+    #[test]
+    fn the_map_is_capped_and_evicts_the_stalest_entries() {
+        let stats = StatementStats::new();
+        let report = RewriteReport::default();
+        let extra = 37;
+        let total = STMT_STATS_CAP_ENTRIES + extra;
+        for i in 0..total {
+            let sql = format!("SELECT {i}");
+            stats.record(&sql, 10, 1, false, PlanOutcome::Fallback, &report);
+        }
+        let snap = stats.snapshot();
+        assert!(
+            snap.len() <= STMT_STATS_CAP_ENTRIES,
+            "{} entries",
+            snap.len()
+        );
+        assert!(stats.evicted().get() >= extra as u64);
+        assert_eq!(
+            snap.len() as u64 + stats.evicted().get(),
+            total as u64,
+            "every statement is either resident or counted as evicted"
+        );
+        // The most recent statements survive; the oldest were dropped.
+        let resident = |i: usize| snap.iter().any(|s| s.query == format!("SELECT {i}"));
+        assert!((total - extra..total).all(resident), "recent ones stay");
+        assert!(!resident(0), "the stalest statement must be gone");
     }
 }

@@ -478,7 +478,7 @@ mod tests {
                 crate::cache::CacheCounters::new(&rfv_obs::MetricsRegistry::new()),
             )),
             Arc::new(OnceLock::new()),
-            Arc::new(Governor::from_env()),
+            Arc::new(Governor::new(crate::governor::GovLimits::UNLIMITED)),
             rfv_obs::MetricsRegistry::new(),
         );
         let names: Vec<&str> = providers.iter().map(|p| p.name()).collect();

@@ -10,10 +10,10 @@
 //! Record `i` (0-based) in the file has LSN `base_lsn + i + 1`; the
 //! *committed prefix* of a database is exactly the records whose length
 //! prefix, checksum, and payload are fully on disk. Appends are
-//! group-committed under one internal lock, with `fsync` gated by the
-//! `RFV_FSYNC` environment variable (off by default: tests and benches
-//! exercise the full code path without paying disk latency; production
-//! sets it for real durability).
+//! group-committed under one internal lock, with `fsync` per append a
+//! choice of whoever opens the log (the engine takes it from `RFV_FSYNC`;
+//! off by default: tests and benches exercise the full code path without
+//! paying disk latency; production sets it for real durability).
 //!
 //! Reading tolerates — and physically truncates — a torn or corrupt
 //! tail: the first record whose length/CRC/payload doesn't check out
@@ -43,11 +43,6 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> RfvError {
     RfvError::execution(format!("wal: cannot {what} {}: {e}", path.display()))
 }
 
-/// Whether appends fsync (`RFV_FSYNC` set to anything but `0`/empty).
-fn fsync_enabled() -> bool {
-    std::env::var("RFV_FSYNC").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Counters published by the WAL (mirrored into `rfv_stat_wal`).
 #[derive(Debug, Default)]
 pub struct WalStats {
@@ -66,6 +61,8 @@ struct Inner {
 pub struct Wal {
     path: PathBuf,
     base_lsn: u64,
+    /// Whether every append fsyncs before it is acknowledged.
+    fsync: bool,
     inner: Mutex<Inner>,
     /// Mirror of `Inner::lsn` readable without the append lock.
     last_lsn: AtomicU64,
@@ -83,7 +80,7 @@ pub struct WalScan {
 impl Wal {
     /// Create a fresh WAL at `path` (truncating any existing file) with
     /// the given base LSN.
-    pub fn create(path: &Path, base_lsn: u64) -> Result<Self> {
+    pub fn create(path: &Path, base_lsn: u64, fsync: bool) -> Result<Self> {
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -101,6 +98,7 @@ impl Wal {
         Ok(Wal {
             path: path.to_path_buf(),
             base_lsn,
+            fsync,
             inner: Mutex::new(Inner {
                 file,
                 lsn: base_lsn,
@@ -176,7 +174,7 @@ impl Wal {
     /// Open an existing WAL for appending. The caller has usually just
     /// [`scan`](Self::scan)ed it (which truncates any torn tail);
     /// `committed` is the number of committed records the scan returned.
-    pub fn open(path: &Path, base_lsn: u64, committed: u64) -> Result<Self> {
+    pub fn open(path: &Path, base_lsn: u64, committed: u64, fsync: bool) -> Result<Self> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -188,6 +186,7 @@ impl Wal {
         Ok(Wal {
             path: path.to_path_buf(),
             base_lsn,
+            fsync,
             inner: Mutex::new(Inner { file, lsn }),
             last_lsn: AtomicU64::new(lsn),
             stats: WalStats::default(),
@@ -236,7 +235,7 @@ impl Wal {
             .map_err(|e| io_err("append to", &self.path, e))?;
         fault::hit("wal.after_append")?;
         fault::hit("wal.before_fsync")?;
-        if fsync_enabled() {
+        if self.fsync {
             inner
                 .file
                 .sync_all()
@@ -268,10 +267,15 @@ mod tests {
     fn append_scan_round_trip() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("wal.rfl");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(&path, 0, true).unwrap();
         assert_eq!(wal.append(b"alpha").unwrap(), 1);
         assert_eq!(wal.append(b"").unwrap(), 2);
         assert_eq!(wal.append(b"gamma-gamma").unwrap(), 3);
+        assert_eq!(
+            wal.stats.fsyncs.load(Ordering::Relaxed),
+            3,
+            "one per append"
+        );
         drop(wal);
         let scan = Wal::scan(&path).unwrap();
         assert_eq!(scan.base_lsn, 0);
@@ -281,8 +285,9 @@ mod tests {
             vec![b"alpha".to_vec(), b"".to_vec(), b"gamma-gamma".to_vec()]
         );
         // Re-open and keep appending: LSNs continue.
-        let wal = Wal::open(&path, scan.base_lsn, scan.records.len() as u64).unwrap();
+        let wal = Wal::open(&path, scan.base_lsn, scan.records.len() as u64, false).unwrap();
         assert_eq!(wal.append(b"delta").unwrap(), 4);
+        assert_eq!(wal.stats.fsyncs.load(Ordering::Relaxed), 0);
         drop(wal);
         assert_eq!(Wal::scan(&path).unwrap().records.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -293,7 +298,7 @@ mod tests {
         let dir = tmp_dir("torn");
         for cut in 1..14usize {
             let path = dir.join(format!("wal-{cut}.rfl"));
-            let wal = Wal::create(&path, 7).unwrap();
+            let wal = Wal::create(&path, 7, false).unwrap();
             wal.append(b"keep-me").unwrap();
             wal.append(b"torn").unwrap(); // 4 + 4 + 4 = 12 bytes on disk
             drop(wal);
@@ -328,7 +333,7 @@ mod tests {
     fn corrupt_byte_in_payload_cuts_from_that_record() {
         let dir = tmp_dir("flip");
         let path = dir.join("wal.rfl");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(&path, 0, false).unwrap();
         wal.append(b"first").unwrap();
         wal.append(b"second").unwrap();
         drop(wal);

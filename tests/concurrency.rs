@@ -480,3 +480,39 @@ fn cached_reader_storm_never_serves_stale_results() {
         "cached answer diverged from rematerialized oracle"
     );
 }
+
+/// A statement's rewrite report is its own, not the engine-global
+/// "last" one: while another thread keeps planning a query the rewriter
+/// cannot answer, every `EXPLAIN` of a view-rewritten query must print
+/// the decisions of *that* query.
+#[test]
+fn concurrent_explain_prints_its_own_rewrite_report() {
+    const ROUNDS: usize = 300;
+    let vals: Vec<f64> = (0..N_ROWS).map(|i| (i % 13) as f64).collect();
+    let db = db_with(&vals);
+    let rewritten = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
+                     AND 1 FOLLOWING) AS s FROM seq";
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for i in 0..ROUNDS {
+                // A fresh literal per round keeps this thread planning
+                // (and publishing its fallback report) the whole time.
+                db.execute(&format!("SELECT pos FROM seq WHERE pos > {i}"))
+                    .unwrap();
+            }
+        });
+        start.wait();
+        for round in 0..ROUNDS {
+            let text = db.explain(rewritten).unwrap();
+            assert!(
+                text.contains("== physical (view rewrite) ==")
+                    && text.contains("answered from materialized views")
+                    && text.contains("<- view `mv_")
+                    && !text.contains("fallback to native window operator"),
+                "round {round}: EXPLAIN printed another statement's rewrite report:\n{text}"
+            );
+        }
+    });
+}

@@ -1,21 +1,25 @@
 //! Engine-level differential fuzzing of the **batched** maintenance path.
 //!
-//! Each case builds three databases over the same random base sequence
+//! Each case builds four databases over the same random base sequence
 //! and the same random view catalog (sliding SUM, cumulative SUM, MAX),
-//! then applies the same random delta batch three ways:
+//! then applies the same random delta batch four ways:
 //!
 //! * **batched** — one [`Database::apply_batch`] call (the path under
 //!   test: region coalescing, one write lock, parallel per-view compute);
 //! * **row-at-a-time** — one `sequence_update` / `sequence_insert` /
 //!   `sequence_delete` call per op (the §2.3 per-op rules);
+//! * **one-op batches** — one `apply_batch` call per op (a single op is a
+//!   one-op batch: this leg and the previous one share one write path);
 //! * **rematerialized** — views dropped and recreated from the final base
 //!   state (the ground truth the paper contrasts against).
 //!
-//! All three must agree on every view body: byte-identical for integer
+//! All four must agree on every view body: byte-identical for integer
 //! data (integer window sums are exact in `f64`), within an
 //! input-magnitude-scaled tolerance for cancellation-adversarial float
 //! data. Batch shapes are biased so append runs, update sets, and the
-//! interleaved fallback all get coverage.
+//! interleaved fallback all get coverage. Every case ends with the error
+//! cases — out-of-range, missing, and NULL positions — which must leave
+//! base and views untouched on every leg.
 //!
 //! Replay a failure with `RFV_SEED=0x… cargo test -q --test
 //! fuzz_maintenance`.
@@ -168,6 +172,117 @@ fn apply_row_at_a_time(db: &Database, batch: &MaintBatch) {
     }
 }
 
+/// Apply the batch as one `apply_batch` call per op.
+fn apply_as_one_op_batches(db: &Database, batch: &MaintBatch) -> rfv_types::Result<()> {
+    for op in batch.ops() {
+        let mut one = MaintBatch::new();
+        one.push(*op);
+        db.apply_batch("seq", &one)?;
+    }
+    Ok(())
+}
+
+/// The three engine legs, as fallible appliers (the error cases need the
+/// `Result` the happy-path helpers unwrap).
+type Leg = (
+    &'static str,
+    fn(&Database, &MaintBatch) -> rfv_types::Result<()>,
+);
+const LEGS: [Leg; 3] = [
+    ("batched", |db, b| db.apply_batch("seq", b).map(drop)),
+    ("row-at-a-time", |db, b| {
+        for op in b.ops() {
+            match *op {
+                BatchOp::Update { k, val } => db.sequence_update("seq", k, val)?,
+                BatchOp::Insert { k, val } => db.sequence_insert("seq", k, val)?,
+                BatchOp::Delete { k } => db.sequence_delete("seq", k)?,
+            }
+        }
+        Ok(())
+    }),
+    ("one-op batches", apply_as_one_op_batches),
+];
+
+/// Base rows and every view body, rendered exactly (float bits via
+/// `Debug`), for before/after comparisons.
+fn full_state(db: &Database) -> Vec<String> {
+    ["seq", "mv_sum", "mv_cum", "mv_max"]
+        .iter()
+        .flat_map(|t| {
+            db.execute(&format!("SELECT pos, val FROM {t} ORDER BY pos"))
+                .unwrap_or_else(|e| panic!("reading {t} failed: {e}"))
+                .rows()
+                .iter()
+                .map(|r| format!("{t}: {:?}", r.values()))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Every op in `bad` must be rejected by `leg` and leave `db` untouched.
+fn assert_rejected_untouched(db: &Database, leg: Leg, bad: &[BatchOp], why: &str, context: &str) {
+    let before = full_state(db);
+    for op in bad {
+        let mut batch = MaintBatch::new();
+        batch.push(*op);
+        assert!(
+            (leg.1)(db, &batch).is_err(),
+            "{context}: {} leg accepted {op:?} ({why})",
+            leg.0
+        );
+        assert_eq!(
+            full_state(db),
+            before,
+            "{context}: {} leg changed base or views while rejecting {op:?} ({why})",
+            leg.0
+        );
+    }
+}
+
+/// The error cases of one leg, on the database that leg just maintained:
+/// out-of-range positions, a NULL position, and a position missing from
+/// the base table. Nothing may be half-applied.
+fn assert_error_cases(db: &Database, leg: Leg, context: &str) {
+    let n = db.execute("SELECT pos FROM seq").unwrap().rows().len() as i64;
+    let out_of_range = [
+        BatchOp::Update { k: 0, val: 1.0 },
+        BatchOp::Update { k: n + 1, val: 1.0 },
+        BatchOp::Delete { k: n + 1 },
+        BatchOp::Insert { k: 0, val: 1.0 },
+        BatchOp::Insert { k: n + 2, val: 1.0 },
+    ];
+    assert_rejected_untouched(db, leg, &out_of_range, "out of range", context);
+
+    // In-range ops, valid on a healthy table.
+    let mut in_range = vec![BatchOp::Insert { k: n + 1, val: 1.0 }];
+    if n > 0 {
+        in_range.push(BatchOp::Update { k: n, val: 1.0 });
+        in_range.push(BatchOp::Insert { k: 1, val: 1.0 });
+        in_range.push(BatchOp::Delete { k: 1 });
+    }
+    // A NULL position can only arrive through SQL (storage enforces the
+    // primary key's NOT NULL); the append path must refuse it whole.
+    let before = full_state(db);
+    for sql in [
+        "INSERT INTO seq VALUES (NULL, 1.0)".to_string(),
+        format!("INSERT INTO seq VALUES ({}, 1.0), (NULL, 2.0)", n + 1),
+    ] {
+        assert!(db.execute(&sql).is_err(), "{context}: accepted `{sql}`");
+        assert_eq!(full_state(db), before, "{context}: `{sql}` left a trace");
+    }
+    // A position missing from the base (removed behind the engine's back,
+    // through the catalog): every op must be refused before it lands.
+    let table = db.catalog().table("seq").unwrap();
+    if n >= 2 {
+        let rid = table
+            .read()
+            .index_lookup(0, &rfv_types::Value::Int(1))
+            .unwrap()[0];
+        table.write().delete(rid).unwrap();
+        assert_rejected_untouched(db, leg, &in_range, "position 1 missing from base", context);
+    }
+}
+
 /// Rebuild the rematerialization oracle: same final base data, views
 /// created from scratch.
 fn remat_oracle(db_after: &Database, l: i64, h: i64) -> Database {
@@ -222,11 +337,14 @@ fn assert_bodies_match(
 fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, context: &str) {
     let db_batch = db_with(vals, l, h);
     let db_row = db_with(vals, l, h);
+    let db_single = db_with(vals, l, h);
 
     let stats = db_batch
         .apply_batch("seq", batch)
         .unwrap_or_else(|e| panic!("{context}: apply_batch failed: {e}"));
     apply_row_at_a_time(&db_row, batch);
+    apply_as_one_op_batches(&db_single, batch)
+        .unwrap_or_else(|e| panic!("{context}: one-op apply_batch failed: {e}"));
 
     // Conservation: per view, at most ops − 1 ops can be coalesced away
     // (each region pass accounts for at least one op). The returned stats
@@ -254,6 +372,13 @@ fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, conte
         scale,
         context,
     );
+    // A single op is a one-op batch: the two per-op legs share one write
+    // path, so they agree to the bit even on float data.
+    assert_eq!(
+        full_state(&db_single),
+        full_state(&db_row),
+        "{context}: one-op batches vs row-at-a-time"
+    );
     let oracle_db = remat_oracle(&db_row, l, h);
     assert_bodies_match(
         &db_batch,
@@ -263,6 +388,9 @@ fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, conte
         scale,
         context,
     );
+    for (db, leg) in [&db_batch, &db_row, &db_single].into_iter().zip(LEGS) {
+        assert_error_cases(db, leg, context);
+    }
 }
 
 #[test]

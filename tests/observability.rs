@@ -329,6 +329,132 @@ fn failed_statements_are_accounted_calls_equals_successes_plus_failures() {
     assert_eq!(rows.rows().len(), 3, "each failed statement has an entry");
 }
 
+/// One lifecycle, one accounting point: `EXPLAIN ANALYZE` — as a
+/// statement, in a script, or through `Database::explain` — is one
+/// attempt of its inner query in every consumer, whether it succeeds,
+/// times out, or fails to plan. (Few enough distinct statements not to
+/// trip the statistics cap.)
+#[test]
+fn every_attempt_is_accounted_once_plain_or_explain_analyze() {
+    use rfv_types::RfvError;
+    const SCAN: &str = "SELECT pos FROM seq ORDER BY pos";
+    let db = db_with_seq(8);
+    let analyze = |sql: &str| format!("EXPLAIN ANALYZE {sql}");
+
+    db.execute(SCAN).unwrap();
+    db.execute(SCAN).unwrap();
+    db.execute(&analyze(SCAN)).unwrap();
+    db.execute_script(&format!("{}; {SCAN}", analyze(SCAN)))
+        .unwrap();
+    db.explain(&analyze(SCAN)).unwrap();
+    // Plain EXPLAIN plans but executes nothing: not an attempt.
+    db.explain(SCAN).unwrap();
+
+    db.set_statement_timeout(Some(std::time::Duration::ZERO));
+    let err = db.execute(&analyze("SELECT val FROM seq")).unwrap_err();
+    assert!(matches!(err, RfvError::Timeout(_)), "{err}");
+    db.set_statement_timeout(None);
+    assert!(db.execute("SELECT x FROM no_such_table").is_err());
+    assert!(db.explain(&analyze("SELECT y FROM no_such_table")).is_err());
+
+    let m = db.metrics();
+    let executed = m.counter_value("query.executed");
+    let failed = m.counter_value("query.failed");
+    assert_eq!(executed, 6, "3 plain + 3 EXPLAIN ANALYZE runs");
+    assert_eq!(failed, 3, "1 timeout + 2 plan errors");
+    assert_eq!(m.counter_value("query.timeout"), 1);
+    assert!(
+        m.counter_value("query.planned") > executed,
+        "every executed statement and the timed-out one were planned"
+    );
+    assert_eq!(db.running_statements(), 0, "no admission slot leaked");
+
+    let stats = db.statement_stats();
+    let calls: u64 = stats.iter().map(|s| s.calls).sum();
+    let failures: u64 = stats.iter().map(|s| s.failures).sum();
+    assert_eq!(calls, executed + failed);
+    assert_eq!(failures, failed);
+    // EXPLAIN ANALYZE lands under its inner query's normalized SQL.
+    let scan = stats.iter().find(|s| s.query == SCAN).expect("scan entry");
+    assert_eq!((scan.calls, scan.failures), (6, 0));
+    assert!(stats.iter().all(|s| !s.query.contains("EXPLAIN")));
+    let timed_out = stats
+        .iter()
+        .find(|s| s.query == "SELECT val FROM seq")
+        .expect("the timed-out inner query has an entry");
+    assert_eq!((timed_out.calls, timed_out.failures), (1, 1));
+}
+
+/// `EXPLAIN ANALYZE` executes, so it takes an admission slot like any
+/// other attempt: with the cap at one and a statement in flight it is
+/// shed with `Overloaded` and counted in `query.rejected`.
+#[test]
+fn explain_analyze_passes_the_admission_turnstile() {
+    use rfv_storage::VirtualTable;
+    use rfv_types::{DataType, Field, Result, RfvError, Row, Schema};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
+
+    /// A system table whose first snapshot blocks until the test
+    /// releases it: a statement reading it is admitted, then parked
+    /// mid-planning (later lookups of the same statement pass through).
+    struct Gate {
+        entered: Mutex<Sender<()>>,
+        release: Mutex<Receiver<()>>,
+    }
+    impl VirtualTable for Gate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+        fn schema(&self) -> Schema {
+            Schema::new(vec![Field::not_null("x", DataType::Int)])
+        }
+        fn rows(&self) -> Result<Vec<Row>> {
+            let _ = self.entered.lock().unwrap().send(());
+            // Blocks until the test drops the release sender; every later
+            // lookup then passes straight through.
+            let _ = self.release.lock().unwrap().recv();
+            Ok(Vec::new())
+        }
+    }
+
+    let db = db_with_seq(4);
+    let (entered_tx, entered_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    let gate: Arc<dyn VirtualTable> = Arc::new(Gate {
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    });
+    db.catalog().register_virtual(&gate);
+    db.set_max_concurrent(1);
+
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| db.execute("SELECT x FROM gate"));
+        entered_rx.recv().unwrap();
+        assert_eq!(
+            db.running_statements(),
+            1,
+            "the parked statement holds the slot"
+        );
+        let err = db
+            .execute("EXPLAIN ANALYZE SELECT pos FROM seq")
+            .unwrap_err();
+        assert!(matches!(err, RfvError::Overloaded(_)), "{err}");
+        drop(release_tx);
+        parked.join().unwrap().unwrap();
+    });
+    assert_eq!(db.metrics().counter_value("query.rejected"), 1);
+    assert_eq!(db.running_statements(), 0);
+    // With the slot free again the same statement is admitted.
+    db.execute("EXPLAIN ANALYZE SELECT pos FROM seq").unwrap();
+    let stats = db.statement_stats();
+    let scan = stats
+        .iter()
+        .find(|s| s.query == "SELECT pos FROM seq")
+        .expect("entry under the inner query");
+    assert_eq!((scan.calls, scan.failures), (2, 1));
+}
+
 #[test]
 fn rewrite_report_is_shared_not_cloned() {
     let db = db_with_view(10);

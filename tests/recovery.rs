@@ -90,6 +90,15 @@ enum Op {
         pos: i64,
         val: f64,
     },
+    /// `Database::sequence_insert` / `sequence_delete`: the other two
+    /// single-op typed records, shifting later positions on replay.
+    SeqInsert {
+        pos: i64,
+        val: f64,
+    },
+    SeqDelete {
+        pos: i64,
+    },
     Snapshot,
     Compact,
 }
@@ -98,6 +107,8 @@ fn apply(db: &Database, op: &Op) -> rfv_types::Result<()> {
     match op {
         Op::Sql(sql) => db.execute(sql).map(|_| ()),
         Op::SeqUpdate { pos, val } => db.sequence_update("seq", *pos, *val),
+        Op::SeqInsert { pos, val } => db.sequence_insert("seq", *pos, *val),
+        Op::SeqDelete { pos } => db.sequence_delete("seq", *pos),
         Op::Snapshot => db.persist_snapshot().map(|_| ()),
         Op::Compact => db.persist_compact().map(|_| ()),
     }
@@ -140,7 +151,7 @@ fn workload(rng: &mut Rng) -> Vec<Op> {
     let mut plain: Option<Vec<i64>> = None;
     let mut next_plain: i64 = 1;
     for _ in 0..rng.usize_in(30, 60) {
-        match rng.u64_below(12) {
+        match rng.u64_below(14) {
             0..=3 => {
                 let n = rng.usize_in(1, 3);
                 let tuples: Vec<String> = (0..n)
@@ -202,6 +213,22 @@ fn workload(rng: &mut Rng) -> Vec<Op> {
                     have_win = true;
                 } else {
                     ops.push(Op::Compact);
+                }
+            }
+            12 => {
+                ops.push(Op::SeqInsert {
+                    pos: rng.i64_in(1, next_seq),
+                    val: rng.f64_in(-100.0, 100.0),
+                });
+                next_seq += 1;
+            }
+            13 => {
+                // Keep at least one row so later updates have a target.
+                if next_seq > 2 {
+                    ops.push(Op::SeqDelete {
+                        pos: rng.i64_in(1, next_seq - 1),
+                    });
+                    next_seq -= 1;
                 }
             }
             _ => unreachable!(),
@@ -348,6 +375,9 @@ fn snapshot_plus_wal_tail_composition() {
         Op::Sql("INSERT INTO seq VALUES (4, 0.4), (5, 0.5)".to_string()),
         Op::SeqUpdate { pos: 2, val: 2.5 },
         Op::Sql("INSERT INTO seq VALUES (6, 123.456)".to_string()),
+        Op::SeqInsert { pos: 3, val: -0.7 },
+        Op::SeqDelete { pos: 1 },
+        Op::SeqInsert { pos: 7, val: 0.1 },
     ];
     for sql in pre {
         db.execute(sql).unwrap();
