@@ -37,6 +37,7 @@ fn native_plan(catalog: &rfv_storage::Catalog, mode: WindowMode) -> PhysicalPlan
         }],
         mode,
         schema: rfv_types::SchemaRef::new(rfv_types::Schema::new(fields)),
+        sources: Vec::new(),
     }
 }
 

@@ -43,6 +43,7 @@ fn native_plan(catalog: &rfv_storage::Catalog) -> PhysicalPlan {
         }],
         mode: WindowMode::Pipelined,
         schema: rfv_types::SchemaRef::new(rfv_types::Schema::new(fields)),
+        sources: Vec::new(),
     }
 }
 

@@ -9,9 +9,11 @@
 //!   config + catalog/registry generations → the fully bound, optimized,
 //!   rewritten plan pair. Entries also record the *data* generation of
 //!   every table the plan reads, because planning is data-dependent: the
-//!   physical planner picks join sides from [`rfv_storage::Table::stats`]
-//!   and the rewriter embeds view-data-derived constants (AVG divisors,
-//!   body length `n`). A dep-generation mismatch is treated as a miss.
+//!   physical planner picks join sides from [`rfv_storage::Table::stats`].
+//!   A dep-generation mismatch is treated as a miss. (A rewritten plan
+//!   holds no view data — it reads the live view when it executes — but
+//!   its report quotes data-dependent counts and its *result* depends on
+//!   the view, which is what the registry generation in the key is for.)
 //! * a **result cache** — plan key + the generation vector of every
 //!   table the plan reads → the finished [`QueryResult`]. Any DML,
 //!   batched maintenance, or view refresh bumps a referenced generation,
@@ -65,7 +67,7 @@ pub(crate) struct PlanKey {
     /// whitespace/case variants of the same query share an entry).
     pub sql: String,
     /// Packed planning-relevant config bits (`view_rewrite`,
-    /// `window_mode`, `pattern_variant`).
+    /// `window_mode`).
     pub config: u8,
     /// Catalog DDL generation at plan time.
     pub catalog_gen: u64,

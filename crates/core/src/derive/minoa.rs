@@ -31,8 +31,9 @@ use rfv_types::Result;
 
 use crate::sequence::{CompleteSequence, WindowSpec};
 
-/// Number of view-value accesses MinOA performs for position `k`
-/// (used by the cost model in [`crate::rewrite`] and asserted in tests).
+/// Number of view-value accesses the explicit form performs for position
+/// `k`. Non-decreasing in `k`, so `terms_at(…, n)` is the per-position
+/// maximum [`crate::rewrite`] reports.
 pub fn terms_at(view: &CompleteSequence, ly: i64, hy: i64, k: i64) -> i64 {
     let w = view.window_size();
     let first = view.first_pos();

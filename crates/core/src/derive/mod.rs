@@ -18,8 +18,13 @@
 //! two: MinOA for the SUM family (fewer terms, no compensation), MaxOA for
 //! MIN/MAX (MinOA's subtraction is meaningless for semi-algebraic
 //! aggregates).
+//!
+//! Those modules hold the paper's *explicit* forms, one series per
+//! position. [`linear`] computes the same SUM derivations in one pass
+//! each; it is what queries run (see `crate::source`).
 
 pub mod cumulative;
+pub mod linear;
 pub mod maxoa;
 pub mod minoa;
 pub mod raw;
@@ -58,13 +63,23 @@ pub fn choose(view: WindowSpec, query: WindowSpec) -> Result<Algorithm> {
     }
 }
 
-/// High-level SUM derivation: dispatch on [`choose`].
+/// High-level SUM derivation: the view body on an exact match, MinOA in
+/// its one-pass form otherwise.
 pub fn derive_sum(view: &CompleteSequence, ly: i64, hy: i64) -> Result<Vec<f64>> {
     WindowSpec::sliding(ly, hy)?;
     if ly == view.l() && hy == view.h() {
         return Ok(view.body());
     }
-    minoa::derive_sum(view, ly, hy)
+    linear::sliding_from_sliding(view, ly, hy)
+}
+
+/// How many of the positions `1..=n` lie inside `window` at position `k`:
+/// COUNT over a dense sequence, and AVG's divisor, as position arithmetic.
+pub fn window_cardinality(window: WindowSpec, n: i64, k: i64) -> i64 {
+    match window {
+        WindowSpec::Cumulative => k,
+        WindowSpec::Sliding { l, h } => (k + h).min(n) - (k - l).max(1) + 1,
+    }
 }
 
 /// Brute-force ground truth: compute the `(l_y, h_y)` sliding-window SUM
@@ -115,6 +130,14 @@ mod tests {
         let raw = [1.0, 2.0, 3.0, 4.0];
         let view = CompleteSequence::materialize(&raw, 2, 1).unwrap();
         assert_eq!(derive_sum(&view, 2, 1).unwrap(), view.body());
+    }
+
+    #[test]
+    fn window_cardinality_clips_at_both_ends() {
+        let w = WindowSpec::sliding(2, 1).unwrap();
+        let counts: Vec<i64> = (1..=5).map(|k| window_cardinality(w, 5, k)).collect();
+        assert_eq!(counts, vec![2, 3, 4, 4, 3]);
+        assert_eq!(window_cardinality(WindowSpec::Cumulative, 5, 4), 4);
     }
 
     #[test]

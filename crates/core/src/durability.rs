@@ -23,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rfv_expr::AggFunc;
 use rfv_storage::codec::{self, Reader};
@@ -343,7 +343,7 @@ fn read_view_data(r: &mut Reader<'_>) -> Result<ViewData> {
 /// Serialize the whole view registry for a snapshot's extension blob.
 /// Partition column types ride along as a synthetic schema so the codec's
 /// existing field encoding can be reused.
-pub(crate) fn encode_views(views: &[SequenceView]) -> Vec<u8> {
+pub(crate) fn encode_views(views: &[Arc<SequenceView>]) -> Vec<u8> {
     let mut out = Vec::new();
     codec::put_u32(&mut out, views.len() as u32);
     for v in views {
@@ -695,7 +695,7 @@ mod tests {
             vec![Value::str("de"), Value::Int(7)],
             CompleteSequence::materialize(&[0.1, 0.2, 0.3], 2, 1).unwrap(),
         );
-        let views = vec![
+        let views: Vec<Arc<SequenceView>> = [
             SequenceView {
                 name: "v_sum".into(),
                 base_table: "s".into(),
@@ -744,7 +744,10 @@ mod tests {
                 window: WindowSpec::Sliding { l: 2, h: 1 },
                 data: ViewData::PartitionedSum(parts),
             },
-        ];
+        ]
+        .into_iter()
+        .map(Arc::new)
+        .collect();
         let blob = encode_views(&views);
         let back = decode_views(&blob).unwrap();
         assert_eq!(back.len(), views.len());

@@ -10,7 +10,7 @@
 //!   sequence (header/trailer, §3.2), registers it, and mirrors it into a
 //!   queryable table `v(pos, val)`;
 //! * **view-aware rewriting** — subsequent reporting-function queries over
-//!   `base` are answered from the views via MinOA/MaxOA (see
+//!   `base` are answered from the views' sequences via MinOA/MaxOA (see
 //!   [`crate::rewrite`]); toggle with [`Database::set_view_rewrite`];
 //! * **incremental view maintenance** (§2.3) — [`Database::sequence_update`],
 //!   [`Database::sequence_insert`] and [`Database::sequence_delete`] apply
@@ -48,7 +48,6 @@ use rfv_types::{Result, Row, Schema, SchemaRef};
 use crate::cache::{CacheCounters, CacheStats, QueryCache, DEFAULT_CACHE_BYTES};
 use crate::durability::{self, Persistence};
 use crate::governor::{GovLimits, Governor};
-use crate::patterns::PatternVariant;
 use crate::rewrite::{RewriteReport, RewriteStrategy};
 use crate::stats::StatementStats;
 use crate::systab;
@@ -174,7 +173,6 @@ impl fmt::Display for QueryResult {
 struct Config {
     view_rewrite: bool,
     window_mode: WindowMode,
-    pattern_variant: PatternVariant,
     /// Record per-phase spans and a [`QueryTrace`] for every query.
     tracing: bool,
 }
@@ -444,6 +442,10 @@ impl Database {
         let registry = ViewRegistry::new();
         let stmt_stats = StatementStats::new();
         metrics.register_counter("stats.evicted", stmt_stats.evicted().clone());
+        metrics.register_counter(
+            "rewrite.derive_native_fallback",
+            registry.native_fallbacks().clone(),
+        );
         let persist: Arc<OnceLock<Arc<Persistence>>> = Arc::new(OnceLock::new());
         let governor = Arc::new(Governor::new(env.limits));
         let systabs = systab::standard_providers(
@@ -474,7 +476,6 @@ impl Database {
             config: Arc::new(RwLock::new(Config {
                 view_rewrite: true,
                 window_mode: WindowMode::Pipelined,
-                pattern_variant: PatternVariant::Disjunctive,
                 tracing: false,
             })),
             metrics,
@@ -539,12 +540,6 @@ impl Database {
     /// (§2.2 naive explicit form vs. pipelined).
     pub fn set_window_mode(&self, mode: WindowMode) {
         self.config.write().window_mode = mode;
-    }
-
-    /// Choose the Fig. 10/13 pattern variant used by the rewriter
-    /// (Table 2's disjunctive-vs-union axis).
-    pub fn set_pattern_variant(&self, variant: PatternVariant) {
-        self.config.write().pattern_variant = variant;
     }
 
     /// Resize the result-cache byte budget at runtime. `0` disables both

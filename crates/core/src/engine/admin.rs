@@ -123,7 +123,7 @@ impl Database {
             let guard = t.read();
             images.push(TableImage::of(&guard));
         }
-        let views: Vec<SequenceView> = self
+        let views: Vec<Arc<SequenceView>> = self
             .registry
             .names()
             .iter()

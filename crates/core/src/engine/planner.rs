@@ -13,7 +13,6 @@ use rfv_types::Result;
 
 use super::{Config, Database};
 use crate::cache::{PlanDep, PlanEntry, PlanKey, PlanOutcome};
-use crate::patterns::PatternVariant;
 use crate::rewrite::{RewriteOutcome, RewriteReport, Rewriter};
 
 /// Packed planning-relevant config bits for the plan-cache key. The
@@ -24,12 +23,7 @@ fn config_bits(config: &Config) -> u8 {
         WindowMode::Naive => 0u8,
         WindowMode::Pipelined => 1,
     };
-    let variant = match config.pattern_variant {
-        PatternVariant::Disjunctive => 0u8,
-        PatternVariant::UnionSimple => 1,
-        PatternVariant::UnionHash => 2,
-    };
-    u8::from(config.view_rewrite) | (mode << 1) | (variant << 2)
+    u8::from(config.view_rewrite) | (mode << 1)
 }
 
 impl Database {
@@ -97,8 +91,7 @@ impl Database {
         let bound = collector.time("bind", || binder.bind_query(q))?;
         let logical = collector.time("optimize", || optimize(bound));
         let (rewritten, outcome, report) = if config.view_rewrite {
-            let rewriter =
-                Rewriter::new(&self.catalog, &self.registry).with_variant(config.pattern_variant);
+            let rewriter = Rewriter::new(&self.catalog, &self.registry);
             let (planned, report) =
                 collector.time("rewrite", || rewriter.plan_with_views_traced(&logical))?;
             let outcome = if report.rewritten {

@@ -8,6 +8,7 @@
 //! and which WAL record kind they log.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rfv_exec::sched;
 use rfv_expr::AggFunc;
@@ -638,7 +639,7 @@ impl Database {
         &self,
         table: &str,
         batch: &MaintBatch,
-        views: &[SequenceView],
+        views: &[Arc<SequenceView>],
         raw_before: Vec<f64>,
         appended: Option<Vec<f64>>,
         single: Option<&Counter>,
@@ -657,7 +658,8 @@ impl Database {
             }
         }
         self.refresh_partitioned_views(table, views)?;
-        let simple: Vec<&SequenceView> = views.iter().filter(|v| !v.is_partitioned()).collect();
+        let simple: Vec<&Arc<SequenceView>> =
+            views.iter().filter(|v| !v.is_partitioned()).collect();
         if simple.is_empty() {
             return Ok(MaintenanceStats::default());
         }
@@ -755,7 +757,7 @@ impl Database {
     fn rematerialize<'a>(
         &self,
         table: &str,
-        views: impl Iterator<Item = &'a SequenceView>,
+        views: impl Iterator<Item = &'a Arc<SequenceView>>,
     ) -> Result<()> {
         for view in views {
             let data = self.materialize_view(
@@ -773,7 +775,7 @@ impl Database {
     /// Rematerialize the §6 partitioned views among `views`: their
     /// positions are partition-local, so the simple-sequence §2.3 rules
     /// don't apply.
-    fn refresh_partitioned_views(&self, table: &str, views: &[SequenceView]) -> Result<()> {
+    fn refresh_partitioned_views(&self, table: &str, views: &[Arc<SequenceView>]) -> Result<()> {
         self.rematerialize(table, views.iter().filter(|v| v.is_partitioned()))
     }
 }

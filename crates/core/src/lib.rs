@@ -18,14 +18,19 @@
 //!   materialized sequence data (§2.3);
 //! * [`mod@derive`] — derivability (§3–§5): raw-value reconstruction, sliding
 //!   windows from cumulative views, and the **MaxOA** / **MinOA**
-//!   algorithms with their explicit forms;
+//!   algorithms, in the paper's explicit forms and in the one-pass forms
+//!   queries run;
 //! * [`reporting`] — reporting sequences (§6): multi-column position
 //!   function, ordering reduction, partitioning reduction;
 //! * [`patterns`] — the pure-relational operator patterns of Figs. 2, 4,
 //!   10, 13 as executable physical plans (disjunctive-predicate and
-//!   UNION-of-simple-predicates variants — the Table 2 axes);
+//!   UNION-of-simple-predicates variants — the Table 2 axes); a
+//!   reproduction, not on the query path;
 //! * [`view`] — the materialized sequence-view catalog;
-//! * [`rewrite`] — the view-aware query rewriter;
+//! * [`rewrite`] — the view-aware query rewriter: it selects a view and a
+//!   strategy per window expression and hangs a sequence source on the
+//!   statement's `Window` node, which derives the column from the live
+//!   view at execution time;
 //! * [`engine`] — a [`Database`] facade: SQL in, rows out, with automatic
 //!   view matching and incremental view maintenance.
 //!
@@ -44,7 +49,7 @@
 //!     "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
 //!      (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
 //! ).unwrap();
-//! // … and answer a (3,1) query from it (MinOA/MaxOA rewrite, no raw access).
+//! // … and answer a (3,1) query from it (MinOA over the view's sequence).
 //! let result = db.execute(
 //!     "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
 //!      AND 1 FOLLOWING) AS s FROM seq",
@@ -63,6 +68,7 @@ pub mod patterns;
 pub mod reporting;
 pub mod rewrite;
 pub mod sequence;
+mod source;
 pub mod stats;
 pub mod systab;
 pub mod trace;

@@ -2,10 +2,9 @@
 //!
 //! The paper's framing (§1, §3): a warehouse holds materialized reporting
 //! function views; incoming reporting-function queries should be answered
-//! *from the views* — by the relational operator patterns of Figs. 10/13 —
-//! "directly after parsing the query". This module implements that hook
-//! for the `rfv` engine: given the bound logical plan of a query, it
-//! recognizes the reporting-function shape
+//! *from the views* "directly after parsing the query". This module
+//! implements that hook for the `rfv` engine: given the bound logical plan
+//! of a query, it recognizes the reporting-function shape
 //!
 //! ```text
 //! Project( [Sort(] Window( Scan(base) ) [)] )
@@ -13,36 +12,48 @@
 //! ```
 //!
 //! and, when a registered [`SequenceView`] over the same base/columns can
-//! derive each window expression, emits a physical plan that never touches
-//! the raw table:
+//! derive each window expression, emits the statement's own `Window` node
+//! with one sequence source (`crate::source`) per expression. The
+//! rewriter only *selects* — view and strategy, in a fixed order of
+//! preference — and checks preconditions; the source derives the column
+//! from the live view when the statement executes:
 //!
-//! * SUM, exact window match → read the view body;
-//! * SUM, sliding → sliding: the **MinOA relational pattern** (Fig. 13);
-//! * SUM, cumulative view or cumulative target: two-point difference /
-//!   prefix tiling, evaluated directly (§3.1 — the paper gives no operator
-//!   pattern for these, the formulas are closed-form);
-//! * MIN/MAX: **MaxOA coverage** (§4.2), evaluated directly;
-//! * AVG over a NOT NULL column: derived SUM divided by the closed-form
-//!   window cardinality `LEAST(pos+h, n) − GREATEST(pos−l, 1) + 1`.
+//! * SUM: exact window match (the view body) > cumulative view (two-point
+//!   difference, §3.1) > widest sliding view (**MinOA**, §5, as two lookups
+//!   into one strided prefix sum; a cumulative target is that prefix sum);
+//! * MIN/MAX: exact match > **MaxOA coverage** (§4.2), under its
+//!   precondition `0 ≤ Δl, Δh ≤ w_x`;
+//! * COUNT over a NOT NULL column: the closed-form window cardinality
+//!   `min(pos+h, n) − max(pos−l, 1) + 1`; AVG: derived SUM over it;
+//! * §6: per-partition derivation under the same partitioning scheme,
+//!   partitioning reduction when the query orders by a suffix of it.
 //!
 //! Anything else falls back to the native window operator. Every planning
 //! pass also produces a [`RewriteReport`]: per window expression, which
-//! view matched and which strategy fired — or the precise reason the
-//! rewriter stepped aside. `Database::explain` prints it and
-//! `Database::last_rewrite_report` returns it programmatically, so a
-//! fallback is a diagnosable decision rather than a silent `None`.
+//! view matched, which strategy fired and which candidates were passed
+//! over — or the precise reason the rewriter stepped aside.
+//! `Database::explain` prints it and `Database::last_rewrite_report`
+//! returns it programmatically, so a fallback is a diagnosable decision
+//! rather than a silent `None`.
+//!
+//! The relational operator patterns of Figs. 10/13 ([`crate::patterns`])
+//! reproduce the paper's Table 2; no query runs them.
 
 use std::fmt;
+use std::sync::Arc;
 
-use rfv_exec::{FrameBound, JoinType, PhysicalPlan, SortKey, WindowExprSpec, WindowFuncKind};
-use rfv_expr::{AggFunc, Expr, ScalarFn};
+use rfv_exec::{
+    FrameBound, PhysicalPlan, SequenceSources, SortKey, WindowExprSpec, WindowFuncKind, WindowMode,
+};
+use rfv_expr::{AggFunc, Expr};
 use rfv_plan::LogicalPlan;
 use rfv_storage::Catalog;
-use rfv_types::{Field, Result, RfvError, Row, Schema, SchemaRef, Value};
+use rfv_types::{DataType, Field, Result, RfvError, SchemaRef, Value};
 
 use crate::derive;
-use crate::patterns::{self, PatternVariant};
+use crate::patterns::PatternVariant;
 use crate::sequence::WindowSpec;
+use crate::source::{KeyColumns, ViewSource};
 use crate::view::{SequenceView, ViewData, ViewRegistry};
 
 /// The derivation strategy that answered one window expression.
@@ -54,9 +65,10 @@ pub enum RewriteStrategy {
     CumulativeDifference,
     /// Sliding view, cumulative target: prefix tiling of view windows.
     CumulativeFromSliding,
-    /// Sliding → sliding via the Fig. 13 MinOA pattern. `terms` is the
-    /// maximum number of view rows combined per output position
-    /// ([`derive::minoa::terms_at`]).
+    /// Sliding → sliding via MinOA (§5). `terms` is the number of view
+    /// values the paper's explicit form combines at the last position, its
+    /// per-position maximum ([`derive::minoa::terms_at`]); the one-pass
+    /// form that runs does two lookups per position whatever `terms` is.
     MinOA { terms: i64 },
     /// MIN/MAX via §4.2 MaxOA coverage with widening deltas `(Δl, Δh)`.
     MaxOA { delta_l: i64, delta_h: i64 },
@@ -114,17 +126,21 @@ impl RewriteStrategy {
 impl fmt::Display for RewriteStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RewriteStrategy::ExactMatch => write!(f, "exact window match (view body scan)"),
+            RewriteStrategy::ExactMatch => write!(f, "exact window match (view body)"),
             RewriteStrategy::CumulativeDifference => {
                 write!(f, "cumulative two-point difference (§3.1)")
             }
             RewriteStrategy::CumulativeFromSliding => {
-                write!(f, "cumulative target tiled from sliding view windows")
+                write!(
+                    f,
+                    "cumulative target as the sliding view's strided prefix sum"
+                )
             }
             RewriteStrategy::MinOA { terms } => {
                 write!(
                     f,
-                    "MinOA pattern (Fig. 13, ≤{terms} view terms per position)"
+                    "MinOA as two strided prefix-sum lookups (§5; explicit form: \
+                     ≤{terms} view terms per position)"
                 )
             }
             RewriteStrategy::MaxOA { delta_l, delta_h } => {
@@ -167,6 +183,11 @@ pub struct RewriteDecision {
     /// Human-readable form of the window expression, with column names.
     pub expr: String,
     pub outcome: RewriteOutcome,
+    /// Candidate views that could not or did not answer the expression,
+    /// each as `` `view`: why ``. Selection is by a fixed order of
+    /// preference, not by cost: every derivation is one pass over data
+    /// already in memory.
+    pub passed_over: Vec<String>,
 }
 
 /// The rewriter's full account of one planning pass.
@@ -191,13 +212,14 @@ impl RewriteReport {
         }
     }
 
-    fn record_hit(&mut self, expr: String, view: &str, strategy: RewriteStrategy) {
+    fn record_hit(&mut self, expr: String, choice: Choice) {
         self.decisions.push(RewriteDecision {
             expr,
             outcome: RewriteOutcome::FromView {
-                view: view.to_string(),
-                strategy,
+                view: choice.view,
+                strategy: choice.strategy,
             },
+            passed_over: choice.passed_over,
         });
     }
 }
@@ -222,88 +244,24 @@ impl fmt::Display for RewriteReport {
                     writeln!(f, "  {} <- no derivation: {}", d.expr, reason)?
                 }
             }
+            for candidate in &d.passed_over {
+                writeln!(f, "      passed over {candidate}")?;
+            }
         }
         Ok(())
     }
 }
 
-/// One derived relation: the plan producing `(key…, pos, val)` rows for a
-/// single window expression, plus the trace of how it was obtained. `n`
-/// is the body length of the (unpartitioned) view that certified the
-/// sequence — AVG's closed-form divisor must use exactly this `n`.
-struct DerivedRelation {
-    plan: PhysicalPlan,
+/// The view and strategy chosen for one window expression, and the
+/// candidates that lost to it.
+struct Choice {
     view: String,
     strategy: RewriteStrategy,
-    n: i64,
+    passed_over: Vec<String>,
 }
 
-/// A derivation attempt: either a relation or the reason there is none.
-type Attempt = std::result::Result<DerivedRelation, String>;
-
-/// Positional assembler for `base ⋈ derived₁ ⋈ … ⋈ derivedₖ`.
-///
-/// Each derived relation carries `(key…, val)` columns; every join appends
-/// one value column to the accumulated row and projects the duplicated key
-/// columns away. The output schema is tracked *positionally* — it grows by
-/// exactly the one field handed to [`join`](Self::join) — so the assembly
-/// cannot index past the query's output schema (the ad-hoc slice
-/// arithmetic this replaces double-counted the derived-column offset and
-/// panicked on queries with two or more reporting functions).
-struct DerivedRelationBuilder {
-    plan: PhysicalPlan,
-    fields: Vec<Field>,
-    base_keys: Vec<usize>,
-    key_arity: usize,
-}
-
-impl DerivedRelationBuilder {
-    fn new(base: PhysicalPlan, base_schema: &SchemaRef, base_keys: Vec<usize>) -> Self {
-        let key_arity = base_keys.len();
-        DerivedRelationBuilder {
-            plan: base,
-            fields: base_schema.fields().to_vec(),
-            base_keys,
-            key_arity,
-        }
-    }
-
-    /// Join one derived relation and keep its value column as `out_field`.
-    fn join(mut self, rel: PhysicalPlan, out_field: Field) -> Self {
-        let width = self.fields.len();
-        let joined = PhysicalPlan::HashJoin {
-            left: Box::new(self.plan),
-            right: Box::new(rel),
-            left_keys: self.base_keys.iter().map(|&k| Expr::col(k)).collect(),
-            right_keys: (0..self.key_arity).map(Expr::col).collect(),
-            residual: None,
-            join_type: JoinType::Inner,
-        };
-        // Keep the accumulated prefix, then the derived value column (the
-        // derived relation's key columns duplicate the base's join keys).
-        let mut exprs: Vec<Expr> = (0..width).map(Expr::col).collect();
-        exprs.push(Expr::col(width + self.key_arity));
-        self.fields.push(out_field);
-        self.plan = PhysicalPlan::Project {
-            input: Box::new(joined),
-            exprs,
-            schema: SchemaRef::new(Schema::new(self.fields.clone())),
-        };
-        self
-    }
-
-    /// Window output order: sorted by (partition keys, order keys).
-    fn finish(self) -> PhysicalPlan {
-        PhysicalPlan::Sort {
-            input: Box::new(self.plan),
-            keys: self
-                .base_keys
-                .iter()
-                .map(|&k| SortKey::asc(Expr::col(k)))
-                .collect(),
-        }
-    }
-}
+/// A selection attempt: a choice, or the reason there is none.
+type Attempt = std::result::Result<Choice, String>;
 
 /// Record a query-shape fallback reason and decline the rewrite.
 fn fall_back(
@@ -326,6 +284,7 @@ fn miss(
     report.decisions.push(RewriteDecision {
         expr,
         outcome: RewriteOutcome::Fallback { reason },
+        passed_over: Vec::new(),
     });
     Ok(None)
 }
@@ -334,22 +293,17 @@ fn miss(
 pub struct Rewriter<'a> {
     catalog: &'a Catalog,
     registry: &'a ViewRegistry,
-    /// Which Fig. 10/13 variant to emit for SUM derivations.
-    variant: PatternVariant,
 }
 
 impl<'a> Rewriter<'a> {
     pub fn new(catalog: &'a Catalog, registry: &'a ViewRegistry) -> Self {
-        Rewriter {
-            catalog,
-            registry,
-            variant: PatternVariant::Disjunctive,
-        }
+        Rewriter { catalog, registry }
     }
 
-    /// Use a different relational pattern variant (Table 2's axis).
-    pub fn with_variant(mut self, variant: PatternVariant) -> Self {
-        self.variant = variant;
+    /// Does nothing: no join pattern is on the query path, so there is no
+    /// variant to choose. Kept because the frozen benchmark (`rfvbench`)
+    /// calls it; goes in the next benchmark-only change.
+    pub fn with_variant(self, _variant: PatternVariant) -> Self {
         self
     }
 
@@ -413,19 +367,29 @@ impl<'a> Rewriter<'a> {
                 partition_by,
                 order_by,
                 window_exprs,
+                mode,
                 schema,
-                ..
-            } => self.rewrite_window(input, partition_by, order_by, window_exprs, schema, report),
+            } => self.rewrite_window(
+                input,
+                partition_by,
+                order_by,
+                window_exprs,
+                *mode,
+                schema,
+                report,
+            ),
             _ => Ok(None),
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn rewrite_window(
         &self,
         input: &LogicalPlan,
         partition_by: &[Expr],
         order_by: &[SortKey],
         window_exprs: &[WindowExprSpec],
+        mode: WindowMode,
         out_schema: &SchemaRef,
         report: &mut RewriteReport,
     ) -> Result<Option<PhysicalPlan>> {
@@ -437,7 +401,8 @@ impl<'a> Rewriter<'a> {
             return fall_back(report, "window input is not a plain table scan");
         };
         report.base_table = Some(base.clone());
-        if self.registry.views_for(base).is_empty() {
+        let views = self.registry.views_for(base);
+        if views.is_empty() {
             return fall_back(
                 report,
                 format!("no materialized sequence views registered over `{base}`"),
@@ -484,18 +449,10 @@ impl<'a> Rewriter<'a> {
             return fall_back(report, "window has no ORDER BY position column");
         };
         let is_simple = q_parts.is_empty() && dropped_parts.is_empty();
-        // Full key the derived relations carry and the base joins on:
-        // (kept partition cols, dropped partition cols, pos).
-        let base_keys: Vec<usize> = q_parts
-            .iter()
-            .chain(dropped_parts.iter())
-            .copied()
-            .chain(std::iter::once(pos_idx))
-            .collect();
-        let mut derived_rels: Vec<DerivedRelation> = Vec::new();
+        let mut sources: SequenceSources = Vec::with_capacity(window_exprs.len());
         for spec in window_exprs {
             let expr_str = display_spec(spec, base_schema);
-            if spec.func.is_ranking() {
+            let WindowFuncKind::Agg(agg) = spec.func else {
                 return miss(
                     report,
                     expr_str,
@@ -504,7 +461,7 @@ impl<'a> Rewriter<'a> {
                         spec.func
                     ),
                 );
-            }
+            };
             let Some(target) = frame_to_window(spec) else {
                 return miss(
                     report,
@@ -519,12 +476,9 @@ impl<'a> Rewriter<'a> {
             // COUNT over the dense position structure needs no value
             // column: its result is the closed-form window cardinality,
             // provided a registered view vouches for the density invariant.
-            let count_like = matches!(
-                spec.func,
-                WindowFuncKind::Agg(AggFunc::CountStar) | WindowFuncKind::Agg(AggFunc::Count)
-            );
-            let val_idx = match spec.arg.as_ref() {
-                Some(Expr::Column(i)) => Some(*i),
+            let count_like = matches!(agg, AggFunc::CountStar | AggFunc::Count);
+            let val_field = match spec.arg.as_ref() {
+                Some(Expr::Column(i)) => Some(field_at(*i)?),
                 None if count_like => None,
                 _ => {
                     return miss(report, expr_str, "aggregate argument is not a plain column");
@@ -532,28 +486,23 @@ impl<'a> Rewriter<'a> {
             };
             // COUNT(expr) over a nullable column counts non-nulls — the
             // closed form only holds for NOT NULL columns.
-            if let (WindowFuncKind::Agg(AggFunc::Count), Some(i)) = (spec.func, val_idx) {
-                if field_at(i)?.nullable {
+            if let (AggFunc::Count, Some(f)) = (agg, val_field) {
+                if f.nullable {
                     return miss(
                         report,
                         expr_str,
                         format!(
                             "COUNT over nullable column `{}` counts non-nulls; \
                              the closed form needs NOT NULL",
-                            field_at(i)?.name
+                            f.name
                         ),
                     );
                 }
             }
-            let val_field = match val_idx {
-                Some(i) => Some(field_at(i)?),
-                None => None,
-            };
             let pos_name = &field_at(pos_idx)?.name;
-            let candidates: Vec<SequenceView> = self
-                .registry
-                .views_for(base)
-                .into_iter()
+            let candidates: Vec<&SequenceView> = views
+                .iter()
+                .map(|v| &**v)
                 .filter(|v| {
                     v.pos_column.eq_ignore_ascii_case(pos_name)
                         && (count_like
@@ -562,28 +511,20 @@ impl<'a> Rewriter<'a> {
                 })
                 .collect();
             let attempt: Attempt = if is_simple {
-                match spec.func {
-                    WindowFuncKind::Agg(AggFunc::Sum) => {
-                        self.derive_sum_rel(&candidates, target)?
-                    }
-                    WindowFuncKind::Agg(AggFunc::Count | AggFunc::CountStar) => {
-                        self.derive_count_rel(&candidates, target)?
-                    }
-                    WindowFuncKind::Agg(AggFunc::Avg) => match val_field {
+                match agg {
+                    AggFunc::Sum => select_sum(&candidates, target),
+                    AggFunc::Count | AggFunc::CountStar => select_count(&candidates),
+                    AggFunc::Avg => match val_field {
                         Some(f) if f.nullable => Err(format!(
                             "AVG over nullable column `{}` — the closed-form window \
                              cardinality assumes a dense, non-null value column",
                             f.name
                         )),
-                        _ => self.derive_avg_rel(&candidates, target)?,
+                        _ => select_avg(&candidates, target),
                     },
-                    WindowFuncKind::Agg(agg @ (AggFunc::Min | AggFunc::Max)) => {
-                        self.derive_minmax_rel(&candidates, target, agg == AggFunc::Max)?
-                    }
-                    // Ranking functions were rejected above.
-                    _ => Err("ranking functions are not derivable".into()),
+                    AggFunc::Min | AggFunc::Max => select_minmax(&candidates, target, agg),
                 }
-            } else if spec.func == WindowFuncKind::Agg(AggFunc::Sum) {
+            } else if agg == AggFunc::Sum {
                 // §6: the view's partitioning scheme must be exactly the
                 // query's kept partition columns followed by the reduced
                 // (now ordering) columns.
@@ -591,390 +532,276 @@ impl<'a> Rewriter<'a> {
                 for &i in q_parts.iter().chain(dropped_parts.iter()) {
                     scheme.push(field_at(i)?.name.as_str());
                 }
-                self.derive_partition_scheme_rel(&candidates, &scheme, q_parts.len(), target)?
+                select_partitioned(&candidates, &scheme, q_parts.len(), target)
             } else {
                 Err(format!(
                     "partitioned queries derive SUM only (got {})",
                     spec.func
                 ))
             };
-            match attempt {
-                Ok(d) => {
-                    report.record_hit(expr_str, &d.view, d.strategy.clone());
-                    derived_rels.push(d);
-                }
+            let choice = match attempt {
+                Ok(choice) => choice,
                 Err(reason) => return miss(report, expr_str, reason),
-            }
-        }
-
-        // Assemble: base scan ⋈ derived relations on the key columns,
-        // one derived column at a time.
-        let base_table = self.catalog.table(base)?;
-        let scan = PhysicalPlan::TableScan {
-            table: base_table,
-            schema: base_schema.clone(),
-        };
-        let mut builder = DerivedRelationBuilder::new(scan, base_schema, base_keys);
-        for (i, d) in derived_rels.into_iter().enumerate() {
-            let out_field = out_schema
-                .fields()
-                .get(base_schema.len() + i)
-                .ok_or_else(|| {
-                    RfvError::internal("window output schema narrower than its expression list")
-                })?
-                .clone();
-            builder = builder.join(d.plan, out_field);
-        }
-        Ok(Some(builder.finish()))
-    }
-
-    /// §6 derivation against a partitioned view whose partitioning
-    /// *scheme* (ordered column list) equals `scheme`. The first `keep`
-    /// columns remain partitioning in the query; the rest were reduced to
-    /// ordering columns (§6.2's partitioning reduction; `keep = m` is the
-    /// same-partitioning case, `keep = 0` the full reduction).
-    ///
-    /// Returns a `(p_1 … p_m, pos, val)` relation:
-    ///
-    /// * `keep = m`: each partition derives independently via MinOA;
-    /// * `keep < m`: partitions agreeing on the kept prefix are merged in
-    ///   dropped-key order — completeness lets us reconstruct each
-    ///   partition's raw values (§3.2) — and the target window runs over
-    ///   the merged sequence.
-    fn derive_partition_scheme_rel(
-        &self,
-        candidates: &[SequenceView],
-        scheme: &[&str],
-        keep: usize,
-        target: WindowSpec,
-    ) -> Result<Attempt> {
-        let WindowSpec::Sliding { l: ly, h: hy } = target else {
-            return Ok(Err(
-                "partitioned derivation supports sliding target windows only".into(),
-            ));
-        };
-        for v in candidates {
-            if v.partition_columns.len() != scheme.len()
-                || !v
-                    .partition_columns
-                    .iter()
-                    .zip(scheme)
-                    .all(|(a, b)| a.eq_ignore_ascii_case(b))
-            {
-                continue;
-            }
-            let ViewData::PartitionedSum(parts) = &v.data else {
-                continue;
             };
-            let mut rows: Vec<Row> = Vec::new();
-            let strategy;
-            if keep == v.partition_columns.len() {
-                // Same partitioning: derive within each partition.
-                strategy = RewriteStrategy::PartitionedMinOA {
-                    partitions: parts.len(),
-                };
-                for (key, seq) in parts {
-                    let vals = derive::minoa::derive_sum(seq, ly, hy)?;
-                    for (i, val) in vals.into_iter().enumerate() {
-                        let mut values = key.clone();
-                        values.push(Value::Int(i as i64 + 1));
-                        values.push(Value::Float(val));
-                        rows.push(Row::new(values));
-                    }
-                }
-            } else {
-                // Partitioning reduction: group by the kept prefix; the
-                // BTreeMap iterates partitions in key order, so within a
-                // group the dropped columns provide the merge order.
-                let mut groups: std::collections::BTreeMap<
-                    Vec<Value>,
-                    Vec<(&Vec<Value>, &crate::sequence::CompleteSequence)>,
-                > = std::collections::BTreeMap::new();
-                for (key, seq) in parts {
-                    groups
-                        .entry(key[..keep.min(key.len())].to_vec())
-                        .or_default()
-                        .push((key, seq));
-                }
-                strategy = RewriteStrategy::PartitionReduction {
-                    groups: groups.len(),
-                };
-                for (_, members) in groups {
-                    let mut merged: Vec<f64> = Vec::new();
-                    let mut keys: Vec<(Vec<Value>, i64)> = Vec::new();
-                    for (key, seq) in members {
-                        // Completeness (§6.2) enables raw reconstruction.
-                        let raw = derive::raw::from_sliding(seq)?;
-                        for i in 0..raw.len() {
-                            keys.push((key.clone(), i as i64 + 1));
-                        }
-                        merged.extend(raw);
-                    }
-                    let vals = derive::brute_force_sum(&merged, ly, hy);
-                    for ((key, pos), val) in keys.into_iter().zip(vals) {
-                        let mut values = key;
-                        values.push(Value::Int(pos));
-                        values.push(Value::Float(val));
-                        rows.push(Row::new(values));
-                    }
-                }
-            }
-            return Ok(Ok(DerivedRelation {
-                plan: PhysicalPlan::Values {
-                    schema: part_rel_schema(v)?,
-                    rows,
+            // COUNT(*) has no argument, and COUNT's type depends on none.
+            let input_type = val_field.map_or(DataType::Int, |f| f.data_type);
+            sources.push(Some(Arc::new(ViewSource {
+                registry: self.registry.clone(),
+                view: choice.view.clone(),
+                strategy: choice.strategy.clone(),
+                agg,
+                target,
+                result_type: spec.func.result_type(input_type),
+                keys: KeyColumns {
+                    partition: q_parts.clone(),
+                    reduced: dropped_parts.to_vec(),
+                    pos: pos_idx,
                 },
-                view: v.name.clone(),
-                strategy,
-                n: v.n(),
-            }));
+            })));
+            report.record_hit(expr_str, choice);
         }
-        Ok(Err(format!(
-            "no partitioned SUM view with partitioning scheme ({})",
-            scheme.join(", ")
-        )))
-    }
 
-    /// A `(pos, val)` relation deriving a SUM target from the best view.
-    fn derive_sum_rel(&self, candidates: &[SequenceView], target: WindowSpec) -> Result<Attempt> {
-        let sum_views: Vec<&SequenceView> = candidates
-            .iter()
-            .filter(|v| v.func == AggFunc::Sum && !v.is_partitioned())
-            .collect();
-        if sum_views.is_empty() {
-            return Ok(Err(
-                "no unpartitioned SUM view over this (pos, val) pair".into()
-            ));
-        }
-        // 1. Exact match.
-        if let Some(v) = sum_views.iter().find(|v| v.window == target) {
-            return Ok(Ok(DerivedRelation {
-                plan: self.view_body_rel(v)?,
-                view: v.name.clone(),
-                strategy: RewriteStrategy::ExactMatch,
-                n: v.n(),
-            }));
-        }
-        // 2. Cumulative view → closed-form difference (a cumulative target
-        //    would have matched exactly above).
-        if let Some(v) = sum_views
-            .iter()
-            .find(|v| matches!(v.window, WindowSpec::Cumulative))
-        {
-            if let (ViewData::CumulativeSum(c), WindowSpec::Sliding { l, h }) = (&v.data, target) {
-                let vals = derive::cumulative::sliding_from_cumulative(c, l, h)?;
-                return Ok(Ok(DerivedRelation {
-                    plan: values_rel(&vals),
-                    view: v.name.clone(),
-                    strategy: RewriteStrategy::CumulativeDifference,
-                    n: v.n(),
-                }));
-            }
-        }
-        // 3. Sliding view: widest window first (fewest MinOA terms).
-        let mut sliding: Vec<&&SequenceView> = sum_views
-            .iter()
-            .filter(|v| matches!(v.window, WindowSpec::Sliding { .. }))
-            .collect();
-        sliding.sort_by_key(|v| std::cmp::Reverse(v.window.window_size().unwrap_or(0)));
-        for v in sliding {
-            // A sliding SUM view always stores `ViewData::Sum`; anything
-            // else is an inconsistent registration — skip it rather than
-            // assume.
-            let (WindowSpec::Sliding { l: lx, h: hx }, ViewData::Sum(seq)) = (v.window, &v.data)
-            else {
-                continue;
-            };
-            match target {
-                WindowSpec::Sliding { l: ly, h: hy } => {
-                    let terms = (1..=v.n())
-                        .map(|k| derive::minoa::terms_at(seq, ly, hy, k))
-                        .max()
-                        .unwrap_or(0);
-                    let plan = patterns::minoa_pattern(
-                        self.catalog,
-                        &v.name,
-                        lx,
-                        hx,
-                        ly,
-                        hy,
-                        v.n(),
-                        self.variant,
-                    )?;
-                    return Ok(Ok(DerivedRelation {
-                        plan,
-                        view: v.name.clone(),
-                        strategy: RewriteStrategy::MinOA { terms },
-                        n: v.n(),
-                    }));
-                }
-                WindowSpec::Cumulative => {
-                    let vals = derive::cumulative::cumulative_from_sliding(seq);
-                    return Ok(Ok(DerivedRelation {
-                        plan: values_rel(&vals),
-                        view: v.name.clone(),
-                        strategy: RewriteStrategy::CumulativeFromSliding,
-                        n: v.n(),
-                    }));
-                }
-            }
-        }
-        Ok(Err(
-            "registered SUM views offer neither an exact, cumulative, nor sliding derivation"
-                .into(),
-        ))
-    }
-
-    /// COUNT over a dense, NOT NULL sequence is pure position arithmetic:
-    /// `min(k+h, n) − max(k−l, 1) + 1` for sliding windows, `k` for
-    /// cumulative ones. Any registered (unpartitioned) view over the same
-    /// position column certifies density and supplies `n`.
-    fn derive_count_rel(&self, candidates: &[SequenceView], target: WindowSpec) -> Result<Attempt> {
-        let Some(v) = candidates.iter().find(|v| !v.is_partitioned()) else {
-            return Ok(Err(
-                "no unpartitioned view certifies the density invariant for closed-form COUNT"
-                    .into(),
-            ));
-        };
-        let n = v.n();
-        let count_at = |k: i64| -> i64 {
-            match target {
-                WindowSpec::Cumulative => k,
-                WindowSpec::Sliding { l, h } => (k + h).min(n) - (k - l).max(1) + 1,
-            }
-        };
-        let rows = (1..=n)
-            .map(|k| Row::new(vec![Value::Int(k), Value::Int(count_at(k))]))
-            .collect();
-        Ok(Ok(DerivedRelation {
-            plan: PhysicalPlan::Values {
-                schema: rel_schema(),
-                rows,
-            },
-            view: v.name.clone(),
-            strategy: RewriteStrategy::ClosedFormCount,
-            n,
+        // The statement's own window node over the base scan: same rows,
+        // same order, each column supplied by its source.
+        Ok(Some(PhysicalPlan::Window {
+            input: Box::new(PhysicalPlan::TableScan {
+                table: self.catalog.table(base)?,
+                schema: base_schema.clone(),
+            }),
+            partition_by: partition_by.to_vec(),
+            order_by: order_by.to_vec(),
+            window_exprs: window_exprs.to_vec(),
+            mode,
+            schema: out_schema.clone(),
+            sources,
         }))
     }
+}
 
-    /// AVG = derived SUM / closed-form window cardinality.
-    fn derive_avg_rel(&self, candidates: &[SequenceView], target: WindowSpec) -> Result<Attempt> {
-        let sum = match self.derive_sum_rel(candidates, target)? {
-            Ok(d) => d,
-            Err(reason) => return Ok(Err(format!("AVG needs a derivable SUM ({reason})"))),
+/// The view answering a SUM target: exact window match, else a cumulative
+/// view, else the widest sliding view.
+fn select_sum(candidates: &[&SequenceView], target: WindowSpec) -> Attempt {
+    let sum_views: Vec<&SequenceView> = candidates
+        .iter()
+        .copied()
+        .filter(|v| v.func == AggFunc::Sum && !v.is_partitioned())
+        .collect();
+    if sum_views.is_empty() {
+        return Err("no unpartitioned SUM view over this (pos, val) pair".into());
+    }
+    // `why` reads after the loser's own window: "sliding(2,1); <why>".
+    let chose = |v: &SequenceView, strategy: RewriteStrategy, why: &str| {
+        Ok(Choice {
+            view: v.name.clone(),
+            strategy,
+            passed_over: sum_views
+                .iter()
+                .filter(|o| o.name != v.name)
+                .map(|o| format!("`{}`: {}; {why}", o.name, o.window))
+                .collect(),
+        })
+    };
+    // 1. Exact match.
+    if let Some(v) = sum_views.iter().find(|v| v.window == target) {
+        let why = format!("`{}` has the query's own window", v.name);
+        return chose(v, RewriteStrategy::ExactMatch, &why);
+    }
+    // 2. Cumulative view → closed-form difference (a cumulative target
+    //    would have matched exactly above).
+    if let Some(v) = sum_views
+        .iter()
+        .find(|v| matches!(v.window, WindowSpec::Cumulative))
+    {
+        if let (ViewData::CumulativeSum(_), WindowSpec::Sliding { .. }) = (&v.data, target) {
+            let why = format!("cumulative `{}` preferred", v.name);
+            return chose(v, RewriteStrategy::CumulativeDifference, &why);
+        }
+    }
+    // 3. Sliding view: widest window first (fewest explicit-form terms).
+    let mut sliding: Vec<&SequenceView> = sum_views
+        .iter()
+        .copied()
+        .filter(|v| matches!(v.window, WindowSpec::Sliding { .. }))
+        .collect();
+    sliding.sort_by_key(|v| std::cmp::Reverse(v.window.window_size().unwrap_or(0)));
+    for v in sliding {
+        // A sliding SUM view always stores `ViewData::Sum`; anything
+        // else is an inconsistent registration — skip it rather than
+        // assume.
+        let ViewData::Sum(seq) = &v.data else {
+            continue;
         };
-        // The divisor's `n` must come from the same unpartitioned view that
-        // supplied the SUM: a partitioned candidate's `n()` is the total
-        // across partitions, which would skew every boundary window.
-        let n = sum.n;
-        let count_expr = match target {
-            WindowSpec::Cumulative => Expr::col(0),
-            WindowSpec::Sliding { l, h } => {
-                // LEAST(pos+h, n) − GREATEST(pos−l, 1) + 1
-                let upper = Expr::Function {
-                    func: ScalarFn::Least,
-                    args: vec![Expr::col(0).add(Expr::lit(h)), Expr::lit(n)],
-                };
-                let lower = Expr::Function {
-                    func: ScalarFn::Greatest,
-                    args: vec![Expr::col(0).sub(Expr::lit(l)), Expr::lit(1i64)],
-                };
-                upper.sub(lower).add(Expr::lit(1i64))
-            }
-        };
-        Ok(Ok(DerivedRelation {
-            plan: PhysicalPlan::Project {
-                input: Box::new(sum.plan),
-                exprs: vec![
-                    Expr::col(0),
-                    Expr::col(1).mul(Expr::lit(1.0f64)).div(count_expr),
-                ],
-                schema: rel_schema(),
+        let strategy = match target {
+            WindowSpec::Sliding { l: ly, h: hy } => RewriteStrategy::MinOA {
+                terms: match seq.n() {
+                    0 => 0,
+                    n => derive::minoa::terms_at(seq, ly, hy, n),
+                },
             },
-            view: sum.view,
+            WindowSpec::Cumulative => RewriteStrategy::CumulativeFromSliding,
+        };
+        return chose(v, strategy, &format!("`{}` is at least as wide", v.name));
+    }
+    Err("registered SUM views offer neither an exact, cumulative, nor sliding derivation".into())
+}
+
+/// COUNT over a dense, NOT NULL sequence is pure position arithmetic:
+/// `min(k+h, n) − max(k−l, 1) + 1` for sliding windows, `k` for
+/// cumulative ones. Any registered (unpartitioned) view over the same
+/// position column certifies density and supplies `n`.
+fn select_count(candidates: &[&SequenceView]) -> Attempt {
+    let Some(v) = candidates.iter().find(|v| !v.is_partitioned()) else {
+        return Err(
+            "no unpartitioned view certifies the density invariant for closed-form COUNT".into(),
+        );
+    };
+    Ok(Choice {
+        view: v.name.clone(),
+        strategy: RewriteStrategy::ClosedFormCount,
+        passed_over: Vec::new(),
+    })
+}
+
+/// AVG = derived SUM / closed-form window cardinality. The divisor's `n`
+/// is that of the unpartitioned view supplying the SUM — a partitioned
+/// candidate's `n()` is the total across partitions, which would skew
+/// every boundary window.
+fn select_avg(candidates: &[&SequenceView], target: WindowSpec) -> Attempt {
+    match select_sum(candidates, target) {
+        Ok(sum) => Ok(Choice {
             strategy: RewriteStrategy::AvgFromSum {
                 sum: Box::new(sum.strategy),
             },
-            n,
-        }))
+            ..sum
+        }),
+        Err(reason) => Err(format!("AVG needs a derivable SUM ({reason})")),
     }
+}
 
-    /// MIN/MAX derivation via MaxOA coverage, evaluated directly.
-    fn derive_minmax_rel(
-        &self,
-        candidates: &[SequenceView],
-        target: WindowSpec,
-        max: bool,
-    ) -> Result<Attempt> {
-        let func = if max { AggFunc::Max } else { AggFunc::Min };
-        let WindowSpec::Sliding { l: ly, h: hy } = target else {
-            return Ok(Err(format!(
-                "{func} derivation supports sliding target windows only"
-            )));
-        };
-        let mut misses: Vec<String> = Vec::new();
-        let mut saw_view = false;
-        for v in candidates.iter().filter(|v| v.func == func) {
-            saw_view = true;
-            // Exact match short-circuits.
-            if v.window == target {
-                return Ok(Ok(DerivedRelation {
-                    plan: self.view_body_rel(v)?,
-                    view: v.name.clone(),
-                    strategy: RewriteStrategy::ExactMatch,
-                    n: v.n(),
-                }));
-            }
-            let ViewData::MinMax(seq) = &v.data else {
-                continue;
-            };
-            match derive::maxoa::factors(seq.l(), seq.h(), ly, hy) {
-                Ok(factors) => {
-                    let vals = derive::maxoa::derive_minmax(seq, ly, hy)?;
-                    let rows = vals
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| {
-                            Row::new(vec![
-                                Value::Int(i as i64 + 1),
-                                v.map_or(Value::Null, Value::Float),
-                            ])
-                        })
-                        .collect();
-                    return Ok(Ok(DerivedRelation {
-                        plan: PhysicalPlan::Values {
-                            schema: rel_schema(),
-                            rows,
-                        },
-                        view: v.name.clone(),
-                        strategy: RewriteStrategy::MaxOA {
-                            delta_l: factors.delta_l,
-                            delta_h: factors.delta_h,
-                        },
-                        n: v.n(),
-                    }));
-                }
-                Err(e) => misses.push(format!("`{}`: {e}", v.name)),
-            }
-        }
-        if !saw_view {
-            return Ok(Err(format!("no {func} view over this (pos, val) pair")));
-        }
-        Ok(Err(format!(
+/// The view answering a MIN/MAX target: exact window match, else the first
+/// view whose window satisfies the MaxOA coverage precondition.
+fn select_minmax(candidates: &[&SequenceView], target: WindowSpec, func: AggFunc) -> Attempt {
+    let WindowSpec::Sliding { l: ly, h: hy } = target else {
+        return Err(format!(
+            "{func} derivation supports sliding target windows only"
+        ));
+    };
+    let views: Vec<&SequenceView> = candidates
+        .iter()
+        .copied()
+        .filter(|v| v.func == func)
+        .collect();
+    if views.is_empty() {
+        return Err(format!("no {func} view over this (pos, val) pair"));
+    }
+    // Each view's strategy, or why it cannot cover the target.
+    let fits = |v: &SequenceView| match (v.window, &v.data) {
+        (window, _) if window == target => Ok(RewriteStrategy::ExactMatch),
+        (_, ViewData::MinMax(seq)) => derive::maxoa::factors(seq.l(), seq.h(), ly, hy)
+            .map(|f| RewriteStrategy::MaxOA {
+                delta_l: f.delta_l,
+                delta_h: f.delta_h,
+            })
+            .map_err(|e| e.to_string()),
+        _ => Err("not a MIN/MAX sequence".to_string()),
+    };
+    let fitted: Vec<_> = views.iter().map(|v| (*v, fits(v))).collect();
+    let chosen = (fitted.iter())
+        .find(|(_, fit)| matches!(fit, Ok(RewriteStrategy::ExactMatch)))
+        .or_else(|| fitted.iter().find(|(_, fit)| fit.is_ok()));
+    let Some((chosen, Ok(strategy))) = chosen else {
+        let misses: Vec<String> = fitted
+            .iter()
+            .filter_map(|(v, fit)| Some(format!("`{}`: {}", v.name, fit.as_ref().err()?)))
+            .collect();
+        return Err(format!(
             "MaxOA coverage precondition failed — {}",
             misses.join("; ")
-        )))
-    }
+        ));
+    };
+    Ok(Choice {
+        view: chosen.name.clone(),
+        strategy: strategy.clone(),
+        passed_over: fitted
+            .iter()
+            .filter(|(v, _)| v.name != chosen.name)
+            .map(|(v, fit)| match fit {
+                Ok(_) => format!(
+                    "`{}`: covers the frame as well; `{}` was found first",
+                    v.name, chosen.name
+                ),
+                Err(e) => format!("`{}`: {e}", v.name),
+            })
+            .collect(),
+    })
+}
 
-    /// Read a view's body (`pos ∈ [1, n]`) as a `(pos, val)` relation.
-    fn view_body_rel(&self, view: &SequenceView) -> Result<PhysicalPlan> {
-        let table = self.catalog.table(&view.name)?;
-        let schema = SchemaRef::new(table.read().schema().qualified("v"));
-        Ok(PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::TableScan { table, schema }),
-            predicate: Expr::col(0).between(Expr::lit(1i64), Expr::lit(view.n())),
-        })
+/// §6 derivation against a partitioned view whose partitioning *scheme*
+/// (ordered column list) equals `scheme`. The first `keep` columns remain
+/// partitioning in the query; the rest were reduced to ordering columns
+/// (§6.2's partitioning reduction; `keep = m` is the same-partitioning
+/// case, `keep = 0` the full reduction):
+///
+/// * `keep = m`: each partition derives independently via MinOA;
+/// * `keep < m`: partitions agreeing on the kept prefix are merged in
+///   dropped-key order — completeness lets the source reconstruct each
+///   partition's raw values (§3.2) — and the target window runs over the
+///   merged sequence.
+fn select_partitioned(
+    candidates: &[&SequenceView],
+    scheme: &[&str],
+    keep: usize,
+    target: WindowSpec,
+) -> Attempt {
+    let WindowSpec::Sliding { .. } = target else {
+        return Err("partitioned derivation supports sliding target windows only".into());
+    };
+    let mut passed_over = Vec::new();
+    for v in candidates {
+        let ViewData::PartitionedSum(parts) = &v.data else {
+            continue;
+        };
+        if v.partition_columns.len() != scheme.len()
+            || !v
+                .partition_columns
+                .iter()
+                .zip(scheme)
+                .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        {
+            passed_over.push(format!(
+                "`{}`: partitioned by ({})",
+                v.name,
+                v.partition_columns.join(", ")
+            ));
+            continue;
+        }
+        let strategy = if keep == scheme.len() {
+            RewriteStrategy::PartitionedMinOA {
+                partitions: parts.len(),
+            }
+        } else {
+            // The map is ordered, so equal kept prefixes are adjacent.
+            let mut groups = 0;
+            let mut last: Option<&[Value]> = None;
+            for key in parts.keys() {
+                let prefix = &key[..keep.min(key.len())];
+                if last != Some(prefix) {
+                    groups += 1;
+                    last = Some(prefix);
+                }
+            }
+            RewriteStrategy::PartitionReduction { groups }
+        };
+        return Ok(Choice {
+            view: v.name.clone(),
+            strategy,
+            passed_over,
+        });
     }
+    Err(format!(
+        "no partitioned SUM view with partitioning scheme ({})",
+        scheme.join(", ")
+    ))
 }
 
 /// Human-readable form of one window expression, with column names
@@ -996,25 +823,6 @@ fn display_spec(spec: &WindowExprSpec, schema: &SchemaRef) -> String {
     format!("{}({arg}) {}", spec.func, spec.frame)
 }
 
-fn rel_schema() -> SchemaRef {
-    SchemaRef::new(Schema::new(vec![
-        Field::not_null("pos", rfv_types::DataType::Int),
-        Field::new("val", rfv_types::DataType::Float),
-    ]))
-}
-
-/// Inline `(pos, val)` relation from derived values.
-fn values_rel(vals: &[f64]) -> PhysicalPlan {
-    PhysicalPlan::Values {
-        schema: rel_schema(),
-        rows: vals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Row::new(vec![Value::Int(i as i64 + 1), Value::Float(v)]))
-            .collect(),
-    }
-}
-
 /// Map an executor frame onto the paper's window model. `None` for frames
 /// outside the model (e.g. purely-following windows or whole-partition).
 fn frame_to_window(spec: &WindowExprSpec) -> Option<WindowSpec> {
@@ -1025,26 +833,6 @@ fn frame_to_window(spec: &WindowExprSpec) -> Option<WindowSpec> {
         }
         _ => None,
     }
-}
-
-/// Schema of a partitioned derived relation: `(p_1 … p_m, pos, val)`.
-fn part_rel_schema(view: &SequenceView) -> Result<SchemaRef> {
-    if view.partition_columns.is_empty()
-        || view.partition_columns.len() != view.partition_types.len()
-    {
-        return Err(RfvError::internal(
-            "partitioned view without partition metadata",
-        ));
-    }
-    let mut fields: Vec<Field> = view
-        .partition_columns
-        .iter()
-        .zip(&view.partition_types)
-        .map(|(name, &dt)| Field::not_null(name.clone(), dt))
-        .collect();
-    fields.push(Field::not_null("pos", rfv_types::DataType::Int));
-    fields.push(Field::new("val", rfv_types::DataType::Float));
-    Ok(SchemaRef::new(Schema::new(fields)))
 }
 
 #[cfg(test)]
@@ -1101,13 +889,17 @@ mod tests {
         let mut report = RewriteReport::default();
         report.record_hit(
             "SUM(val) ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING".into(),
-            "mv",
-            RewriteStrategy::MinOA { terms: 3 },
+            Choice {
+                view: "mv".into(),
+                strategy: RewriteStrategy::MinOA { terms: 3 },
+                passed_over: vec!["`mv_narrow`: sliding(1,0); `mv` is at least as wide".into()],
+            },
         );
         report.rewritten = true;
         let text = report.to_string();
         assert!(text.contains("`mv`"), "{text}");
         assert!(text.contains("MinOA"), "{text}");
+        assert!(text.contains("passed over `mv_narrow`"), "{text}");
 
         let disabled = RewriteReport::disabled();
         assert!(

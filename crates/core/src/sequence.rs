@@ -65,6 +65,17 @@ impl WindowSpec {
     }
 }
 
+/// `cumulative` / `sliding(l,h)` — the form `rfv_stat_views` and the
+/// rewrite report print.
+impl std::fmt::Display for WindowSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WindowSpec::Cumulative => write!(f, "cumulative"),
+            WindowSpec::Sliding { l, h } => write!(f, "sliding({l},{h})"),
+        }
+    }
+}
+
 /// A full sequence specification: window shape plus positions `1..=n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequenceSpec {

@@ -35,7 +35,6 @@ use rfv_types::{row, DataType, Field, Result, Row, Schema, Value};
 use crate::cache::QueryCache;
 use crate::durability::Persistence;
 use crate::governor::Governor;
-use crate::sequence::WindowSpec;
 use crate::stats::StatementStats;
 use crate::view::ViewRegistry;
 
@@ -193,15 +192,11 @@ impl VirtualTable for StatViews {
             .into_iter()
             .filter_map(|name| self.registry.get(&name))
             .map(|v| {
-                let window = match v.window {
-                    WindowSpec::Cumulative => "cumulative".to_string(),
-                    WindowSpec::Sliding { l, h } => format!("sliding({l},{h})"),
-                };
                 row![
                     v.name.clone(),
                     v.base_table.clone(),
                     v.func.to_string(),
-                    window,
+                    v.window.to_string(),
                     v.partition_columns.join(","),
                     v.n()
                 ]

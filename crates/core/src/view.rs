@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rfv_expr::AggFunc;
+use rfv_obs::Counter;
 use rfv_storage::{Catalog, IndexKind, Table};
 use rfv_types::sync::RwLock;
 use rfv_types::{row, DataType, Field, Result, RfvError, Row, Schema, Value};
@@ -120,17 +121,23 @@ impl SequenceView {
     }
 }
 
-/// Thread-safe registry of sequence views, shared by the engine and the
-/// rewriter.
+/// Thread-safe registry of sequence views, shared by the engine, the
+/// rewriter and the sequence sources of rewritten plans. Views are held
+/// behind `Arc`s: a lookup clones pointers, never sequence data, and
+/// [`refresh`](Self::refresh) swaps a new one in.
 #[derive(Debug, Clone, Default)]
 pub struct ViewRegistry {
-    views: Arc<RwLock<Vec<SequenceView>>>,
+    views: Arc<RwLock<Vec<Arc<SequenceView>>>>,
     /// Monotonic registry generation: bumped on every register / drop /
-    /// refresh. Rewritten plans embed view-data-derived constants (AVG
-    /// divisors, body length `n`), so any change to the registered view
-    /// set *or* any view's data must invalidate cached plans — one
-    /// counter covers both.
+    /// refresh. A rewritten plan reads view data when it executes, so its
+    /// cached *result* depends on that data as well as on the tables it
+    /// scans, and its rewrite report quotes data-dependent counts — one
+    /// counter in the plan key covers the view set and every view's data.
     generation: Arc<AtomicU64>,
+    /// Times a rewritten plan's source did not recognize the partition it
+    /// was handed and the native window kernel answered instead
+    /// (`rewrite.derive_native_fallback`).
+    native_fallbacks: Counter,
 }
 
 impl ViewRegistry {
@@ -141,6 +148,11 @@ impl ViewRegistry {
     /// The current registry generation (see the field docs).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
+    }
+
+    /// The `rewrite.derive_native_fallback` counter (see the field docs).
+    pub fn native_fallbacks(&self) -> &Counter {
+        &self.native_fallbacks
     }
 
     /// Register a view, creating and filling its mirror table in `catalog`
@@ -172,7 +184,7 @@ impl ViewRegistry {
                 guard.create_index(0, IndexKind::Unique)?;
             }
         }
-        self.views.write().push(view);
+        self.views.write().push(Arc::new(view));
         self.generation.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
@@ -201,13 +213,13 @@ impl ViewRegistry {
                 "partitioned view data requires matching partition columns/types",
             ));
         }
-        self.views.write().push(view);
+        self.views.write().push(Arc::new(view));
         self.generation.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
     /// All views over `base_table`.
-    pub fn views_for(&self, base_table: &str) -> Vec<SequenceView> {
+    pub fn views_for(&self, base_table: &str) -> Vec<Arc<SequenceView>> {
         self.views
             .read()
             .iter()
@@ -217,7 +229,7 @@ impl ViewRegistry {
     }
 
     /// Look a view up by name.
-    pub fn get(&self, name: &str) -> Option<SequenceView> {
+    pub fn get(&self, name: &str) -> Option<Arc<SequenceView>> {
         self.views
             .read()
             .iter()
@@ -252,7 +264,17 @@ impl ViewRegistry {
             .iter_mut()
             .find(|v| v.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| RfvError::catalog(format!("sequence view `{name}` not found")))?;
-        view.data = data;
+        *view = Arc::new(SequenceView {
+            name: view.name.clone(),
+            base_table: view.base_table.clone(),
+            pos_column: view.pos_column.clone(),
+            val_column: view.val_column.clone(),
+            partition_columns: view.partition_columns.clone(),
+            partition_types: view.partition_types.clone(),
+            func: view.func,
+            window: view.window,
+            data,
+        });
         // Bump before releasing the views write lock: a plan cached
         // against the old data must be unreachable the moment the new
         // data is visible.

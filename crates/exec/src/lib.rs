@@ -27,5 +27,6 @@ pub use opmetrics::{ExecCounters, ExecProbe, OpMetrics};
 pub use physical::{JoinType, PhysicalPlan, SortKey};
 pub use sched::{ParStats, SchedMetrics, WorkerStat, DEFAULT_PARALLEL_THRESHOLD};
 pub use window::{
-    FrameBound, WindowExprSpec, WindowFrame, WindowFuncKind, WindowMode, MAX_FRAME_OFFSET,
+    FrameBound, SequenceSource, SequenceSources, WindowExprSpec, WindowFrame, WindowFuncKind,
+    WindowMode, MAX_FRAME_OFFSET,
 };

@@ -9,7 +9,7 @@ use rfv_types::{Result, Row, SchemaRef, Value};
 
 use crate::opmetrics::{ExecProbe, OpMetrics};
 use crate::sched::{self, ParStats};
-use crate::window::{WindowExprSpec, WindowMode};
+use crate::window::{SequenceSources, WindowExprSpec, WindowMode};
 use crate::{aggregate, filter, join, scan, window};
 
 /// Join semantics supported by the engine.
@@ -119,7 +119,9 @@ pub enum PhysicalPlan {
     Limit { input: Box<PhysicalPlan>, n: usize },
     /// Reporting-function (window) operator. Output = input columns
     /// followed by one column per window expression. Rows come out sorted
-    /// by (partition keys, order keys).
+    /// by (partition keys, order keys). `sources[i]`, when present,
+    /// supplies `window_exprs[i]`'s column from a materialized sequence at
+    /// execution time; the kernel runs where there is none.
     Window {
         input: Box<PhysicalPlan>,
         partition_by: Vec<Expr>,
@@ -127,6 +129,7 @@ pub enum PhysicalPlan {
         window_exprs: Vec<WindowExprSpec>,
         mode: WindowMode,
         schema: SchemaRef,
+        sources: SequenceSources,
     },
 }
 
@@ -307,12 +310,14 @@ impl PhysicalPlan {
                 order_by,
                 window_exprs,
                 mode,
+                sources,
                 ..
             } => window::execute_window_par(
                 run(input)?,
                 partition_by,
                 order_by,
                 window_exprs,
+                sources,
                 *mode,
                 &mut par,
                 &gov,
@@ -529,6 +534,7 @@ impl PhysicalPlan {
                 order_by,
                 window_exprs,
                 mode,
+                sources,
                 ..
             } => {
                 let ps: Vec<String> = partition_by.iter().map(|e| e.to_string()).collect();
@@ -536,7 +542,14 @@ impl PhysicalPlan {
                     .iter()
                     .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
                     .collect();
-                let ws: Vec<String> = window_exprs.iter().map(|w| w.to_string()).collect();
+                let ws: Vec<String> = window_exprs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, w)| match window::source_of(sources, i) {
+                        Some(source) => format!("{w} <- {}", source.describe()),
+                        None => w.to_string(),
+                    })
+                    .collect();
                 format!(
                     "Window({mode:?}): partition=[{}] order=[{}] exprs=[{}]",
                     ps.join(", "),

@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use rfv_expr::{AggFunc, Expr};
 use rfv_types::{Gov, Result, RfvError, Row, Value};
@@ -228,6 +229,26 @@ impl fmt::Display for WindowExprSpec {
     }
 }
 
+/// A sequence held outside the executor — a materialized reporting-function
+/// view — that can supply one window expression's column at execution
+/// time, so the kernel need not recompute it from the rows.
+pub trait SequenceSource: Send + Sync + fmt::Debug {
+    /// The expression's values for `part`, the rows of one window
+    /// partition in (partition keys, order keys) order — or `None` when
+    /// `part` is not exactly the sequence the source holds (a writer got
+    /// between the scan and this call). The operator then runs its own
+    /// kernel, so a source can only ever replace a column, never add,
+    /// drop or reorder a row.
+    fn column(&self, part: &[Row], gov: &Gov) -> Result<Option<Vec<Value>>>;
+
+    /// `<view> via <strategy>`, appended to the expression in `EXPLAIN`.
+    fn describe(&self) -> String;
+}
+
+/// One optional [`SequenceSource`] per window expression of a node; a
+/// missing entry (or an empty list) means the native kernel.
+pub type SequenceSources = Vec<Option<Arc<dyn SequenceSource>>>;
+
 /// Evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowMode {
@@ -250,24 +271,27 @@ pub fn execute_window(
         partition_by,
         order_by,
         window_exprs,
+        &[],
         mode,
         &mut ParStats::default(),
         &Gov::none(),
     )
 }
 
-/// [`execute_window`] with parallelism accounting. Partitions are
-/// independent, so contiguous groups of partition ranges run on the shared
-/// scheduler when the cost gate opens. Each group owns its span of the
-/// sorted rows and stitches its own output rows; group outputs concatenate
-/// in partition order, so the result is byte-identical to serial
-/// evaluation at every thread count.
+/// [`execute_window`] with parallelism accounting and per-expression
+/// [`SequenceSource`]s (`sources[i]` answers `window_exprs[i]`). Partitions
+/// are independent, so contiguous groups of partition ranges run on the
+/// shared scheduler when the cost gate opens. Each group owns its span of
+/// the sorted rows and stitches its own output rows; group outputs
+/// concatenate in partition order, so the result is byte-identical to
+/// serial evaluation at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_window_par(
     rows: Vec<Row>,
     partition_by: &[Expr],
     order_by: &[SortKey],
     window_exprs: &[WindowExprSpec],
+    sources: &[Option<Arc<dyn SequenceSource>>],
     mode: WindowMode,
     par: &mut ParStats,
     gov: &Gov,
@@ -344,7 +368,10 @@ pub fn execute_window_par(
                 };
                 window_exprs
                     .iter()
-                    .map(|spec| eval_window_expr(part, keys, spec, mode, gov))
+                    .enumerate()
+                    .map(|(i, spec)| {
+                        eval_window_expr(part, keys, spec, source_of(sources, i), mode, gov)
+                    })
                     .collect()
             })
             .collect::<Result<_>>()?;
@@ -397,6 +424,7 @@ pub fn execute_window_par(
     tasks.reverse();
 
     let specs = window_exprs.to_vec();
+    let sources = sources.to_vec();
     let task_gov = gov.clone();
     let outs = sched::run_ordered_gov(
         tasks,
@@ -414,7 +442,10 @@ pub fn execute_window_par(
                 };
                 let cols = specs
                     .iter()
-                    .map(|spec| eval_window_expr(part, keys, spec, mode, &task_gov))
+                    .enumerate()
+                    .map(|(i, spec)| {
+                        eval_window_expr(part, keys, spec, source_of(&sources, i), mode, &task_gov)
+                    })
                     .collect::<Result<Vec<Vec<Value>>>>()?;
                 for i in l..h {
                     let mut values = span_rows[i].values().to_vec();
@@ -437,14 +468,39 @@ pub fn execute_window_par(
     Ok(out)
 }
 
-/// Evaluate one window expression over one partition.
+/// The source answering the `i`-th window expression, if it has one.
+pub(crate) fn source_of(
+    sources: &[Option<Arc<dyn SequenceSource>>],
+    i: usize,
+) -> Option<&dyn SequenceSource> {
+    sources.get(i)?.as_deref()
+}
+
+/// Evaluate one window expression over one partition: the source's column
+/// when there is a source and it recognizes the partition, the native
+/// kernel otherwise.
 fn eval_window_expr(
     part: &[Row],
     order_keys: &[Vec<Value>],
     spec: &WindowExprSpec,
+    source: Option<&dyn SequenceSource>,
     mode: WindowMode,
     gov: &Gov,
 ) -> Result<Vec<Value>> {
+    if let Some(source) = source {
+        if let Some(col) = source.column(part, gov)? {
+            if col.len() != part.len() {
+                return Err(RfvError::internal(format!(
+                    "sequence source `{}` answered {} values for a partition of {} rows",
+                    source.describe(),
+                    col.len(),
+                    part.len()
+                )));
+            }
+            gov.reserve(values_bytes(&col))?;
+            return Ok(col);
+        }
+    }
     let func = match spec.func {
         WindowFuncKind::Agg(f) => f,
         ranking => return eval_ranking(part.len(), order_keys, ranking),
@@ -814,6 +870,48 @@ mod tests {
                 Value::Int(9)
             ]
         );
+    }
+
+    /// Answers `k²` for partitions of exactly `rows` rows.
+    #[derive(Debug)]
+    struct Squares {
+        rows: usize,
+    }
+
+    impl SequenceSource for Squares {
+        fn column(&self, part: &[Row], _gov: &Gov) -> Result<Option<Vec<Value>>> {
+            let squares = (1..=self.rows as i64).map(|k| Value::Int(k * k));
+            Ok((part.len() == self.rows).then(|| squares.collect()))
+        }
+
+        fn describe(&self) -> String {
+            "squares".into()
+        }
+    }
+
+    #[test]
+    fn a_source_replaces_the_kernel_only_where_it_recognizes_the_partition() {
+        let spec = WindowExprSpec {
+            func: WindowFuncKind::Agg(AggFunc::Sum),
+            arg: Some(Expr::col(1)),
+            frame: WindowFrame::cumulative(),
+        };
+        let sources: SequenceSources = vec![Some(Arc::new(Squares { rows: 3 }))];
+        // Sorted by (parity, pos): evens 2,4 — two rows, the kernel's
+        // running sum — then odds 1,3,5 — three rows, the source's column.
+        let out = execute_window_par(
+            seq_rows(&[1, 2, 3, 4, 5]),
+            &[Expr::col(0).modulo(Expr::lit(2i64))],
+            &[SortKey::asc(Expr::col(0))],
+            &[spec],
+            &sources,
+            WindowMode::Pipelined,
+            &mut ParStats::default(),
+            &Gov::none(),
+        )
+        .unwrap();
+        let last: Vec<Value> = out.iter().map(|r| r.get(2).clone()).collect();
+        assert_eq!(last, [2, 6, 1, 4, 9].map(Value::Int));
     }
 
     #[test]

@@ -103,6 +103,7 @@ impl<'a> PhysicalPlanner<'a> {
                 window_exprs: window_exprs.clone(),
                 mode: *mode,
                 schema: schema.clone(),
+                sources: Vec::new(),
             }),
             LogicalPlan::Sort { input, keys } => Ok(PhysicalPlan::Sort {
                 input: Box::new(self.plan(input)?),

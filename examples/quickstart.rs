@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
     )?;
 
-    // This (3,1) query is now answered *from the view* via the MinOA
-    // relational pattern (paper §5, Fig. 13) — no raw-data window scan.
+    // This (3,1) query is now answered *from the view*: MinOA (paper §5)
+    // over the view's sequence, in one pass — no window kernel runs.
     let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos \
                ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS mv5 FROM seq";
     println!("\n-- (3,1) window, derived from the materialized (2,1) view --");

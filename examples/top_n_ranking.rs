@@ -39,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // -- Year-To-Date per store, answered from a §6 partitioned view -------
     // Materialize a per-store sliding view; the YTD query below derives a
-    // *wider* window from it per partition (MinOA inside each store).
+    // *wider* window from it per partition (MinOA over each store's own
+    // complete sequence, §6.1).
     db.execute(
         "CREATE MATERIALIZED VIEW store_mv AS SELECT store, day, SUM(revenue) OVER \
          (PARTITION BY store ORDER BY day ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) \

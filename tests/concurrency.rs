@@ -173,6 +173,19 @@ fn reader_storm_races_batched_maintenance() {
                     } else {
                         assert!(got <= N_ROWS, "reader {reader} query {q}: {got} rows");
                     }
+                    // A rewritten read is the window node over the base
+                    // scan, whatever the writer does to the view meanwhile:
+                    // every position once, in order.
+                    if q % 4 == 0 {
+                        let positions: Vec<i64> = (result.rows().iter())
+                            .map(|r| r.get(0).as_int().unwrap().unwrap())
+                            .collect();
+                        assert_eq!(
+                            positions,
+                            (1..=got as i64).collect::<Vec<_>>(),
+                            "reader {reader} query {q}: a gap or a repeat in a rewritten read"
+                        );
+                    }
                 }
             });
         }

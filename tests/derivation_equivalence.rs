@@ -8,9 +8,9 @@
 //! all produce the same body values as the testkit's independent
 //! brute-force oracle. Failures replay exactly via the printed `RFV_SEED`.
 
-use rfv_core::derive::{self, maxoa, minoa};
+use rfv_core::derive::{self, cumulative, linear, maxoa, minoa};
 use rfv_core::patterns::{self, PatternVariant};
-use rfv_core::sequence::CompleteSequence;
+use rfv_core::sequence::{CompleteSequence, CumulativeSequence};
 use rfv_core::{compute, Database, WindowSpec};
 use rfv_storage::Catalog;
 use rfv_testkit::{check_config, gen, oracle, DiffMatrix};
@@ -44,10 +44,51 @@ fn plan_body_values(plan: &rfv_exec::PhysicalPlan) -> Vec<f64> {
         .collect()
 }
 
+/// The one-pass kernels queries run (`derive::linear`), each as a matrix
+/// strategy deriving the `(l, h)` target from the `(lx, hx)` view of the
+/// matrix's raw data: MinOA as strided prefix-sum lookups; the cumulative
+/// sequence from the view and back by two-point difference; the raw values
+/// re-windowed; and the §6.2 reduction of the data cut into partitions.
+fn with_linear_kernels<'a>(
+    matrix: DiffMatrix<'a>,
+    view: &'a CompleteSequence,
+    lx: i64,
+    hx: i64,
+) -> DiffMatrix<'a> {
+    matrix
+        .strategy("linear::sliding_from_sliding", move |_raw, l, h| {
+            linear::sliding_from_sliding(view, l, h).map_err(|e| e.to_string())
+        })
+        .strategy(
+            "linear::cumulative_from_sliding, two-point difference",
+            move |_raw, l, h| {
+                let running =
+                    CumulativeSequence::from_values(linear::cumulative_from_sliding(view));
+                cumulative::sliding_from_cumulative(&running, l, h).map_err(|e| e.to_string())
+            },
+        )
+        .strategy(
+            "linear::raw_from_sliding, re-windowed",
+            move |_raw, l, h| {
+                CompleteSequence::materialize(&linear::raw_from_sliding(view), l, h)
+                    .map(|seq| seq.body())
+                    .map_err(|e| e.to_string())
+            },
+        )
+        .strategy("linear::reduce_partitions", move |raw, l, h| {
+            let parts = raw
+                .chunks(raw.len().div_ceil(3).max(1))
+                .map(|part| CompleteSequence::materialize(part, lx, hx))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| e.to_string())?;
+            linear::reduce_partitions(&parts, l, h).map_err(|e| e.to_string())
+        })
+}
+
 /// The full differential matrix: direct evaluators, algebraic derivation
-/// (MinOA always; MaxOA where its precondition holds), and the relational
-/// operator patterns in every variant — all against the brute-force oracle
-/// and therefore against each other.
+/// (MinOA always, explicit and one-pass; MaxOA where its precondition
+/// holds), and the relational operator patterns in every variant — all
+/// against the brute-force oracle and therefore against each other.
 #[test]
 fn all_computation_paths_agree() {
     check_config(
@@ -86,6 +127,7 @@ fn all_computation_paths_agree() {
                         maxoa::derive_sum_recursive(&view, l, h).map_err(|e| e.to_string())
                     }
                 });
+            matrix = with_linear_kernels(matrix, &view, lx, hx);
             for variant in [
                 PatternVariant::Disjunctive,
                 PatternVariant::UnionSimple,
@@ -121,10 +163,61 @@ fn all_computation_paths_agree() {
 
             let ran = matrix.check(raw, ly, hy);
             // MaxOA's algebraic strategies may skip (precondition), but the
-            // evaluators, MinOA, and the three MinOA patterns always run.
-            assert!(ran >= 6, "only {ran} strategies ran");
+            // evaluators, MinOA in both forms, the other one-pass kernels
+            // and the three MinOA patterns always run.
+            assert!(ran >= 10, "only {ran} strategies ran");
         },
     );
+}
+
+/// The one-pass kernels on every target shape MinOA admits — wider,
+/// narrower, the collision `Δl + Δh ≡ 0 (mod w_x)` where the positive and
+/// negative series share positions, and wider than the data — next to the
+/// explicit form, against brute force.
+#[test]
+fn linear_kernels_agree_on_every_target_shape() {
+    check_config(
+        48,
+        "linear_kernels_agree_on_every_target_shape",
+        |rng| {
+            let raw = gen::int_values(1, 35)(rng);
+            let (lx, hx) = gen::window(3)(rng);
+            let (w, n) = (lx + hx + 1, raw.len() as i64);
+            let (ly, hy) = match rng.u64_below(4) {
+                0 => (lx + rng.i64_in(0, 6), hx + rng.i64_in(0, 6)),
+                1 => (rng.i64_in(0, lx), rng.i64_in(0, hx)),
+                2 => {
+                    let dl = rng.i64_in(0, 2 * w);
+                    (lx + dl, hx + 2 * w - dl)
+                }
+                _ => (n + rng.i64_in(0, 5), n + rng.i64_in(0, 5)),
+            };
+            (raw, lx, hx, ly, hy)
+        },
+        |&(ref raw, lx, hx, ly, hy)| {
+            let view = CompleteSequence::materialize(raw, lx, hx).unwrap();
+            let matrix = DiffMatrix::new()
+                .tolerance(1e-6)
+                .strategy("minoa::derive_sum", |_raw, l, h| {
+                    minoa::derive_sum(&view, l, h).map_err(|e| e.to_string())
+                });
+            let ran = with_linear_kernels(matrix, &view, lx, hx).check(raw, ly, hy);
+            assert_eq!(ran, 5);
+        },
+    );
+}
+
+/// n = 20 000, the size at which the join-pattern path ran out of memory
+/// and the explicit forms take seconds: the one-pass kernels against brute
+/// force alone.
+#[test]
+fn linear_kernels_agree_at_twenty_thousand_positions() {
+    let raw = gen::int_values(20_000, 20_000)(&mut rfv_testkit::Rng::new(20_000));
+    let view = CompleteSequence::materialize(&raw, 2, 1).unwrap();
+    let matrix = with_linear_kernels(DiffMatrix::new().tolerance(1e-6), &view, 2, 1);
+    for (ly, hy) in [(3, 1), (1, 0), (5, 3), (40, 25)] {
+        assert_eq!(matrix.check(&raw, ly, hy), 4, "({ly},{hy})");
+    }
 }
 
 /// Fig. 2's self-join mapping equals the native window operator for

@@ -2,7 +2,7 @@
 //! whole stack (parser → binder → optimizer → planner/rewriter → executor →
 //! storage), including materialized-view lifecycles.
 
-use rfv_core::patterns::PatternVariant;
+use rfv_core::patterns::{self, PatternVariant};
 use rfv_core::Database;
 use rfv_exec::WindowMode;
 use rfv_types::Value;
@@ -161,6 +161,156 @@ fn explain_names_view_and_strategy_per_expression() {
     assert!(plan.contains("(direct)"), "{plan}");
 }
 
+/// A derived column has the type its schema declares, which is the type
+/// the native operator returns: `Int` SUM/MIN/MAX/COUNT over a BIGINT
+/// column, `Float` AVG. (Values compare equal across `Int`/`Float`, so the
+/// variants are compared explicitly.)
+#[test]
+fn derived_columns_have_their_declared_type() {
+    use std::mem::discriminant;
+
+    let db = Database::new();
+    db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val BIGINT NOT NULL)")
+        .unwrap();
+    for i in 1..=12 {
+        db.execute(&format!("INSERT INTO seq VALUES ({i}, {})", i * i % 7))
+            .unwrap();
+    }
+    for (name, agg, frame) in [
+        ("mv_sum", "SUM", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"),
+        ("mv_max", "MAX", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING"),
+    ] {
+        db.execute(&format!(
+            "CREATE MATERIALIZED VIEW {name} AS SELECT pos, {agg}(val) OVER \
+             (ORDER BY pos {frame}) AS s FROM seq"
+        ))
+        .unwrap();
+    }
+    for (agg, frame) in [
+        ("SUM(val)", "ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING"), // MinOA
+        ("SUM(val)", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"), // exact
+        ("SUM(val)", "ROWS UNBOUNDED PRECEDING"),                 // strided prefix
+        ("AVG(val)", "ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING"),
+        ("COUNT(val)", "ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING"),
+        ("MAX(val)", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"), // MaxOA
+        ("MAX(val)", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING"), // exact
+    ] {
+        let sql = format!("SELECT pos, {agg} OVER (ORDER BY pos {frame}) AS s FROM seq");
+        db.set_view_rewrite(true);
+        let derived = db.execute(&sql).unwrap();
+        assert!(db.last_rewrite_report().unwrap().rewritten, "{sql}");
+        db.set_view_rewrite(false);
+        let native = db.execute(&sql).unwrap();
+        let declared = derived.schema().fields()[1].data_type;
+        assert_eq!(derived.rows().len(), 12);
+        for (d, n) in derived.rows().iter().zip(native.rows()) {
+            assert_eq!(d, n, "{sql}");
+            assert_eq!(discriminant(d.get(1)), discriminant(n.get(1)), "{sql}");
+            assert!(declared.admits(d.get(1)) && d.get(1).data_type() == Some(declared));
+        }
+    }
+    assert_eq!(
+        db.metrics().counter_value("rewrite.derive_native_fallback"),
+        0
+    );
+
+    // A sum past 2^53 is not an integer f64 carries exactly: the source
+    // steps aside and the native kernel's i128 accumulator answers.
+    let big = Database::new();
+    big.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val BIGINT NOT NULL)")
+        .unwrap();
+    for i in 1..=6 {
+        big.execute(&format!(
+            "INSERT INTO seq VALUES ({i}, {})",
+            (1i64 << 52) + i
+        ))
+        .unwrap();
+    }
+    big.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
+         (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
+    )
+    .unwrap();
+    let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING \
+               AND 1 FOLLOWING) AS s FROM seq";
+    let derived = big.execute(sql).unwrap();
+    assert!(big.last_rewrite_report().unwrap().rewritten);
+    assert_eq!(
+        big.metrics()
+            .counter_value("rewrite.derive_native_fallback"),
+        1
+    );
+    assert_eq!(derived.rows()[3].get(1), &Value::Int((1i64 << 54) + 14));
+
+    // So do results that fit while the running totals behind them do not:
+    // 40 values near 10^15 sum to 4·10^16 > 2^53, every frame to 5·10^15.
+    let wide = Database::new();
+    wide.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val BIGINT NOT NULL)")
+        .unwrap();
+    for i in 1..=40i64 {
+        wide.execute(&format!(
+            "INSERT INTO seq VALUES ({i}, {})",
+            1_000_000_000_000_000 + i * i
+        ))
+        .unwrap();
+    }
+    wide.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER \
+         (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq",
+    )
+    .unwrap();
+    let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING \
+               AND 1 FOLLOWING) AS s FROM seq";
+    let derived = wide.execute(sql).unwrap();
+    assert!(wide.last_rewrite_report().unwrap().rewritten);
+    wide.set_view_rewrite(false);
+    let native = wide.execute(sql).unwrap();
+    for (d, n) in derived.rows().iter().zip(native.rows()) {
+        assert_eq!(d.get(1).as_int().unwrap(), n.get(1).as_int().unwrap());
+    }
+}
+
+/// The report names the candidates that lost, and why.
+#[test]
+fn rewrite_report_lists_candidates_passed_over() {
+    let db = seq_db(20, |i| (i % 5) as f64);
+    for (name, agg, frame) in [
+        ("mv_sum", "SUM", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"),
+        ("mv_cum", "SUM", "ROWS UNBOUNDED PRECEDING"),
+        ("mv_max", "MAX", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING"),
+        ("mv_wide", "MAX", "ROWS BETWEEN 4 PRECEDING AND 4 FOLLOWING"),
+    ] {
+        db.execute(&format!(
+            "CREATE MATERIALIZED VIEW {name} AS SELECT pos, {agg}(val) OVER \
+             (ORDER BY pos {frame}) AS s FROM seq"
+        ))
+        .unwrap();
+    }
+    let text = db
+        .explain(
+            "SELECT pos, \
+             SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS a, \
+             MAX(val) OVER (ORDER BY pos ROWS BETWEEN 5 PRECEDING AND 5 FOLLOWING) AS b \
+             FROM seq",
+        )
+        .unwrap();
+    assert!(text.contains("<- view `mv_cum` via"), "{text}");
+    assert!(text.contains("two-point"), "{text}");
+    assert!(
+        text.contains("passed over `mv_sum`: sliding(2,1); cumulative `mv_cum` preferred"),
+        "{text}"
+    );
+    assert!(text.contains("<- view `mv_wide` via MaxOA"), "{text}");
+    assert!(text.contains("passed over `mv_max`: "), "{text}");
+    assert!(text.contains("Δl=4"), "{text}");
+    let report = db.last_rewrite_report().unwrap();
+    assert_eq!(report.decisions[0].passed_over.len(), 1);
+    assert_eq!(report.decisions[1].passed_over.len(), 1);
+}
+
+/// The engine's derived answer, the three Fig. 13 join-pattern variants
+/// run over the view's mirror table in the engine's own catalog, and the
+/// native operator in both window modes all agree.
 #[test]
 fn all_pattern_variants_and_window_modes_agree() {
     let db = seq_db(50, |i| (i % 11) as f64);
@@ -172,23 +322,26 @@ fn all_pattern_variants_and_window_modes_agree() {
     let sql = "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 5 PRECEDING \
                AND 4 FOLLOWING) AS s FROM seq";
 
-    let mut outputs: Vec<Vec<f64>> = Vec::new();
+    let derived = col_f64(&db, sql, 1);
+    assert!(db.last_rewrite_report().unwrap().rewritten);
     for variant in [
         PatternVariant::Disjunctive,
         PatternVariant::UnionSimple,
         PatternVariant::UnionHash,
     ] {
-        db.set_view_rewrite(true);
-        db.set_pattern_variant(variant);
-        outputs.push(col_f64(&db, sql, 1));
+        let plan = patterns::minoa_pattern(db.catalog(), "mv", 3, 2, 5, 4, 50, variant).unwrap();
+        let mut rows = plan.execute().unwrap();
+        rows.sort_by_key(|r| r.get(0).as_int().unwrap());
+        let pattern: Vec<f64> = rows
+            .iter()
+            .map(|r| r.get(1).as_f64().unwrap().unwrap())
+            .collect();
+        assert_eq!(pattern, derived, "{variant:?}");
     }
     db.set_view_rewrite(false);
     for mode in [WindowMode::Naive, WindowMode::Pipelined] {
         db.set_window_mode(mode);
-        outputs.push(col_f64(&db, sql, 1));
-    }
-    for o in &outputs[1..] {
-        assert_eq!(&outputs[0], o);
+        assert_eq!(col_f64(&db, sql, 1), derived, "{mode:?}");
     }
 }
 

@@ -5,7 +5,8 @@
 //! (sliding/cumulative SUM, MIN, MAX — or partitioned sliding SUM), and
 //! runs a random multi-expression reporting-function query twice: once
 //! with view rewriting enabled and once against the raw table. The two
-//! answers must agree row for row, and neither path may panic — query
+//! answers must agree row for row — in number and in `Value` variant, over
+//! BIGINT and DOUBLE value columns alike — and neither path may panic — query
 //! execution is wrapped in `catch_unwind` so a panic anywhere on the
 //! rewrite/derivation path is reported as a property failure with the
 //! offending SQL, not as a test-harness abort.
@@ -23,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rfv_core::Database;
 use rfv_testkit::{check, gen, Frame, Rng};
+use rfv_types::Value;
 
 /// A materialized view to register: `(kind, l, h)`. Kind selects
 /// sliding SUM / cumulative SUM / sliding MIN / sliding MAX; for
@@ -34,7 +36,8 @@ type ViewSpec = (u8, i64, i64);
 /// SUM / COUNT(*) / COUNT(val) / AVG / MIN / MAX.
 type ExprSpec = (u8, Frame);
 
-type Scenario = (Vec<i64>, Vec<ViewSpec>, Vec<ExprSpec>, bool);
+/// `(values, views, window expressions, partitioned?, BIGINT value column?)`.
+type Scenario = (Vec<i64>, Vec<ViewSpec>, Vec<ExprSpec>, bool, bool);
 
 fn scenario(rng: &mut Rng) -> Scenario {
     let vals = gen::vec_of(gen::i64_in(-50, 50), 1, 40)(rng);
@@ -48,7 +51,26 @@ fn scenario(rng: &mut Rng) -> Scenario {
         1,
         3,
     )(rng);
-    (vals, views, exprs, rng.bool())
+    (vals, views, exprs, rng.bool(), rng.bool())
+}
+
+/// The value column's SQL type, and `v` as a literal of that type (`5` is
+/// an integer literal, `5.0` a float one: a DOUBLE column keeps whichever
+/// it is given).
+fn val_column(int_col: bool) -> &'static str {
+    if int_col {
+        "BIGINT"
+    } else {
+        "DOUBLE"
+    }
+}
+
+fn val_literal(int_col: bool, v: i64) -> String {
+    if int_col {
+        v.to_string()
+    } else {
+        format!("{:?}", v as f64)
+    }
 }
 
 fn agg_sql(agg: u8, over: &str) -> String {
@@ -78,7 +100,7 @@ fn select_list(exprs: &[ExprSpec], partition: &str) -> String {
 /// Execute under `catch_unwind`, panicking (so the runner records a
 /// failure and shrinks) on either a panic or an `Err` from the engine —
 /// the whole point of this PR is that neither may happen.
-fn run_query(db: &Database, sql: &str, rewrite: bool, ncols: usize) -> Vec<Vec<Option<f64>>> {
+fn run_query(db: &Database, sql: &str, rewrite: bool, ncols: usize) -> Vec<Vec<Value>> {
     db.set_view_rewrite(rewrite);
     let outcome = catch_unwind(AssertUnwindSafe(|| db.execute(sql)));
     let result = match outcome {
@@ -89,11 +111,7 @@ fn run_query(db: &Database, sql: &str, rewrite: bool, ncols: usize) -> Vec<Vec<O
     result
         .rows()
         .iter()
-        .map(|row| {
-            (0..ncols)
-                .map(|c| row.get(c).as_f64().ok().flatten())
-                .collect()
-        })
+        .map(|row| (0..ncols).map(|c| row.get(c).clone()).collect())
         .collect()
 }
 
@@ -122,7 +140,7 @@ fn assert_counter_invariants(db: &Database, sql: &str) {
     );
 }
 
-fn assert_rows_match(on: &[Vec<Option<f64>>], off: &[Vec<Option<f64>>], sql: &str) {
+fn assert_rows_match(on: &[Vec<Value>], off: &[Vec<Value>], sql: &str) {
     assert_eq!(
         on.len(),
         off.len(),
@@ -132,28 +150,34 @@ fn assert_rows_match(on: &[Vec<Option<f64>>], off: &[Vec<Option<f64>>], sql: &st
     );
     for (r, (a, b)) in on.iter().zip(off).enumerate() {
         for (c, (x, y)) in a.iter().zip(b).enumerate() {
-            let close = match (x, y) {
+            let close = match (x.as_f64().ok().flatten(), y.as_f64().ok().flatten()) {
                 (None, None) => true,
                 (Some(x), Some(y)) => (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs())),
                 _ => false,
             };
+            // `Int(3) == Float(3.0)` as values; a derived column must also
+            // have the native column's type.
+            let same_type = std::mem::discriminant(x) == std::mem::discriminant(y);
             assert!(
-                close,
+                close && same_type,
                 "mismatch at row {r} col {c}: views-on {x:?} vs views-off {y:?}\nsql: {sql}"
             );
         }
     }
 }
 
-fn check_unpartitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec]) {
+fn check_unpartitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec], int_col: bool) {
     let db = Database::new();
-    db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
-        .unwrap();
+    db.execute(&format!(
+        "CREATE TABLE seq (pos BIGINT PRIMARY KEY, val {} NOT NULL)",
+        val_column(int_col)
+    ))
+    .unwrap();
     for (i, v) in vals.iter().enumerate() {
         db.execute(&format!(
             "INSERT INTO seq VALUES ({}, {})",
             i + 1,
-            *v as f64
+            val_literal(int_col, *v)
         ))
         .unwrap();
     }
@@ -190,10 +214,13 @@ fn check_unpartitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec]) {
     assert_counter_invariants(&db, &sql);
 }
 
-fn check_partitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec]) {
+fn check_partitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec], int_col: bool) {
     let db = Database::new();
-    db.execute("CREATE TABLE pseq (g BIGINT NOT NULL, pos BIGINT NOT NULL, val DOUBLE NOT NULL)")
-        .unwrap();
+    db.execute(&format!(
+        "CREATE TABLE pseq (g BIGINT NOT NULL, pos BIGINT NOT NULL, val {} NOT NULL)",
+        val_column(int_col)
+    ))
+    .unwrap();
     // Up to three dense partitions: per-partition positions restart at 1.
     let chunk = vals.len().div_ceil(3).max(1);
     for (g, part) in vals.chunks(chunk).enumerate() {
@@ -201,7 +228,7 @@ fn check_partitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec]) {
             db.execute(&format!(
                 "INSERT INTO pseq VALUES ({g}, {}, {})",
                 i + 1,
-                *v as f64
+                val_literal(int_col, *v)
             ))
             .unwrap();
         }
@@ -230,15 +257,15 @@ fn random_window_queries_agree_with_and_without_views() {
     check(
         "views-on ≡ views-off for random multi-expression window queries",
         scenario,
-        |(vals, views, exprs, partitioned)| {
+        |(vals, views, exprs, partitioned, int_col)| {
             if exprs.is_empty() {
                 // Vec shrinking can empty the SELECT list; nothing to test.
                 return;
             }
             if *partitioned {
-                check_partitioned(vals, views, exprs);
+                check_partitioned(vals, views, exprs, *int_col);
             } else {
-                check_unpartitioned(vals, views, exprs);
+                check_unpartitioned(vals, views, exprs, *int_col);
             }
         },
     );
@@ -302,7 +329,10 @@ fn float_cancellation_queries_agree_with_and_without_views() {
             let scale = rfv_testkit::oracle::input_scale(vals);
             assert_eq!(on.len(), off.len(), "row count differs\nsql: {sql}");
             for (r, (a, b)) in on.iter().zip(&off).enumerate() {
-                let (x, y) = (a[1].unwrap(), b[1].unwrap());
+                let (x, y) = (
+                    a[1].as_f64().unwrap().unwrap(),
+                    b[1].as_f64().unwrap().unwrap(),
+                );
                 assert!(
                     (x - y).abs() <= 1e-9 * scale,
                     "row {r}: views-on {x} vs views-off {y} (input scale {scale})\nsql: {sql}"
@@ -389,7 +419,7 @@ fn no_statement_panics_with_cache_enabled() {
     check(
         "cache-enabled execution is panic-free and repeat-stable",
         scenario,
-        |(vals, views, exprs, _)| {
+        |(vals, views, exprs, _, _)| {
             if exprs.is_empty() {
                 return;
             }
