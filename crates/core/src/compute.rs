@@ -78,11 +78,17 @@ pub fn compute_minmax_at(raw: &[f64], window: WindowSpec, k: i64, max: bool) -> 
     if lo > hi {
         return None;
     }
-    let slice = &raw[(lo - 1) as usize..=(hi - 1) as usize];
-    slice
-        .iter()
-        .copied()
-        .reduce(|a, b| if (b > a) == max { b } else { a })
+    minmax_of(
+        raw[(lo - 1) as usize..=(hi - 1) as usize].iter().copied(),
+        max,
+    )
+}
+
+/// MAX (`max`) or MIN of `vals`; `None` when there are none. The one
+/// MIN/MAX kernel: materialization and §2.3 maintenance both select with
+/// it, so a maintained cell holds the bits a rematerialized one would.
+pub(crate) fn minmax_of(vals: impl Iterator<Item = f64>, max: bool) -> Option<f64> {
+    vals.reduce(|a, b| if (b > a) == max { b } else { a })
 }
 
 /// The §2.2 cache-size claim: the pipelined evaluator needs a cache of

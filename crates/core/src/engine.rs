@@ -260,6 +260,12 @@ struct EngineCounters {
     maint_batch_shifted: Counter,
     maint_batch_coalesced: Counter,
     maint_batch_fallback: Counter,
+    /// Locality by counting: base rows read to patch views (the raw
+    /// neighbourhood of each edit), mirror rows written by the patches, and
+    /// mirrors refilled because SQL had tampered with their rows.
+    maint_base_rows_read: Counter,
+    maint_mirror_rows_written: Counter,
+    maint_mirror_healed: Counter,
     view_created: Counter,
     view_snapshot_fallback: Counter,
     wal_append: Counter,
@@ -310,6 +316,9 @@ impl EngineCounters {
             maint_batch_shifted: metrics.counter("maintenance.batch_shifted"),
             maint_batch_coalesced: metrics.counter("maintenance.batch_coalesced"),
             maint_batch_fallback: metrics.counter("maintenance.batch_fallback"),
+            maint_base_rows_read: metrics.counter("maintenance.base_rows_read"),
+            maint_mirror_rows_written: metrics.counter("maintenance.mirror_rows_written"),
+            maint_mirror_healed: metrics.counter("maintenance.mirror_healed"),
             view_created: metrics.counter("view.created"),
             view_snapshot_fallback: metrics.counter("view.snapshot_fallback"),
             wal_append: metrics.counter("wal.appends"),
@@ -410,6 +419,13 @@ impl Database {
                 // The mirror table must have come back with the image
                 // set; a snapshot violating that is corrupt.
                 db.catalog.table(&view.name)?;
+                // The snapshot is a cut under the commit lock: base and
+                // views are in step, which is what the evidence says.
+                if !view.is_partitioned() {
+                    let base = db.catalog.table(&view.base_table)?;
+                    let generation = base.read().generation();
+                    db.registry.record_dense(&view.base_table, generation);
+                }
                 db.registry.restore(view)?;
             }
             rec.complete_since("recovery.snapshot", "recovery", start, Some(detail));
@@ -446,6 +462,7 @@ impl Database {
             "rewrite.derive_native_fallback",
             registry.native_fallbacks().clone(),
         );
+
         let persist: Arc<OnceLock<Arc<Persistence>>> = Arc::new(OnceLock::new());
         let governor = Arc::new(Governor::new(env.limits));
         let systabs = systab::standard_providers(

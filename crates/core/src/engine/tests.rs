@@ -494,3 +494,123 @@ fn multi_row_insert_on_partitioned_views_refreshes_once() {
     let direct = db.execute(sql).unwrap();
     assert_eq!(vals(&from_view, 2), vals(&direct, 2));
 }
+
+/// The bench's four views over a sequence of `n` rows, loaded through the
+/// catalog in one storage call (the SQL path is per statement).
+fn db_with_bench_views(n: i64) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
+        .unwrap();
+    let rows = (1..=n).map(|i| rfv_types::row![i, (i % 97) as f64]);
+    let table = db.catalog().table("seq").unwrap();
+    table.write().insert_many(rows.collect()).unwrap();
+    for (name, agg, frame) in [
+        (
+            "mv_narrow",
+            "SUM",
+            "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING",
+        ),
+        ("mv_wide", "SUM", "ROWS BETWEEN 8 PRECEDING AND 4 FOLLOWING"),
+        ("mv_cum", "SUM", "ROWS UNBOUNDED PRECEDING"),
+        ("mv_max", "MAX", "ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING"),
+    ] {
+        db.execute(&format!(
+            "CREATE MATERIALIZED VIEW {name} AS SELECT pos, {agg}(val) OVER \
+             (ORDER BY pos {frame}) AS s FROM seq"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// §2.3 locality by counting: what a write reads from the base table and
+/// writes into the mirrors depends on the windows — and on the cumulative
+/// view's suffix — never on the length of the sequence.
+#[test]
+fn a_write_reads_and_writes_what_it_touches_at_any_length() {
+    let counts = |n: i64| {
+        let db = db_with_bench_views(n);
+        let counter = |name: &str| db.metrics().counter_value(name);
+        let delta = |write: &dyn Fn()| {
+            let before = (
+                counter("maintenance.base_rows_read"),
+                counter("maintenance.mirror_rows_written"),
+            );
+            write();
+            (
+                counter("maintenance.base_rows_read") - before.0,
+                counter("maintenance.mirror_rows_written") - before.1,
+            )
+        };
+        // No reader holds a view: a patch edits the registry's own copy.
+        let body = |name: &str| std::sync::Arc::as_ptr(&db.registry().get(name).unwrap());
+        let bodies = || ["mv_narrow", "mv_wide", "mv_cum", "mv_max"].map(body);
+        let in_place = bodies();
+
+        let k = n - 40;
+        let suffix = (n - k + 1) as u64;
+        let (read, written) = delta(&|| db.sequence_update("seq", k, 3.5).unwrap());
+        assert!(
+            read >= suffix && written >= suffix,
+            "n={n}: the cumulative suffix"
+        );
+        // [k−12, k+12] for the widest window, through to n for the cumulative view.
+        assert!(
+            read <= 2 * (8 + 4) + 1 + suffix,
+            "n={n}: update read {read} base rows"
+        );
+        assert!(
+            written <= 4 + 13 + suffix + 5,
+            "n={n}: update wrote {written} mirror rows"
+        );
+        let update = (read - suffix, written - suffix);
+
+        let tuples: Vec<String> = (1..=10).map(|j| format!("({}, {j}.0)", n + j)).collect();
+        let sql = format!("INSERT INTO seq VALUES {}", tuples.join(", "));
+        let append = delta(&|| drop(db.execute(&sql).unwrap()));
+        // Σ (m + l + h) over the sliding views, m for the cumulative one.
+        assert!(
+            append.1 <= 13 + 22 + 10 + 14,
+            "n={n}: append wrote {append:?}"
+        );
+        assert!(append.0 <= 12 + 10, "n={n}: append read {append:?}");
+        assert_eq!(bodies(), in_place, "n={n}: a view body was copied");
+        assert_eq!(counter("maintenance.mirror_healed"), 0);
+
+        // The patched views are the views a rematerialization gives.
+        for (view, agg, frame) in [
+            ("mv_wide", "SUM", "ROWS BETWEEN 8 PRECEDING AND 4 FOLLOWING"),
+            ("mv_cum", "SUM", "ROWS UNBOUNDED PRECEDING"),
+            ("mv_max", "MAX", "ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING"),
+        ] {
+            let tail = n - 100;
+            let body = db
+                .execute(&format!(
+                    "SELECT pos, val FROM {view} WHERE pos > {tail} AND pos <= {} ORDER BY pos",
+                    n + 10
+                ))
+                .unwrap();
+            db.set_view_rewrite(false);
+            let native = db
+                .execute(&format!(
+                    "SELECT pos, {agg}(val) OVER (ORDER BY pos {frame}) AS s FROM seq ORDER BY pos"
+                ))
+                .unwrap();
+            db.set_view_rewrite(true);
+            let native = vals(&native, 1);
+            for (got, want) in vals(&body, 1).iter().zip(&native[tail as usize..]) {
+                assert!(
+                    (got - want).abs() <= 1e-6 * want.abs().max(1.0),
+                    "{view}: {got} vs {want}"
+                );
+            }
+        }
+        (update, append)
+    };
+    let small = counts(1_000);
+    assert_eq!(
+        small,
+        counts(100_000),
+        "row counts depend on the sequence length"
+    );
+}

@@ -5,12 +5,14 @@
 //! append, a bulk append, an explicit batch, WAL replay of any of them —
 //! is a [`MaintBatch`] applied by [`Database::apply_edits`]; a single op
 //! is a one-op batch. Entry points differ only in how the edit is counted
-//! and which WAL record kind they log.
+//! and which WAL record kind they log. A write costs what it touches: the
+//! base rows of the edit, the raw neighbourhood the §2.3 rules read, and
+//! the view positions and mirror rows they change.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
-use rfv_exec::sched;
 use rfv_expr::AggFunc;
 use rfv_obs::event;
 use rfv_obs::Counter;
@@ -21,7 +23,7 @@ use rfv_types::{DataType, Result, RfvError, Row, Schema, Value};
 
 use super::Database;
 use crate::durability::WalRecord;
-use crate::maintenance::{BatchOp, MaintBatch, MaintenanceStats};
+use crate::maintenance::{self, BatchOp, MaintBatch, MaintenanceStats, RawWindow};
 use crate::sequence::{CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, WindowSpec};
 use crate::view::{SequenceView, ViewData};
 
@@ -46,9 +48,9 @@ fn materialize_simple(func: AggFunc, window: WindowSpec, raw: &[f64]) -> Result<
     })
 }
 
-/// A `(pos, val)` row of a `width`-column sequence table.
-fn sequence_row(width: usize, pos_idx: usize, val_idx: usize, k: i64, val: f64) -> Row {
-    let mut values = vec![Value::Null; width];
+/// A `(pos, val)` row of sequence table `table`, NULL in any other column.
+fn sequence_row(table: &Table, pos_idx: usize, val_idx: usize, k: i64, val: f64) -> Row {
+    let mut values = vec![Value::Null; table.schema().len()];
     values[pos_idx] = Value::Int(k);
     values[val_idx] = Value::Float(val);
     Row::new(values)
@@ -59,17 +61,16 @@ fn sequence_row(width: usize, pos_idx: usize, val_idx: usize, k: i64, val: f64) 
 /// work — and this is the only place stored positions are shifted.
 fn apply_base_op(guard: &mut Table, pos_idx: usize, val_idx: usize, op: BatchOp) -> Result<()> {
     let shift = |guard: &mut Table, from: i64, delta: i64| -> Result<()> {
-        let mut to_shift: Vec<(usize, i64, Row)> = Vec::new();
+        let mut moved: Vec<(i64, usize)> = Vec::new();
         for (rid, r) in guard.scan() {
             if let Some(p) = r.get(pos_idx).as_int()?.filter(|p| *p >= from) {
-                to_shift.push((rid, p, r.clone()));
+                moved.push((p, rid));
             }
         }
         // Unique pos index: move the far end first.
-        to_shift.sort_by_key(|(_, p, _)| if delta > 0 { -p } else { *p });
-        for (rid, p, mut r) in to_shift {
-            r.set(pos_idx, Value::Int(p + delta));
-            guard.update(rid, r)?;
+        moved.sort_by_key(|(p, _)| if delta > 0 { -p } else { *p });
+        for (p, rid) in moved {
+            guard.set_cell(rid, pos_idx, Value::Int(p + delta))?;
         }
         Ok(())
     };
@@ -82,20 +83,14 @@ fn apply_base_op(guard: &mut Table, pos_idx: usize, val_idx: usize, op: BatchOp)
     match op {
         BatchOp::Update { k, val } => {
             let rid = rid_at(guard, k)?;
-            let mut new = guard
-                .get(rid)
-                .ok_or_else(|| RfvError::internal("index returned stale row id"))?
-                .clone();
-            new.set(val_idx, Value::Float(val));
-            guard.update(rid, new)?;
+            guard.set_cell(rid, val_idx, Value::Float(val))?;
         }
         BatchOp::Insert { k, val } => {
             let n = guard.stats().row_count as i64;
             if k != n + 1 {
                 shift(guard, k, 1)?;
             }
-            let row = sequence_row(guard.schema().len(), pos_idx, val_idx, k, val);
-            guard.insert(row)?;
+            guard.insert(sequence_row(guard, pos_idx, val_idx, k, val))?;
         }
         BatchOp::Delete { k } => {
             let rid = rid_at(guard, k)?;
@@ -104,6 +99,33 @@ fn apply_base_op(guard: &mut Table, pos_idx: usize, val_idx: usize, op: BatchOp)
         }
     }
     Ok(())
+}
+
+/// The raw values at positions `lo..=hi` of a dense sequence table, under
+/// the caller's lock: one probe of the position index, or, where the table
+/// has none, a scan.
+fn read_raw(guard: &Table, pos_idx: usize, val_idx: usize, lo: i64, hi: i64) -> Result<Vec<f64>> {
+    let value = |r: &Row| {
+        (r.get(val_idx).as_f64()?).ok_or_else(|| RfvError::internal("NULL in a sequence table"))
+    };
+    if guard.index_on(pos_idx).is_some() {
+        let (lo, hi) = (Value::Int(lo), Value::Int(hi));
+        let rids = guard.index_range(pos_idx, Bound::Included(&lo), Bound::Included(&hi))?;
+        let row = |rid| {
+            guard
+                .get(rid)
+                .ok_or_else(|| RfvError::internal("stale row id"))
+        };
+        return rids.into_iter().map(|rid| value(row(rid)?)).collect();
+    }
+    let mut found: Vec<(i64, f64)> = Vec::new();
+    for (_, r) in guard.scan() {
+        if let Some(p) = r.get(pos_idx).as_int()?.filter(|p| (lo..=hi).contains(p)) {
+            found.push((p, value(r)?));
+        }
+    }
+    found.sort_by_key(|(p, _)| *p);
+    Ok(found.into_iter().map(|(_, v)| v).collect())
 }
 
 impl Database {
@@ -161,7 +183,8 @@ impl Database {
         let t = self.catalog.table(table)?;
         let dependents = self.registry.views_for(table);
         let inserted = rows.len();
-        match dependents.iter().find(|v| !v.is_partitioned()) {
+        let simple = dependents.iter().find(|v| !v.is_partitioned());
+        match simple.map(|v| (v.pos_column.clone(), v.val_column.clone())) {
             None => {
                 // One write lock for the whole statement, not one per row.
                 t.write().insert_many(rows)?;
@@ -170,31 +193,23 @@ impl Database {
                 // are rematerialized — once per statement.
                 self.refresh_partitioned_views(table, &dependents)?;
             }
-            Some(view) => {
-                // Base of materialized sequence views: only appends at the
-                // successive tail positions n+1, n+2, … can be maintained
-                // through plain INSERT.
+            Some((pos_column, val_column)) => {
+                // Base of materialized sequence views: plain INSERT can only
+                // append, which `apply_edits` checks against the table. The
+                // views must not be held while it patches them in place.
+                drop(dependents);
                 let schema = t.read().schema().clone();
-                let pos_idx = schema.index_of(None, &view.pos_column)?;
-                let val_idx = schema.index_of(None, &view.val_column)?;
-                let n = view.n();
+                let pos_idx = schema.index_of(None, &pos_column)?;
+                let val_idx = schema.index_of(None, &val_column)?;
                 let mut batch = MaintBatch::new();
-                for (j, row) in rows.iter().enumerate() {
-                    let pos = row.get(pos_idx).as_int()?.ok_or_else(|| {
+                for row in &rows {
+                    let k = row.get(pos_idx).as_int()?.ok_or_else(|| {
                         RfvError::execution("NULL position inserted into sequence table")
                     })?;
-                    let expected = n + 1 + j as i64;
-                    if pos != expected {
-                        return Err(RfvError::execution(format!(
-                            "table `{table}` backs materialized sequence views; plain \
-                             INSERT must append position {expected} (got {pos}) — use \
-                             Database::sequence_insert for mid-sequence inserts",
-                        )));
-                    }
                     let val = row.get(val_idx).as_f64()?.ok_or_else(|| {
                         RfvError::execution("NULL value inserted into sequence table")
                     })?;
-                    batch.push(BatchOp::Insert { k: pos, val });
+                    batch.push(BatchOp::Insert { k, val });
                 }
                 let single = (inserted == 1).then_some(&self.counters.maint_insert);
                 self.apply_edits(table, &batch, Some(rows), single)?;
@@ -334,6 +349,13 @@ impl Database {
             }
             return Ok(());
         };
+        // The density evidence covers all simple views of a base table at
+        // once: the first one records it (as `rematerialize` does, from
+        // before the read), a later one joins what is there.
+        let base = spec.base_table.clone();
+        let before = self.catalog.table(&base)?.read().generation();
+        let others = self.registry.views_for(&base);
+        let first_simple = spec.partition.is_empty() && others.iter().all(|v| v.is_partitioned());
         let (partition_columns, partition_types): (Vec<String>, Vec<DataType>) =
             spec.partition.into_iter().unzip();
         let data = self.materialize_view(
@@ -357,6 +379,9 @@ impl Database {
                 data,
             },
         )?;
+        if first_simple {
+            self.registry.record_dense(&base, before);
+        }
         self.counters.view_created.incr();
         Ok(())
     }
@@ -424,17 +449,6 @@ impl Database {
             .collect()
     }
 
-    /// The raw values of a simple (unpartitioned) sequence table.
-    fn read_sequence_table(
-        &self,
-        table: &str,
-        pos_column: &str,
-        val_column: &str,
-    ) -> Result<Vec<f64>> {
-        let mut all = self.read_sequences(table, &[], pos_column, val_column)?;
-        Ok(all.remove([].as_slice()).unwrap_or_default())
-    }
-
     /// A view's body from the current contents of its base table: the
     /// single sequence of an unpartitioned view, or one complete sequence
     /// per partition-key tuple (§6).
@@ -446,8 +460,9 @@ impl Database {
         func: AggFunc,
         window: WindowSpec,
     ) -> Result<ViewData> {
+        let mut sequences = self.read_sequences(table, part_columns, pos_column, val_column)?;
         if part_columns.is_empty() {
-            let raw = self.read_sequence_table(table, pos_column, val_column)?;
+            let raw = sequences.remove([].as_slice()).unwrap_or_default();
             return materialize_simple(func, window, &raw);
         }
         let (WindowSpec::Sliding { l, h }, AggFunc::Sum) = (window, func) else {
@@ -457,7 +472,7 @@ impl Database {
             ));
         };
         let mut parts = BTreeMap::new();
-        for (key, raw) in self.read_sequences(table, part_columns, pos_column, val_column)? {
+        for (key, raw) in sequences {
             parts.insert(key, CompleteSequence::materialize(&raw, l, h)?);
         }
         Ok(ViewData::PartitionedSum(parts))
@@ -517,17 +532,11 @@ impl Database {
 
     /// Apply a coalesced batch of sequence edits to `table` and maintain
     /// all dependent views **once per affected window region** instead of
-    /// once per row (§2.3, batched).
-    ///
-    /// The base table is mutated under a single write lock, with a
-    /// no-shift fast path when the batch is a pure tail append. View
-    /// maintenance reads the pre-image raw sequence once, then computes
-    /// each view's new body in parallel (one worker per view, mirroring
-    /// the window operator's partition parallelism). Batches whose ops
-    /// interleave mid-sequence inserts/deletes with other edits fall back
-    /// to per-op §2.3 rules — still under one lock round-trip, but with
-    /// `maintenance.batch_fallback` incremented so the regression is
-    /// observable.
+    /// once per row (§2.3, batched): an append run or an update set is one
+    /// edit and one patch per view. Batches whose ops interleave
+    /// mid-sequence inserts/deletes with other edits are applied op by op —
+    /// still under one lock round-trip, but with `maintenance.batch_fallback`
+    /// incremented so the regression is observable.
     pub fn apply_batch(&self, table: &str, batch: &MaintBatch) -> Result<MaintenanceStats> {
         if batch.is_empty() {
             return Ok(MaintenanceStats::default());
@@ -541,17 +550,24 @@ impl Database {
         )
     }
 
-    /// The single write path of a sequence table: pre-image read → base
-    /// mutation under one write lock → one maintenance pass per view.
-    /// The caller holds the commit lock and logs its own record kind.
-    /// `rows` are the full rows of a SQL append (they may carry more
-    /// columns than `(pos, val)`); `single` is the per-kind counter of a
-    /// one-op entry point.
+    /// The single write path of a sequence table, one critical section
+    /// under the table's write lock: check, then per [`maintenance::Edit`]
+    /// apply it to the base rows, read the raw neighbourhood the §2.3 rules
+    /// need from the post-image, and patch every simple view and its mirror
+    /// in place. There is no scratch copy to throw away, so every check that
+    /// correct use can trip runs before the first write; past that point
+    /// only a broken storage invariant can fail.
+    ///
+    /// The caller holds the commit lock and logs its own record kind. `rows`
+    /// are the full rows of a SQL append (they may carry more columns than
+    /// `(pos, val)`); `single` is the per-kind counter of a one-op entry
+    /// point, which counts instead of `maintenance.batch*` (and only when
+    /// the table has views).
     fn apply_edits(
         &self,
         table: &str,
         batch: &MaintBatch,
-        rows: Option<Vec<Row>>,
+        mut rows: Option<Vec<Row>>,
         single: Option<&Counter>,
     ) -> Result<MaintenanceStats> {
         let t = self.catalog.table(table)?;
@@ -573,167 +589,135 @@ impl Database {
                 None => (0, 1),
             }
         };
-        // Pre-image raw sequence, read before any base mutation: the §2.3
-        // rules run against it. A base table that is not a dense non-null
-        // sequence is rejected here, before anything changed.
-        let raw_before = match views.iter().find(|v| !v.is_partitioned()) {
-            Some(v) => self.read_sequence_table(table, &v.pos_column, &v.val_column)?,
-            None => Vec::new(),
+        // All that is kept of the simple views: their `Arc`s must be gone
+        // before the first patch, or `Arc::make_mut` would copy each body.
+        let has_views = !views.is_empty();
+        let simple: Vec<(String, WindowSpec)> = (views.iter().filter(|v| !v.is_partitioned()))
+            .map(|v| (v.name.clone(), v.window))
+            .collect();
+        let partitioned: Vec<_> = views.into_iter().filter(|v| v.is_partitioned()).collect();
+        let windows = || simple.iter().map(|(_, w)| *w);
+        let reach = windows().filter_map(|w| w.window_size()).max().unwrap_or(1) - 1;
+        let to_end = windows().any(|w| w == WindowSpec::Cumulative);
+
+        let c = &self.counters;
+        let rec = event::recorder();
+        let start = rec.is_enabled().then(event::now_ns);
+        let mut total = MaintenanceStats::default();
+        let mut guard = t.write();
+        // The O(1) check that replaces re-reading and re-validating the
+        // table on every write.
+        let in_step = |guard: &Table| {
+            let rows = guard.stats().row_count;
+            simple.is_empty() || self.registry.is_dense(table, guard.generation(), rows)
         };
-        // `Some(values)` when the batch is a pure tail append.
-        let appended;
-        {
-            let mut guard = t.write();
-            let n = guard.stats().row_count as i64;
-            batch.validate(n)?;
-            appended = batch.append_run(n);
-            match (rows, &appended) {
-                (Some(_), None) => {
-                    return Err(RfvError::execution(format!(
-                        "`{table}` changed under a plain INSERT: its rows no \
-                         longer extend the tail"
-                    )))
+        if !in_step(&guard) {
+            // Somebody else wrote to the table: re-read and re-validate it
+            // whole (refusing one that is no longer a dense sequence) and
+            // rematerialize, which records fresh evidence.
+            drop(guard);
+            let views = self.registry.views_for(table);
+            self.rematerialize(table, views.iter().filter(|v| !v.is_partitioned()))?;
+            drop(views);
+            guard = t.write();
+            if !in_step(&guard) {
+                return Err(RfvError::execution(format!(
+                    "`{table}` is being changed behind its materialized views"
+                )));
+            }
+        }
+        let n = guard.stats().row_count as i64;
+        let append = batch.is_append_run(n);
+        let has_values = (batch.ops().iter()).any(|op| !matches!(op, BatchOp::Delete { .. }));
+        let val_type = guard.schema().field(val_idx).data_type;
+        if rows.is_some() && !append {
+            return Err(RfvError::execution(format!(
+                "table `{table}` backs materialized sequence views; plain INSERT must append \
+                 positions {}, {}, … — use Database::sequence_insert for mid-sequence inserts",
+                n + 1,
+                n + 2
+            )));
+        }
+        let peak = batch.validate(n)?;
+        for window in windows() {
+            if let WindowSpec::Sliding { l, h } = window {
+                maintenance::check_extent(peak, l, h)?;
+            }
+        }
+        if rows.is_none() && has_values && !val_type.admits(&Value::Float(0.0)) {
+            return Err(RfvError::schema(format!(
+                "the {val_type} value column of `{table}` does not admit DOUBLE values"
+            )));
+        } else if !append && guard.index_on(pos_idx).is_none() {
+            return Err(RfvError::execution(format!(
+                "`{table}` needs an index on its position column for edits other than appends"
+            )));
+        }
+
+        for edit in batch.edits(n) {
+            let ops = &batch.ops()[edit.ops.clone()];
+            if append {
+                // One storage call, all-or-nothing even where no evidence
+                // vouches for the table (a view-less sequence table).
+                let built = |op: &BatchOp| match *op {
+                    BatchOp::Insert { k, val } => sequence_row(&guard, pos_idx, val_idx, k, val),
+                    _ => unreachable!("an append run holds only inserts"),
+                };
+                let rows = rows
+                    .take()
+                    .unwrap_or_else(|| ops.iter().map(built).collect());
+                guard.insert_many(rows)?;
+            } else {
+                for op in ops {
+                    apply_base_op(&mut guard, pos_idx, val_idx, *op)?;
                 }
-                (Some(rows), Some(_)) => {
-                    guard.insert_many(rows)?;
-                }
-                // Tail appends never shift stored positions: build the rows
-                // and land them in one storage call.
-                (None, Some(vals)) => {
-                    let width = guard.schema().len();
-                    let rows = (n + 1..)
-                        .zip(vals)
-                        .map(|(k, &val)| sequence_row(width, pos_idx, val_idx, k, val))
-                        .collect();
-                    guard.insert_many(rows)?;
-                }
-                (None, None) => {
-                    for op in batch.ops() {
-                        apply_base_op(&mut guard, pos_idx, val_idx, *op)?;
-                    }
+            }
+            if simple.is_empty() {
+                continue;
+            }
+            let mut pieces: Vec<(i64, Vec<f64>)> = Vec::new();
+            for (lo, hi) in edit.raw_reads(reach, to_end) {
+                pieces.push((lo, read_raw(&guard, pos_idx, val_idx, lo, hi)?));
+            }
+            c.maint_base_rows_read
+                .add(pieces.iter().map(|(_, v)| v.len() as u64).sum());
+            let raw = RawWindow(pieces.iter().map(|(lo, v)| (*lo, v.as_slice())).collect());
+            for (name, _) in &simple {
+                let synced = self.registry.patch(&self.catalog, name, |data| {
+                    let (intervals, stats) = maintenance::patch_view(data, &raw, &edit);
+                    total.merge(stats);
+                    intervals
+                });
+                // `None`: the view was dropped since this batch began.
+                if let Some((written, healed)) = synced {
+                    c.maint_mirror_rows_written.add(written);
+                    c.maint_mirror_healed.add(u64::from(healed));
                 }
             }
         }
-        let rec = event::recorder();
-        let start = rec.is_enabled().then(event::now_ns);
-        let result = self.maintain_views_batch(table, batch, &views, raw_before, appended, single);
+        if !simple.is_empty() {
+            self.registry.record_dense(table, guard.generation());
+        }
+        drop(guard);
+        // §6 views are rematerializations, and read the table themselves.
+        self.refresh_partitioned_views(table, &partitioned)?;
         if let Some(start) = start {
             let detail = format!("{table}: {} ops", batch.len());
             rec.complete_since("maintenance.batch", "maintenance", start, Some(detail));
         }
-        result
-    }
-
-    /// Bring every view over `table` up to date with `batch`, given the
-    /// pre-image `raw_before` and the `appended` values of a pure tail
-    /// append: partitioned views are rematerialized
-    /// **once** for the whole batch, and each simple view's new body is
-    /// computed on its own worker thread before the registry is refreshed
-    /// sequentially (the registry holds the views write lock during
-    /// refresh).
-    ///
-    /// Counting follows the entry point: with `single` (a one-op call)
-    /// only that per-kind counter moves, and only when the table has
-    /// views; otherwise the call is one `maintenance.batch`.
-    fn maintain_views_batch(
-        &self,
-        table: &str,
-        batch: &MaintBatch,
-        views: &[Arc<SequenceView>],
-        raw_before: Vec<f64>,
-        appended: Option<Vec<f64>>,
-        single: Option<&Counter>,
-    ) -> Result<MaintenanceStats> {
-        let c = &self.counters;
-        let n_before = raw_before.len() as i64;
         match single {
-            Some(_) if views.is_empty() => {}
+            Some(_) if !has_views => {}
             Some(counter) => counter.incr(),
             None => {
                 c.maint_batch.incr();
                 c.maint_batch_rows.add(batch.len() as u64);
-                if !batch.coalesces(n_before) {
+                if !batch.coalesces(n) {
                     c.maint_batch_fallback.incr();
                 }
+                c.maint_batch_recomputed.add(total.recomputed as u64);
+                c.maint_batch_shifted.add(total.shifted as u64);
+                c.maint_batch_coalesced.add(total.coalesced as u64);
             }
-        }
-        self.refresh_partitioned_views(table, views)?;
-        let simple: Vec<&Arc<SequenceView>> =
-            views.iter().filter(|v| !v.is_partitioned()).collect();
-        if simple.is_empty() {
-            return Ok(MaintenanceStats::default());
-        }
-        // Post-image raw data, needed only by views that rematerialize:
-        // MIN/MAX always (§2.3 footnote), cumulative SUM outside the
-        // append fast path.
-        let needs_after = simple.iter().any(|v| match &v.data {
-            ViewData::MinMax(_) => true,
-            ViewData::CumulativeSum(_) => appended.is_none(),
-            _ => false,
-        });
-        let raw_after: Vec<f64> = if needs_after {
-            let v = simple[0];
-            self.read_sequence_table(table, &v.pos_column, &v.val_column)?
-        } else {
-            Vec::new()
-        };
-        let rematerialized = MaintenanceStats {
-            recomputed: raw_after.len(),
-            shifted: 0,
-            coalesced: 0,
-        };
-
-        // Each simple view's new body is an independent unit of work: past
-        // the scheduler's shared cost gate they run on the worker pool
-        // (panic-safe join, steal balancing), below it inline — a pool
-        // round-trip costs more than maintaining a small sequence. The
-        // registry is refreshed serially afterwards, in declaration order.
-        let jobs: Vec<_> = simple
-            .iter()
-            .map(|v| (v.name.clone(), v.func, v.window, v.data.clone()))
-            .collect();
-        let pooled = sched::should_parallelize(raw_before.len() + batch.len(), jobs.len());
-        let batch = batch.clone();
-        let work = move |_, (name, func, window, data)| {
-            let (data, stats) = match (data, &appended) {
-                (ViewData::Sum(mut seq), _) => {
-                    let mut raw = raw_before.clone();
-                    let stats = batch.apply(&mut seq, &mut raw)?;
-                    (ViewData::Sum(seq), stats)
-                }
-                (ViewData::CumulativeSum(mut c), Some(vals)) => {
-                    c.append_bulk(vals);
-                    let stats = MaintenanceStats {
-                        recomputed: vals.len(),
-                        shifted: 0,
-                        coalesced: vals.len().saturating_sub(1),
-                    };
-                    (ViewData::CumulativeSum(c), stats)
-                }
-                // Rematerialized from the post-image, once per batch.
-                _ => (
-                    materialize_simple(func, window, &raw_after)?,
-                    rematerialized,
-                ),
-            };
-            Ok((name, data, stats))
-        };
-        let results = if pooled {
-            sched::run_ordered(jobs, work)?
-        } else {
-            let inline = jobs.into_iter().enumerate().map(|(i, job)| work(i, job));
-            inline.collect::<Result<Vec<_>>>()?
-        };
-
-        let mut total = MaintenanceStats::default();
-        for (name, data, stats) in results {
-            self.registry.refresh(&self.catalog, &name, data)?;
-            total.merge(stats);
-        }
-        if single.is_none() {
-            c.maint_batch_recomputed.add(total.recomputed as u64);
-            c.maint_batch_shifted.add(total.shifted as u64);
-            c.maint_batch_coalesced.add(total.coalesced as u64);
         }
         Ok(total)
     }
@@ -753,12 +737,17 @@ impl Database {
     }
 
     /// Rematerialize `views` (all over `table`) from the current base
-    /// state.
+    /// state; with simple views among them (callers then pass them all)
+    /// that is the table's density evidence. The generation is taken before
+    /// the reads: evidence older than the views costs one more slow path,
+    /// evidence newer than them would hide a change.
     fn rematerialize<'a>(
         &self,
         table: &str,
         views: impl Iterator<Item = &'a Arc<SequenceView>>,
     ) -> Result<()> {
+        let before = self.catalog.table(table)?.read().generation();
+        let mut simple = false;
         for view in views {
             let data = self.materialize_view(
                 table,
@@ -768,6 +757,10 @@ impl Database {
                 view.window,
             )?;
             self.registry.refresh(&self.catalog, &view.name, data)?;
+            simple |= !view.is_partitioned();
+        }
+        if simple {
+            self.registry.record_dense(table, before);
         }
         Ok(())
     }

@@ -4,25 +4,35 @@
 //! sequence changes. The paper gives per-operation rules showing that the
 //! changes stay *local*: with window size `w = l + h + 1`,
 //!
-//! * **update** at `k` touches the `w` positions `k−h ..= k+l`
-//!   (`x̃_i' = x̃_i − x_k + x_k'`);
+//! * **update** at `k` touches the `w` positions `k−h ..= k+l`;
 //! * **insert** at `k` shifts positions `> k` right by one and recomputes
 //!   only a `w`-sized neighbourhood around `k`;
 //! * **delete** at `k` shifts positions `> k` left and recomputes the same
 //!   neighbourhood.
 //!
-//! Every rule is property-tested against full rematerialization. The
-//! functions return [`MaintenanceStats`] so callers (and the ablation
-//! bench) can verify the locality claim quantitatively.
+//! Every edit shape — a point update, an update set, an append run, a
+//! mid-sequence insert or delete, each op of an interleaved batch — is one
+//! `Edit` in post-edit coordinates, and one rule per view class patches
+//! the stored sequence **in place** from a `RawWindow` onto the edited
+//! neighbourhood, reporting the stored positions it changed. Each rule is a
+//! local restart of what `materialize` does, so a maintained interval holds
+//! the bits a rematerialization of that interval would; every rule is
+//! property-tested against full rematerialization, and the returned
+//! [`MaintenanceStats`] let callers verify the locality claim by counting.
+
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 use rfv_types::{Result, RfvError};
 
-use crate::sequence::{window_sum, CompleteSequence};
+use crate::compute::minmax_of;
+use crate::sequence::CompleteSequence;
+use crate::view::ViewData;
 
 /// How much work a maintenance operation performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintenanceStats {
-    /// Positions whose value was recomputed or adjusted arithmetically.
+    /// Positions whose value was recomputed.
     pub recomputed: usize,
     /// Positions whose value was only *moved* (insert/delete shifts).
     pub shifted: usize,
@@ -40,38 +50,207 @@ impl MaintenanceStats {
     }
 }
 
+/// A window onto the raw sequence *after* an edit: ascending, disjoint
+/// `(first position, values)` pieces. Like the paper's header/trailer
+/// convention it reads 0 outside `1..=n` — and wherever else it has no
+/// piece, so whoever builds it supplies every position the rules will read
+/// ([`Edit::raw_reads`]).
+#[derive(Debug, Clone)]
+pub(crate) struct RawWindow<'a>(pub Vec<(i64, &'a [f64])>);
+
+impl<'a> RawWindow<'a> {
+    /// The special case of a full vector: positions `1..=raw.len()`.
+    pub fn whole(raw: &'a [f64]) -> Self {
+        RawWindow(vec![(1, raw)])
+    }
+
+    /// The raw value at position `p`; 0 where the window has none.
+    #[inline]
+    pub fn at(&self, p: i64) -> f64 {
+        let after = self.0.partition_point(|(first, _)| *first <= p);
+        let Some((first, vals)) = after.checked_sub(1).map(|i| self.0[i]) else {
+            return 0.0;
+        };
+        vals.get((p - first) as usize).copied().unwrap_or(0.0)
+    }
+}
+
+/// `spans`, ascending by start, with the empty ones dropped and those that
+/// touch or overlap merged.
+fn merged(spans: impl IntoIterator<Item = (i64, i64)>) -> Vec<(i64, i64)> {
+    let mut out: Vec<(i64, i64)> = Vec::new();
+    for (lo, hi) in spans {
+        match out.last_mut() {
+            Some((_, prev)) if lo <= *prev + 1 => *prev = (*prev).max(hi),
+            _ if lo <= hi => out.push((lo, hi)),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// One edit of the raw sequence, described in **post-edit coordinates**.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Edit {
+    /// Ascending, disjoint runs `(a, b)` of raw positions that hold a new
+    /// value. The site of a deletion at `k` is the empty run `(k, k − 1)`.
+    pub runs: Vec<(i64, i64)>,
+    /// How much the sequence grew there (`> 0`: the single run is new) or
+    /// shrank (`< 0`: at the single run's site); 0 for updates.
+    pub grew: i64,
+    /// Sequence length after the edit.
+    pub n: i64,
+    /// The batch ops this edit stands for, as indexes into the batch.
+    pub ops: Range<usize>,
+}
+
+impl Edit {
+    /// The runs of raw positions the rules read to patch views whose
+    /// windows reach at most `reach = l + h` positions: every changed run
+    /// widened by `reach` on both sides — through to the end of the
+    /// sequence when `to_end` (a cumulative view re-sums its suffix) —
+    /// clipped to `1..=n` and merged.
+    pub fn raw_reads(&self, reach: i64, to_end: bool) -> Vec<(i64, i64)> {
+        let hi = |b: i64| {
+            if to_end {
+                self.n
+            } else {
+                (b + reach).min(self.n)
+            }
+        };
+        merged(self.runs.iter().map(|&(a, b)| ((a - reach).max(1), hi(b))))
+    }
+}
+
+/// What one rule did to one view: the stored positions whose value changed
+/// (ascending, disjoint, inside the view's new extent — what a mirror of
+/// the sequence has to rewrite) and the work it took.
+pub(crate) type Patch = (Vec<(i64, i64)>, MaintenanceStats);
+
+/// Patch a simple view's sequence in place for `edit`, reading the edited
+/// raw sequence through `raw`. Cannot fail: the caller has validated the
+/// edit and the extent ([`check_extent`]) before anything was written.
+pub(crate) fn patch_view(data: &mut ViewData, raw: &RawWindow, edit: &Edit) -> Patch {
+    match data {
+        ViewData::Sum(seq) => patch_sum(seq, raw, edit),
+        ViewData::MinMax(seq) => {
+            let (l, h, max) = (seq.l(), seq.h(), seq.is_max());
+            patch_sliding((l, h), seq.parts_mut(), edit, |cells, lo| {
+                for (cell, i) in cells.iter_mut().zip(lo..) {
+                    let window = (i - l).max(1)..=(i + h).min(edit.n);
+                    *cell = minmax_of(window.map(|p| raw.at(p)), max);
+                }
+            })
+        }
+        // Every `c̃_i` from the first changed position on holds a changed
+        // value: the running sum restarts there and runs to the end.
+        ViewData::CumulativeSum(seq) => {
+            let a = edit.runs.first().map_or(edit.n + 1, |r| r.0);
+            seq.restart_at(a, (a..=edit.n).map(|p| raw.at(p)));
+            let stats = MaintenanceStats {
+                recomputed: (edit.n - a + 1).max(0) as usize,
+                shifted: 0,
+                coalesced: edit.ops.len().saturating_sub(1),
+            };
+            (merged([(a, edit.n)]), stats)
+        }
+        // §6 reporting functions are rematerialized, never patched.
+        ViewData::PartitionedSum(_) => Patch::default(),
+    }
+}
+
+/// The sliding-window rule shared by SUM and MIN/MAX. The stored vector is
+/// spliced where the sequence grew or shrank (positions behind the edit
+/// keep their values and move), each run `(a, b)` marks the stored
+/// positions `a−h ..= b+l` — the windows that contain a changed raw value —
+/// overlapping marks merge, and `recompute(cells, lo)` fills the cells of
+/// one merged interval starting at position `lo`.
+fn patch_sliding<T: Clone + Default>(
+    (l, h): (i64, i64),
+    (n, values): (&mut i64, &mut Vec<T>),
+    edit: &Edit,
+    mut recompute: impl FnMut(&mut [T], i64),
+) -> Patch {
+    let (first, last) = (1 - h, edit.n + l);
+    let site = edit.runs.first().map_or(1, |r| r.0);
+    // Old position `site + l` is the first whose window lies wholly behind
+    // the edit: it and its successors move by `grew`.
+    let at = (site + l - first) as usize;
+    if edit.grew > 0 {
+        values.splice(at..at, vec![T::default(); edit.grew as usize]);
+    } else if edit.grew < 0 {
+        values.drain(at..at + (-edit.grew) as usize);
+    }
+    *n = edit.n;
+    let marks = edit
+        .runs
+        .iter()
+        .map(|&(a, b)| ((a - h).max(first), (b + l).min(last)));
+    let mut intervals = merged(marks);
+    let mut stats = MaintenanceStats {
+        coalesced: edit.ops.len().saturating_sub(intervals.len().max(1)),
+        ..MaintenanceStats::default()
+    };
+    for &(lo, hi) in &intervals {
+        recompute(
+            &mut values[(lo - first) as usize..=(hi - first) as usize],
+            lo,
+        );
+        stats.recomputed += (hi - lo + 1) as usize;
+    }
+    if edit.grew != 0 {
+        // Everything from the edit's neighbourhood to the end changed place.
+        intervals = merged([((site - h).max(first), last)]);
+        let moved: i64 = intervals.iter().map(|(lo, hi)| hi - lo + 1).sum();
+        stats.shifted = moved as usize - stats.recomputed;
+    }
+    (intervals, stats)
+}
+
+fn patch_sum(seq: &mut CompleteSequence, raw: &RawWindow, edit: &Edit) -> Patch {
+    let (l, h) = (seq.l(), seq.h());
+    patch_sliding((l, h), seq.parts_mut(), edit, |cells, lo| {
+        let mut sum: f64 = (lo - l..=lo + h).map(|p| raw.at(p)).sum();
+        for (cell, i) in cells.iter_mut().zip(lo..) {
+            *cell = sum;
+            // x̃_{i+1} = x̃_i + x_{i+1+h} − x_{i−l}
+            sum += raw.at(i + 1 + h) - raw.at(i - l);
+        }
+    })
+}
+
+/// A complete `(l, h)` sequence over `n` raw values must stay within
+/// [`MAX_MATERIALIZED_EXTENT`](crate::sequence::MAX_MATERIALIZED_EXTENT)
+/// stored positions — checked before an edit that grows it is applied.
+pub(crate) fn check_extent(n: i64, l: i64, h: i64) -> Result<()> {
+    let max = crate::sequence::MAX_MATERIALIZED_EXTENT;
+    let extent = n.saturating_add(l).saturating_add(h);
+    if extent > max {
+        return Err(RfvError::derivation(format!(
+            "the edit would grow the ({l},{h}) sequence to {extent} stored positions (max {max})"
+        )));
+    }
+    Ok(())
+}
+
+fn check_pos(what: &str, k: i64, max: i64) -> Result<()> {
+    if (1..=max).contains(&k) {
+        return Ok(());
+    }
+    Err(RfvError::execution(format!(
+        "{what} position {k} out of range 1..={max}"
+    )))
+}
+
 /// Apply the §2.3 **update rule**: raw value at position `k` becomes
 /// `new_val`. Both the raw data and the materialized view are updated.
 pub fn update(
     seq: &mut CompleteSequence,
-    raw: &mut [f64],
+    raw: &mut Vec<f64>,
     k: i64,
     new_val: f64,
 ) -> Result<MaintenanceStats> {
-    let n = raw.len() as i64;
-    if !(1..=n).contains(&k) {
-        return Err(RfvError::execution(format!(
-            "update position {k} out of range 1..={n}"
-        )));
-    }
-    let old = raw[(k - 1) as usize];
-    raw[(k - 1) as usize] = new_val;
-    let delta = new_val - old;
-    let (l, h) = (seq.l(), seq.h());
-    // Affected view positions: those whose window [i−l, i+h] contains k,
-    // i.e. i ∈ [k−h, k+l] — clipped to the stored range.
-    let lo = (k - h).max(seq.first_pos());
-    let hi = (k + l).min(seq.last_pos());
-    let first = seq.first_pos();
-    let values = seq.values_mut();
-    for i in lo..=hi {
-        values[(i - first) as usize] += delta;
-    }
-    Ok(MaintenanceStats {
-        recomputed: (hi - lo + 1).max(0) as usize,
-        shifted: 0,
-        coalesced: 0,
-    })
+    MaintBatch::from_iter([BatchOp::Update { k, val: new_val }]).apply(seq, raw)
 }
 
 /// Apply the §2.3 **insert rule**: a new raw value is inserted *at*
@@ -82,38 +261,7 @@ pub fn insert(
     k: i64,
     val: f64,
 ) -> Result<MaintenanceStats> {
-    let n = raw.len() as i64;
-    if !(1..=n + 1).contains(&k) {
-        return Err(RfvError::execution(format!(
-            "insert position {k} out of range 1..={}",
-            n + 1
-        )));
-    }
-    raw.insert((k - 1) as usize, val);
-    let new_n = n + 1;
-    let (l, h) = (seq.l(), seq.h());
-    let first = seq.first_pos(); // unchanged: 1 − h
-    let new_last = new_n + l;
-
-    // Build the new value vector:
-    //   i < k−h      : x̃_i unchanged,
-    //   k−h ≤ i ≤ k+l : recomputed locally over the new raw data,
-    //   i > k+l      : x̃'_i = x̃_{i−1} (pure shift).
-    let mut values = Vec::with_capacity((new_last - first + 1) as usize);
-    let mut stats = MaintenanceStats::default();
-    for i in first..=new_last {
-        if i < k - h {
-            values.push(seq.get(i));
-        } else if i <= k + l {
-            values.push(window_sum(raw, i - l, i + h));
-            stats.recomputed += 1;
-        } else {
-            values.push(seq.get(i - 1));
-            stats.shifted += 1;
-        }
-    }
-    seq.replace(new_n, values);
-    Ok(stats)
+    MaintBatch::from_iter([BatchOp::Insert { k, val }]).apply(seq, raw)
 }
 
 /// Apply the §2.3 **delete rule**: the raw value at position `k` is
@@ -123,33 +271,11 @@ pub fn delete(
     raw: &mut Vec<f64>,
     k: i64,
 ) -> Result<(f64, MaintenanceStats)> {
-    let n = raw.len() as i64;
-    if !(1..=n).contains(&k) {
-        return Err(RfvError::execution(format!(
-            "delete position {k} out of range 1..={n}"
-        )));
-    }
-    let removed = raw.remove((k - 1) as usize);
-    let new_n = n - 1;
-    let (l, h) = (seq.l(), seq.h());
-    let first = seq.first_pos();
-    let new_last = new_n + l;
-
-    let mut values = Vec::with_capacity((new_last - first + 1).max(0) as usize);
-    let mut stats = MaintenanceStats::default();
-    for i in first..=new_last {
-        if i < k - h {
-            values.push(seq.get(i));
-        } else if i <= k + l {
-            values.push(window_sum(raw, i - l, i + h));
-            stats.recomputed += 1;
-        } else {
-            values.push(seq.get(i + 1));
-            stats.shifted += 1;
-        }
-    }
-    seq.replace(new_n, values);
-    Ok((removed, stats))
+    let removed = usize::try_from(k - 1)
+        .ok()
+        .and_then(|i| raw.get(i).copied());
+    let stats = MaintBatch::from_iter([BatchOp::Delete { k }]).apply(seq, raw)?;
+    Ok((removed.expect("apply validated the position"), stats))
 }
 
 /// One entry in a [`MaintBatch`]. Positions use **sequential semantics**:
@@ -166,26 +292,10 @@ pub enum BatchOp {
     Delete { k: i64 },
 }
 
-/// How a batch will be applied, decided once per (batch, sequence) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchPlan {
-    /// Every op is an `Insert` at the successive tail positions
-    /// `n+1 ..= n+m`: one pipelined recompute of `m + l + h` positions.
-    AppendRun,
-    /// Every op is an `Update` at an existing position: dedup last-wins,
-    /// merge the overlapping `[k−h, k+l]` neighbourhoods, one pipelined
-    /// recompute per merged interval.
-    UpdateSet,
-    /// Interleaved mid-sequence edits where coalescing is unsound
-    /// (positions shift under later ops): apply the §2.3 per-op rules
-    /// sequentially.
-    Fallback,
-}
-
 /// A coalesced run of INSERT/UPDATE/DELETE deltas against one base
 /// sequence. Instead of paying one §2.3 maintenance pass per row, the
-/// batch classifies itself (see [`BatchPlan`]) and applies each
-/// materialized view's rule **once per contiguous delta region**.
+/// batch turns into as few `Edit`s as its shape allows and each
+/// materialized view is patched **once per contiguous delta region**.
 #[derive(Debug, Clone, Default)]
 pub struct MaintBatch {
     ops: Vec<BatchOp>,
@@ -224,256 +334,151 @@ impl MaintBatch {
     /// `n+1 ..= n+m` of a sequence currently holding `n` rows — the shape
     /// bulk loads take, and the one with the cheapest batched plan.
     pub fn is_append_run(&self, n: i64) -> bool {
-        !self.ops.is_empty() && self.classify(n) == BatchPlan::AppendRun
+        let at_tail = |(j, op): (usize, &BatchOp)| matches!(op, BatchOp::Insert { k, .. } if *k == n + 1 + j as i64);
+        !self.ops.is_empty() && self.ops.iter().enumerate().all(at_tail)
     }
 
-    /// The appended values when the batch [is an append
-    /// run](Self::is_append_run) at `n`, `None` otherwise.
-    pub fn append_run(&self, n: i64) -> Option<Vec<f64>> {
-        self.is_append_run(n).then(|| {
-            self.ops
-                .iter()
-                .filter_map(|op| match op {
-                    BatchOp::Insert { val, .. } => Some(*val),
-                    _ => None,
-                })
-                .collect()
-        })
+    fn is_update_set(&self) -> bool {
+        (self.ops.iter()).all(|op| matches!(op, BatchOp::Update { .. }))
     }
 
-    /// True when the batch will coalesce into region passes rather than
-    /// fall back to per-op application.
+    /// True when the batch will coalesce into one edit rather than fall
+    /// back to per-op application.
     pub fn coalesces(&self, n: i64) -> bool {
-        self.classify(n) != BatchPlan::Fallback
+        self.is_update_set() || self.is_append_run(n)
     }
 
     /// Validate every op's position against sequential semantics without
     /// touching any data — callers use this to reject a bad batch *before*
-    /// mutating the base table, so base and views succeed or fail together.
-    pub fn validate(&self, n: i64) -> Result<()> {
-        let mut sim_n = n;
+    /// mutating anything, so base and views succeed or fail together.
+    /// Returns the largest length the sequence reaches on the way.
+    pub fn validate(&self, n: i64) -> Result<i64> {
+        let (mut sim_n, mut peak) = (n, n);
         for op in &self.ops {
             match *op {
-                BatchOp::Update { k, .. } => {
-                    if !(1..=sim_n).contains(&k) {
-                        return Err(RfvError::execution(format!(
-                            "update position {k} out of range 1..={sim_n}"
-                        )));
-                    }
-                }
+                BatchOp::Update { k, .. } => check_pos("update", k, sim_n)?,
                 BatchOp::Insert { k, .. } => {
-                    if !(1..=sim_n + 1).contains(&k) {
-                        return Err(RfvError::execution(format!(
-                            "insert position {k} out of range 1..={}",
-                            sim_n + 1
-                        )));
-                    }
+                    check_pos("insert", k, sim_n + 1)?;
                     sim_n += 1;
                 }
                 BatchOp::Delete { k } => {
-                    if !(1..=sim_n).contains(&k) {
-                        return Err(RfvError::execution(format!(
-                            "delete position {k} out of range 1..={sim_n}"
-                        )));
-                    }
+                    check_pos("delete", k, sim_n)?;
                     sim_n -= 1;
                 }
             }
+            peak = peak.max(sim_n);
         }
-        Ok(())
+        Ok(peak)
     }
 
-    fn classify(&self, n: i64) -> BatchPlan {
-        let append_run = self
-            .ops
-            .iter()
-            .enumerate()
-            .all(|(j, op)| matches!(op, BatchOp::Insert { k, .. } if *k == n + 1 + j as i64));
-        if append_run {
-            return BatchPlan::AppendRun;
+    /// The batch as [`Edit`]s against a sequence of `n` values, to be
+    /// applied in order: one for an append run (`m + l + h` positions
+    /// recomputed per view) or an update set (the runs are the updated
+    /// positions, the last value wins, and each view merges the overlapping
+    /// `[k−h, k+l]` neighbourhoods); one per op for interleaved edits, where
+    /// positions shift under later ops and coalescing would be unsound. The
+    /// batch must [`validate`](Self::validate) at `n`.
+    pub(crate) fn edits(&self, n: i64) -> Vec<Edit> {
+        let m = self.ops.len();
+        if self.is_append_run(n) {
+            return vec![Edit {
+                runs: vec![(n + 1, n + m as i64)],
+                grew: m as i64,
+                n: n + m as i64,
+                ops: 0..m,
+            }];
         }
-        let update_set = self
-            .ops
-            .iter()
-            .all(|op| matches!(op, BatchOp::Update { k, .. } if (1..=n).contains(k)));
-        if update_set {
-            BatchPlan::UpdateSet
-        } else {
-            BatchPlan::Fallback
+        if m > 0 && self.is_update_set() {
+            let updated: BTreeSet<i64> = (self.ops.iter())
+                .filter_map(|op| match op {
+                    BatchOp::Update { k, .. } => Some(*k),
+                    _ => None,
+                })
+                .collect();
+            return vec![Edit {
+                runs: merged(updated.into_iter().map(|k| (k, k))),
+                grew: 0,
+                n,
+                ops: 0..m,
+            }];
         }
+        let mut len = n;
+        let edit = |(i, op): (usize, &BatchOp)| {
+            let (run, grew) = match *op {
+                BatchOp::Update { k, .. } => ((k, k), 0),
+                BatchOp::Insert { k, .. } => ((k, k), 1),
+                BatchOp::Delete { k } => ((k, k - 1), -1),
+            };
+            len += grew;
+            Edit {
+                runs: vec![run],
+                grew,
+                n: len,
+                ops: i..i + 1,
+            }
+        };
+        self.ops.iter().enumerate().map(edit).collect()
     }
 
     /// Apply the whole batch to one materialized sequence and its raw
     /// data. Equivalent to applying each op through
     /// [`update`]/[`insert`]/[`delete`] in order (exactly so for integer
     /// data; within float tolerance otherwise), but touches each affected
-    /// window region once per batch instead of once per row.
+    /// window region once per batch instead of once per row. A batch that
+    /// does not validate changes nothing.
     pub fn apply(
         &self,
         seq: &mut CompleteSequence,
         raw: &mut Vec<f64>,
     ) -> Result<MaintenanceStats> {
-        if self.ops.is_empty() {
-            return Ok(MaintenanceStats::default());
-        }
         let n = raw.len() as i64;
-        match self.classify(n) {
-            BatchPlan::AppendRun => append_bulk(seq, raw, &self.append_run(n).unwrap_or_default()),
-            BatchPlan::UpdateSet => {
-                let updates: Vec<(i64, f64)> = self
-                    .ops
-                    .iter()
-                    .map(|op| match op {
-                        BatchOp::Update { k, val } => (*k, *val),
-                        _ => unreachable!("UpdateSet contains only updates"),
-                    })
-                    .collect();
-                update_bulk(seq, raw, &updates)
-            }
-            BatchPlan::Fallback => {
-                let mut stats = MaintenanceStats::default();
-                for op in &self.ops {
-                    match *op {
-                        BatchOp::Update { k, val } => {
-                            stats.merge(update(seq, raw, k, val)?);
-                        }
-                        BatchOp::Insert { k, val } => {
-                            stats.merge(insert(seq, raw, k, val)?);
-                        }
-                        BatchOp::Delete { k } => {
-                            stats.merge(delete(seq, raw, k)?.1);
-                        }
+        check_extent(self.validate(n)?, seq.l(), seq.h())?;
+        let mut stats = MaintenanceStats::default();
+        for edit in self.edits(n) {
+            for op in &self.ops[edit.ops.clone()] {
+                match *op {
+                    BatchOp::Update { k, val } => raw[(k - 1) as usize] = val,
+                    BatchOp::Insert { k, val } => raw.insert((k - 1) as usize, val),
+                    BatchOp::Delete { k } => {
+                        raw.remove((k - 1) as usize);
                     }
                 }
-                Ok(stats)
             }
+            stats.merge(patch_sum(seq, &RawWindow::whole(raw), &edit).1);
         }
+        Ok(stats)
     }
-}
-
-/// Raw value at 1-based position `p`, or 0 outside `1..=n` (the paper's
-/// convention for header/trailer windows).
-#[inline]
-fn raw_at(raw: &[f64], p: i64) -> f64 {
-    if p >= 1 && p <= raw.len() as i64 {
-        raw[(p - 1) as usize]
-    } else {
-        0.0
-    }
-}
-
-/// Batched §2.3 **append rule**: `vals` lands at the tail positions
-/// `n+1 ..= n+m`. No stored position shifts (appends only grow the tail),
-/// and the only windows that see new data are `[n+1−h, n+m+l]` — one
-/// pipelined recompute of `m + l + h` positions per batch, versus
-/// `m · (l + h + 1)` position recomputes row-at-a-time.
-pub fn append_bulk(
-    seq: &mut CompleteSequence,
-    raw: &mut Vec<f64>,
-    vals: &[f64],
-) -> Result<MaintenanceStats> {
-    if vals.is_empty() {
-        return Ok(MaintenanceStats::default());
-    }
-    let n = raw.len() as i64;
-    let m = vals.len() as i64;
-    let (l, h) = (seq.l(), seq.h());
-    let first = seq.first_pos();
-    let new_n = n + m;
-    let new_last = new_n + l;
-    if new_last - first + 1 > crate::sequence::MAX_MATERIALIZED_EXTENT {
-        return Err(RfvError::derivation(format!(
-            "bulk append of {m} rows would grow the ({l},{h}) sequence to \
-             {} stored positions (max {})",
-            new_last - first + 1,
-            crate::sequence::MAX_MATERIALIZED_EXTENT
-        )));
-    }
-    raw.extend_from_slice(vals);
-
-    // Positions below n+1−h never see an appended value; everything from
-    // there to the new trailer is recomputed in one pipelined pass, the
-    // same sliding recurrence `materialize` uses.
-    let lo = (n + 1 - h).max(first);
-    let mut values = Vec::with_capacity((new_last - first + 1) as usize);
-    for i in first..lo {
-        values.push(seq.get(i));
-    }
-    let mut wsum = window_sum(raw, lo - l, lo + h);
-    let mut recomputed = 0usize;
-    for i in lo..=new_last {
-        values.push(wsum);
-        wsum += raw_at(raw, i + 1 + h) - raw_at(raw, i - l);
-        recomputed += 1;
-    }
-    seq.replace(new_n, values);
-    Ok(MaintenanceStats {
-        recomputed,
-        shifted: 0,
-        coalesced: (m - 1) as usize,
-    })
-}
-
-/// Batched §2.3 **update rule**: point updates against existing positions.
-/// Duplicate positions dedup last-wins, the affected `[k−h, k+l]`
-/// neighbourhoods are merged where they overlap, and each merged interval
-/// is recomputed in one pipelined pass.
-pub fn update_bulk(
-    seq: &mut CompleteSequence,
-    raw: &mut [f64],
-    updates: &[(i64, f64)],
-) -> Result<MaintenanceStats> {
-    if updates.is_empty() {
-        return Ok(MaintenanceStats::default());
-    }
-    let n = raw.len() as i64;
-    let mut last_wins: std::collections::BTreeMap<i64, f64> = std::collections::BTreeMap::new();
-    for &(k, val) in updates {
-        if !(1..=n).contains(&k) {
-            return Err(RfvError::execution(format!(
-                "update position {k} out of range 1..={n}"
-            )));
-        }
-        last_wins.insert(k, val);
-    }
-    for (&k, &val) in &last_wins {
-        raw[(k - 1) as usize] = val;
-    }
-
-    let (l, h) = (seq.l(), seq.h());
-    let (first, last) = (seq.first_pos(), seq.last_pos());
-    // Merge the per-update neighbourhoods [k−h, k+l] (sorted by k, so a
-    // single forward sweep suffices) into disjoint recompute intervals.
-    let mut intervals: Vec<(i64, i64)> = Vec::new();
-    for &k in last_wins.keys() {
-        let (lo, hi) = ((k - h).max(first), (k + l).min(last));
-        match intervals.last_mut() {
-            Some((_, prev_hi)) if lo <= *prev_hi + 1 => *prev_hi = (*prev_hi).max(hi),
-            _ => intervals.push((lo, hi)),
-        }
-    }
-
-    let mut recomputed = 0usize;
-    for &(lo, hi) in &intervals {
-        let mut wsum = window_sum(raw, lo - l, lo + h);
-        for i in lo..=hi {
-            let idx = (i - first) as usize;
-            seq.values_mut()[idx] = wsum;
-            wsum += raw_at(raw, i + 1 + h) - raw_at(raw, i - l);
-            recomputed += 1;
-        }
-    }
-    Ok(MaintenanceStats {
-        recomputed,
-        shifted: 0,
-        coalesced: updates.len() - intervals.len(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rfv_testkit::{check, gen, SeqOp};
+
+    /// An append run of `vals`, as the batch it is.
+    fn append_bulk(
+        seq: &mut CompleteSequence,
+        raw: &mut Vec<f64>,
+        vals: &[f64],
+    ) -> Result<MaintenanceStats> {
+        let tail = raw.len() as i64 + 1..;
+        let batch: MaintBatch = (tail.zip(vals))
+            .map(|(k, &val)| BatchOp::Insert { k, val })
+            .collect();
+        batch.apply(seq, raw)
+    }
+
+    /// An update set of `(position, value)` pairs, as the batch it is.
+    fn update_bulk(
+        seq: &mut CompleteSequence,
+        raw: &mut Vec<f64>,
+        updates: &[(i64, f64)],
+    ) -> Result<MaintenanceStats> {
+        let batch: MaintBatch = (updates.iter())
+            .map(|&(k, val)| BatchOp::Update { k, val })
+            .collect();
+        batch.apply(seq, raw)
+    }
 
     fn assert_consistent(seq: &CompleteSequence, raw: &[f64]) {
         let fresh = CompleteSequence::materialize(raw, seq.l(), seq.h()).unwrap();

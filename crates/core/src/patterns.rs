@@ -27,6 +27,8 @@
 //! trailer rows, paper Fig. 7). Output schema is `(pos BIGINT, val DOUBLE)`
 //! ordered by `pos`.
 
+use std::ops::Bound;
+
 use rfv_exec::{JoinType, PhysicalPlan, SortKey};
 use rfv_expr::Expr;
 use rfv_storage::Catalog;
@@ -178,8 +180,8 @@ pub fn self_join_window(
             right_table: t,
             right_schema,
             right_column: 0,
-            lo_expr: Expr::col(S1_POS).sub(Expr::lit(l)),
-            hi_expr: Expr::col(S1_POS).add(Expr::lit(h)),
+            lo_expr: Bound::Included(Expr::col(S1_POS).sub(Expr::lit(l))),
+            hi_expr: Bound::Included(Expr::col(S1_POS).add(Expr::lit(h))),
             residual: None,
             join_type: JoinType::Inner,
         }

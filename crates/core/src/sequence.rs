@@ -326,17 +326,56 @@ mod tests {
     }
 }
 
-// Crate-internal mutable access for the incremental maintenance rules
-// (`crate::maintenance`). Not part of the public API.
-impl CompleteSequence {
-    pub(crate) fn values_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.values
-    }
+/// The stored form every materialized simple sequence has, whatever its
+/// class: one value per position over a contiguous extent — what a
+/// `(pos, val)` mirror table of the sequence shows.
+pub(crate) trait StoredSequence {
+    /// First and last stored position, header and trailer included.
+    fn extent(&self) -> (i64, i64);
+    /// The value stored at `pos`, a position of the extent; `None` where
+    /// there is none to show (the empty window of a MIN/MAX sequence).
+    fn stored(&self, pos: i64) -> Option<f64>;
+}
 
-    pub(crate) fn replace(&mut self, n: i64, values: Vec<f64>) {
-        debug_assert_eq!(values.len() as i64, (n + self.l) - (1 - self.h) + 1);
-        self.n = n;
-        self.values = values;
+impl StoredSequence for CompleteSequence {
+    fn extent(&self) -> (i64, i64) {
+        (self.first_pos(), self.last_pos())
+    }
+    fn stored(&self, pos: i64) -> Option<f64> {
+        Some(self.get(pos))
+    }
+}
+
+impl StoredSequence for CumulativeSequence {
+    fn extent(&self) -> (i64, i64) {
+        (1, self.n())
+    }
+    fn stored(&self, pos: i64) -> Option<f64> {
+        Some(self.get(pos))
+    }
+}
+
+impl StoredSequence for CompleteMinMaxSequence {
+    fn extent(&self) -> (i64, i64) {
+        (1 - self.h, self.n + self.l)
+    }
+    fn stored(&self, pos: i64) -> Option<f64> {
+        self.get(pos)
+    }
+}
+
+// Crate-internal mutable access for the incremental maintenance rules
+// (`crate::maintenance`), which patch a sequence in place. Not part of the
+// public API: the caller keeps `values.len() == n + l + h`.
+impl CompleteSequence {
+    pub(crate) fn parts_mut(&mut self) -> (&mut i64, &mut Vec<f64>) {
+        (&mut self.n, &mut self.values)
+    }
+}
+
+impl CompleteMinMaxSequence {
+    pub(crate) fn parts_mut(&mut self) -> (&mut i64, &mut Vec<Option<f64>>) {
+        (&mut self.n, &mut self.values)
     }
 }
 
@@ -366,14 +405,15 @@ impl CumulativeSequence {
         CumulativeSequence { values }
     }
 
-    /// Extend the running sums with `vals` appended at positions
-    /// `n+1 ..= n+m` — the cumulative half of the batched maintenance
-    /// path. `O(m)` regardless of `n`, versus `O(n + m)` for a full
-    /// rematerialization.
-    pub fn append_bulk(&mut self, vals: &[f64]) {
+    /// Restart the running sum at position `a` (`1 ≤ a ≤ n + 1`): `c̃_a …`
+    /// are dropped and recomputed from `c̃_{a−1}` over `tail`, the raw values
+    /// from `a` on — the arithmetic of [`materialize`](Self::materialize)
+    /// resumed mid-way. An append is the case `a = n + 1`, `O(m)` regardless
+    /// of `n`; a change at `a` costs the `O(n − a)` suffix.
+    pub fn restart_at(&mut self, a: i64, tail: impl IntoIterator<Item = f64>) {
+        self.values.truncate((a - 1).max(0) as usize);
         let mut sum = self.values.last().copied().unwrap_or(0.0);
-        self.values.reserve(vals.len());
-        for &v in vals {
+        for v in tail {
             sum += v;
             self.values.push(sum);
         }

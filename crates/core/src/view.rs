@@ -5,12 +5,23 @@
 //! it windows over, the window spec, the aggregate, the optional partition
 //! column (§6), and the *complete* sequence data itself (header/trailer
 //! included, §3.2). The registry keeps the in-memory sequences as the
-//! authoritative copy and mirrors them into a catalog table —
-//! `name(pos, val)` for simple views, `name(part, pos, val)` for
-//! partitioned reporting functions — so the relational operator patterns
-//! (Figs. 10/13) can run against them.
+//! authoritative copy — queries answered from a view derive from them —
+//! and mirrors them into a catalog table, `name(pos, val)` for simple views
+//! and `name(part, pos, val)` for partitioned reporting functions, so a
+//! view's body can be read with plain SQL.
+//!
+//! A view changes in one of two ways. [`ViewRegistry::refresh`] swaps a
+//! rematerialized body in and refills the mirror. [`ViewRegistry::patch`]
+//! is §2.3 maintenance: the sequence is edited in place and only the mirror
+//! rows at the stored positions the edit changed are written, through the
+//! mirror's unique position index — a row's `pos` never changes, so a
+//! mid-sequence insert or delete rewrites `val` from the edit to the end and
+//! adds or drops rows at the tail. SQL may tamper with a mirror, so the sync
+//! **heals** instead of failing: a mirror that does not hold exactly the
+//! rows the view expects is refilled from the patched sequence.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,9 +29,11 @@ use rfv_expr::AggFunc;
 use rfv_obs::Counter;
 use rfv_storage::{Catalog, IndexKind, Table};
 use rfv_types::sync::RwLock;
-use rfv_types::{row, DataType, Field, Result, RfvError, Row, Schema, Value};
+use rfv_types::{DataType, Field, Result, RfvError, Row, Schema, Value};
 
-use crate::sequence::{CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, WindowSpec};
+use crate::sequence::{
+    CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, StoredSequence, WindowSpec,
+};
 
 /// The sequence payload of a view, by aggregate class and partitioning.
 #[derive(Debug, Clone)]
@@ -35,6 +48,26 @@ pub enum ViewData {
     /// partition-key tuple, each with its own header/trailer. Keys are
     /// multi-column (the paper's partitioning *scheme*).
     PartitionedSum(BTreeMap<Vec<Value>, CompleteSequence>),
+}
+
+type Partitions = BTreeMap<Vec<Value>, CompleteSequence>;
+
+impl ViewData {
+    /// The one sequence of a simple view, or the partitions of a §6 view.
+    fn simple(&self) -> std::result::Result<&dyn StoredSequence, &Partitions> {
+        match self {
+            ViewData::Sum(s) => Ok(s),
+            ViewData::CumulativeSum(s) => Ok(s),
+            ViewData::MinMax(s) => Ok(s),
+            ViewData::PartitionedSum(parts) => Err(parts),
+        }
+    }
+}
+
+/// The mirror's `val` cell at stored position `pos` (NULL where a MIN/MAX
+/// window is empty).
+fn mirror_cell(seq: &dyn StoredSequence, pos: i64) -> Value {
+    seq.stored(pos).map_or(Value::Null, Value::Float)
 }
 
 /// Metadata + data of one materialized reporting-function view.
@@ -87,26 +120,8 @@ impl SequenceView {
     }
 
     fn fill_mirror(&self, guard: &mut Table) -> Result<()> {
-        match &self.data {
-            ViewData::Sum(seq) => {
-                for (pos, val) in seq.entries() {
-                    guard.insert(row![pos, val])?;
-                }
-            }
-            ViewData::CumulativeSum(seq) => {
-                for pos in 1..=seq.n() {
-                    guard.insert(row![pos, seq.get(pos)])?;
-                }
-            }
-            ViewData::MinMax(seq) => {
-                for pos in (1 - seq.h())..=(seq.n() + seq.l()) {
-                    match seq.get(pos) {
-                        Some(v) => guard.insert(row![pos, v])?,
-                        None => guard.insert(Row::new(vec![Value::Int(pos), Value::Null]))?,
-                    };
-                }
-            }
-            ViewData::PartitionedSum(parts) => {
+        match self.data.simple() {
+            Err(parts) => {
                 for (key, seq) in parts {
                     for (pos, val) in seq.entries() {
                         let mut values = key.clone();
@@ -116,15 +131,57 @@ impl SequenceView {
                     }
                 }
             }
+            Ok(seq) => {
+                let (first, last) = seq.extent();
+                for pos in first..=last {
+                    guard.insert(Row::new(vec![Value::Int(pos), mirror_cell(seq, pos)]))?;
+                }
+            }
         }
         Ok(())
     }
 }
 
+/// Write the stored positions in `intervals` of `seq` into its mirror: set
+/// `val` in place where the row exists (up to `old_last`, the mirror's last
+/// position before the patch), insert past the old end, delete past the
+/// new end — one index probe per interval. Returns the rows written, or
+/// `None` when the mirror does not hold exactly the rows the view expects.
+fn sync_mirror(
+    guard: &mut Table,
+    seq: &dyn StoredSequence,
+    old_last: i64,
+    intervals: &[(i64, i64)],
+) -> Option<u64> {
+    // The rows of positions `lo..=hi`, in order, if they are all there.
+    let rows = |guard: &Table, lo: i64, hi: i64| -> Option<Vec<usize>> {
+        let (from, to) = (Value::Int(lo), Value::Int(hi));
+        let rids = guard.index_range(0, Bound::Included(&from), Bound::Included(&to));
+        rids.ok().filter(|r| r.len() as i64 == (hi - lo + 1).max(0))
+    };
+    let (_, last) = seq.extent();
+    let mut written = (old_last - last).max(0) as u64;
+    for &(lo, hi) in intervals {
+        for (rid, pos) in rows(guard, lo, hi.min(old_last))?.into_iter().zip(lo..) {
+            guard.set_cell(rid, 1, mirror_cell(seq, pos)).ok()?;
+        }
+        for pos in lo.max(old_last + 1)..=hi {
+            let row = Row::new(vec![Value::Int(pos), mirror_cell(seq, pos)]);
+            guard.insert(row).ok()?;
+        }
+        written += (hi - lo + 1) as u64;
+    }
+    for rid in rows(guard, last + 1, old_last)? {
+        guard.delete(rid).ok()?;
+    }
+    Some(written)
+}
+
 /// Thread-safe registry of sequence views, shared by the engine, the
 /// rewriter and the sequence sources of rewritten plans. Views are held
-/// behind `Arc`s: a lookup clones pointers, never sequence data, and
-/// [`refresh`](Self::refresh) swaps a new one in.
+/// behind `Arc`s: a lookup clones pointers, never sequence data;
+/// [`refresh`](Self::refresh) swaps a new one in and [`patch`](Self::patch)
+/// edits in place, copying only while a reader still holds the old `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct ViewRegistry {
     views: Arc<RwLock<Vec<Arc<SequenceView>>>>,
@@ -138,6 +195,9 @@ pub struct ViewRegistry {
     /// was handed and the native window kernel answered instead
     /// (`rewrite.derive_native_fallback`).
     native_fallbacks: Counter,
+    /// Per base table (lower-cased): its `generation()` when it last held
+    /// exactly the dense sequence its simple views are computed from.
+    dense_at: Arc<RwLock<HashMap<String, u64>>>,
 }
 
 impl ViewRegistry {
@@ -155,15 +215,30 @@ impl ViewRegistry {
         &self.native_fallbacks
     }
 
-    /// Register a view, creating and filling its mirror table in `catalog`
-    /// (with a unique position index for simple views).
-    pub fn register(&self, catalog: &Catalog, view: SequenceView) -> Result<()> {
-        if self
-            .views
-            .read()
-            .iter()
-            .any(|v| v.name.eq_ignore_ascii_case(&view.name))
-        {
+    /// Record O(1) evidence that `base_table` is a dense non-null sequence
+    /// in step with its simple views: it was at `generation` when a
+    /// materialization read it whole, or when a maintained write left it.
+    pub fn record_dense(&self, base_table: &str, generation: u64) {
+        let key = base_table.to_ascii_lowercase();
+        self.dense_at.write().insert(key, generation);
+    }
+
+    /// Whether `base_table`, now at `generation` with `rows` rows, is still
+    /// as last [recorded](Self::record_dense): nobody but the maintained
+    /// write path touched it since, so it is still dense and its simple
+    /// views (all of length `rows`) are current.
+    pub fn is_dense(&self, base_table: &str, generation: u64, rows: usize) -> bool {
+        let key = base_table.to_ascii_lowercase();
+        let views = self.views.read();
+        let mut simple = (views.iter())
+            .filter(|v| v.base_table.eq_ignore_ascii_case(base_table) && !v.is_partitioned());
+        self.dense_at.read().get(&key) == Some(&generation) && simple.all(|v| v.n() == rows as i64)
+    }
+
+    /// Whether `view` may join the registry: a new name, and partition
+    /// metadata that matches its data.
+    fn admits(&self, view: &SequenceView) -> Result<()> {
+        if self.get(&view.name).is_some() {
             return Err(RfvError::catalog(format!(
                 "sequence view `{}` already registered",
                 view.name
@@ -176,6 +251,13 @@ impl ViewRegistry {
                 "partitioned view data requires matching partition columns/types",
             ));
         }
+        Ok(())
+    }
+
+    /// Register a view, creating and filling its mirror table in `catalog`
+    /// (with a unique position index for simple views).
+    pub fn register(&self, catalog: &Catalog, view: SequenceView) -> Result<()> {
+        self.admits(&view)?;
         let table = catalog.create_table(&view.name, view.mirror_schema())?;
         {
             let mut guard = table.write();
@@ -184,9 +266,7 @@ impl ViewRegistry {
                 guard.create_index(0, IndexKind::Unique)?;
             }
         }
-        self.views.write().push(Arc::new(view));
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        Ok(())
+        self.restore(view)
     }
 
     /// Re-attach a view whose mirror table already exists in the catalog —
@@ -195,24 +275,7 @@ impl ViewRegistry {
     /// missing. Performs the same consistency checks as [`register`]
     /// (`Self::register`) but never touches the catalog.
     pub fn restore(&self, view: SequenceView) -> Result<()> {
-        if self
-            .views
-            .read()
-            .iter()
-            .any(|v| v.name.eq_ignore_ascii_case(&view.name))
-        {
-            return Err(RfvError::catalog(format!(
-                "sequence view `{}` already registered",
-                view.name
-            )));
-        }
-        if view.is_partitioned() == view.partition_columns.is_empty()
-            || view.partition_columns.len() != view.partition_types.len()
-        {
-            return Err(RfvError::internal(
-                "partitioned view data requires matching partition columns/types",
-            ));
-        }
+        self.admits(&view)?;
         self.views.write().push(Arc::new(view));
         self.generation.fetch_add(1, Ordering::AcqRel);
         Ok(())
@@ -256,25 +319,50 @@ impl ViewRegistry {
         catalog.drop_table(name)
     }
 
-    /// Replace the data of view `name` (after incremental maintenance) and
-    /// rewrite the mirror table.
+    /// §2.3 maintenance of simple view `name`: `edit` changes the sequence
+    /// in place and returns the stored-position intervals it changed, which
+    /// are then written through to the mirror. Returns the mirror rows
+    /// written and whether the mirror had to be healed (see the module
+    /// docs) — or `None`, with nothing changed, when there is no such simple
+    /// view (dropped since the caller looked) or its mirror is gone.
+    pub fn patch(
+        &self,
+        catalog: &Catalog,
+        name: &str,
+        edit: impl FnOnce(&mut ViewData) -> Vec<(i64, i64)>,
+    ) -> Option<(u64, bool)> {
+        let mut views = self.views.write();
+        let slot = views
+            .iter_mut()
+            .find(|v| v.name.eq_ignore_ascii_case(name))?;
+        let (_, old_last) = slot.data.simple().ok()?.extent();
+        let table = catalog.table(name).ok()?;
+        let view = Arc::make_mut(slot);
+        let intervals = edit(&mut view.data);
+        // As in `refresh`: bumped before the views write lock is released.
+        self.generation.fetch_add(1, Ordering::AcqRel);
+        let mut guard = table.write();
+        let synced = sync_mirror(&mut guard, view.data.simple().ok()?, old_last, &intervals);
+        Some(match synced {
+            Some(written) => (written, false),
+            None => {
+                guard.truncate();
+                // Cannot fail on an empty table of the mirror's own schema.
+                let _ = view.fill_mirror(&mut guard);
+                (guard.stats().row_count as u64, true)
+            }
+        })
+    }
+
+    /// Replace the data of view `name` with a rematerialized body and
+    /// refill the mirror table.
     pub fn refresh(&self, catalog: &Catalog, name: &str, data: ViewData) -> Result<()> {
         let mut views = self.views.write();
         let view = views
             .iter_mut()
             .find(|v| v.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| RfvError::catalog(format!("sequence view `{name}` not found")))?;
-        *view = Arc::new(SequenceView {
-            name: view.name.clone(),
-            base_table: view.base_table.clone(),
-            pos_column: view.pos_column.clone(),
-            val_column: view.val_column.clone(),
-            partition_columns: view.partition_columns.clone(),
-            partition_types: view.partition_types.clone(),
-            func: view.func,
-            window: view.window,
-            data,
-        });
+        Arc::make_mut(view).data = data;
         // Bump before releasing the views write lock: a plan cached
         // against the old data must be unreachable the moment the new
         // data is visible.

@@ -32,12 +32,13 @@ pub fn project(rows: Vec<Row>, exprs: &[Expr], gov: &Gov) -> Result<Vec<Row>> {
         if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
             gov.charge(&mut pending)?;
         }
-        let projected = Row::new(
-            exprs
-                .iter()
-                .map(|e| e.eval(row))
-                .collect::<Result<Vec<Value>>>()?,
-        );
+        // Collecting through `Result` loses the length and over-allocates;
+        // a projected row may live on in the result cache, so size it exactly.
+        let mut values: Vec<Value> = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            values.push(e.eval(row)?);
+        }
+        let projected = Row::new(values);
         pending += row_bytes(&projected);
         out.push(projected);
     }
@@ -228,6 +229,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, vec![row![3i64, 5i64]]);
+    }
+
+    /// A projected row may sit in the result cache for a long time: it
+    /// holds exactly the values it has, whatever the column count.
+    #[test]
+    fn projected_rows_allocate_what_they_hold() {
+        for width in 1..=5 {
+            let exprs: Vec<Expr> = (0..width).map(|_| Expr::col(0)).collect();
+            let out = project(vec![row![7i64], row![8i64]], &exprs, &Gov::none()).unwrap();
+            for r in out {
+                let values = r.into_values();
+                assert_eq!(values.len(), width);
+                assert_eq!(values.capacity(), values.len(), "{width} columns");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Join operators: nested loop, index nested loop, hash.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 
 use rfv_expr::Expr;
 use rfv_storage::TableRef;
@@ -61,18 +62,18 @@ pub fn nested_loop_join(
 
 /// Index nested loop join against a stored table.
 ///
-/// For each left row, `lo_expr`/`hi_expr` are evaluated over the left row to
-/// produce an inclusive key range; the right table's index on `right_column`
-/// feeds matching rows in key order, and `residual` (over `left ++ right`)
-/// filters them. A NULL bound means the range is unknown → no matches
-/// (SQL comparison semantics).
+/// For each left row, the `lo`/`hi` bound expressions are evaluated over the
+/// left row to produce a key range (each end inclusive, exclusive or open);
+/// the right table's index on `right_column` feeds matching rows in key
+/// order, and `residual` (over `left ++ right`) filters them. A NULL bound
+/// means the range is unknown → no matches (SQL comparison semantics).
 #[allow(clippy::too_many_arguments)]
 pub fn index_nested_loop_join(
     left: Vec<Row>,
     right_table: &TableRef,
     right_column: usize,
-    lo_expr: &Expr,
-    hi_expr: &Expr,
+    lo: &Bound<Expr>,
+    hi: &Bound<Expr>,
     residual: Option<&Expr>,
     join_type: JoinType,
     right_width: usize,
@@ -85,26 +86,30 @@ pub fn index_nested_loop_join(
     for l in &left {
         gov.checkpoint(probes)?;
         probes = probes.wrapping_add(1);
-        let lo = lo_expr.eval(l)?;
-        let hi = hi_expr.eval(l)?;
+        let eval = |end: &Bound<Expr>| -> Result<Bound<Value>> {
+            Ok(match end {
+                Bound::Included(e) => Bound::Included(e.eval(l)?),
+                Bound::Excluded(e) => Bound::Excluded(e.eval(l)?),
+                Bound::Unbounded => Bound::Unbounded,
+            })
+        };
+        let (lo, hi) = (eval(lo)?, eval(hi)?);
         let mut matched = false;
-        if !lo.is_null() && !hi.is_null() {
-            for rid in guard.index_range(right_column, Some(&lo), Some(&hi))? {
-                gov.checkpoint(probes)?;
-                probes = probes.wrapping_add(1);
-                let r = guard.get(rid).ok_or_else(|| {
-                    RfvError::internal(format!("join index returned stale row id {rid}"))
-                })?;
-                let combined = l.concat(r);
-                let keep = match residual {
-                    None => true,
-                    Some(p) => p.eval(&combined)?.as_bool()? == Some(true),
-                };
-                if keep {
-                    matched = true;
-                    pending += row_bytes(&combined);
-                    out.push(combined);
-                }
+        for rid in guard.index_range(right_column, lo.as_ref(), hi.as_ref())? {
+            gov.checkpoint(probes)?;
+            probes = probes.wrapping_add(1);
+            let r = guard.get(rid).ok_or_else(|| {
+                RfvError::internal(format!("join index returned stale row id {rid}"))
+            })?;
+            let combined = l.concat(r);
+            let keep = match residual {
+                None => true,
+                Some(p) => p.eval(&combined)?.as_bool()? == Some(true),
+            };
+            if keep {
+                matched = true;
+                pending += row_bytes(&combined);
+                out.push(combined);
             }
         }
         gov.charge(&mut pending)?;
@@ -330,8 +335,8 @@ mod tests {
             left,
             &t,
             0,
-            &Expr::col(0).sub(Expr::lit(1i64)),
-            &Expr::col(0).add(Expr::lit(1i64)),
+            &Bound::Included(Expr::col(0).sub(Expr::lit(1i64))),
+            &Bound::Included(Expr::col(0).add(Expr::lit(1i64))),
             None,
             JoinType::Inner,
             2,
@@ -361,8 +366,8 @@ mod tests {
             left,
             &t,
             0,
-            &Expr::col(0),
-            &Expr::col(0),
+            &Bound::Included(Expr::col(0)),
+            &Bound::Included(Expr::col(0)),
             None,
             JoinType::LeftOuter,
             1,

@@ -1,6 +1,7 @@
 //! The physical plan algebra.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use rfv_expr::{AggFunc, Expr};
@@ -44,14 +45,15 @@ impl SortKey {
 pub enum PhysicalPlan {
     /// Full scan over a stored table.
     TableScan { table: TableRef, schema: SchemaRef },
-    /// Ordered range scan via an index: `lo <= col <= hi` (inclusive,
-    /// `None` = unbounded). Output is in index-key order.
+    /// Ordered range scan via an index: `col` between `lo` and `hi`, each
+    /// end inclusive, exclusive or open. Output is in index-key order;
+    /// NULL keys are never returned.
     IndexRangeScan {
         table: TableRef,
         schema: SchemaRef,
         column: usize,
-        lo: Option<Value>,
-        hi: Option<Value>,
+        lo: Bound<Value>,
+        hi: Bound<Value>,
     },
     /// Literal rows (VALUES lists, tests, constant inputs).
     Values { schema: SchemaRef, rows: Vec<Row> },
@@ -76,16 +78,17 @@ pub enum PhysicalPlan {
         join_type: JoinType,
     },
     /// For each left row, probe the index of the stored right table with a
-    /// computed key range (`lo_expr ..= hi_expr`, evaluated over the left
-    /// row), then apply the residual predicate over `left ++ right`.
+    /// computed key range (`lo_expr .. hi_expr`, evaluated over the left
+    /// row, each end inclusive or exclusive as stated), then apply the
+    /// residual predicate over `left ++ right`.
     /// This is the "self join method with primary key index" shape.
     IndexNestedLoopJoin {
         left: Box<PhysicalPlan>,
         right_table: TableRef,
         right_schema: SchemaRef,
         right_column: usize,
-        lo_expr: Expr,
-        hi_expr: Expr,
+        lo_expr: Bound<Expr>,
+        hi_expr: Bound<Expr>,
         residual: Option<Expr>,
         join_type: JoinType,
     },
@@ -131,6 +134,22 @@ pub enum PhysicalPlan {
         schema: SchemaRef,
         sources: SequenceSources,
     },
+}
+
+/// Interval notation for a pair of range ends: `[2 .. 3]`, `(1.5 .. 3.5)`,
+/// `(-inf .. 7]`.
+fn interval<T: Display>(lo: &Bound<T>, hi: &Bound<T>) -> String {
+    let (open, lo) = match lo {
+        Bound::Included(v) => ('[', v.to_string()),
+        Bound::Excluded(v) => ('(', v.to_string()),
+        Bound::Unbounded => ('(', "-inf".to_string()),
+    };
+    let (hi, close) = match hi {
+        Bound::Included(v) => (v.to_string(), ']'),
+        Bound::Excluded(v) => (v.to_string(), ')'),
+        Bound::Unbounded => ("+inf".to_string(), ')'),
+    };
+    format!("{open}{lo} .. {hi}{close}")
 }
 
 impl PhysicalPlan {
@@ -443,10 +462,9 @@ impl PhysicalPlan {
                 ..
             } => {
                 format!(
-                    "IndexRangeScan: {} col#{column} [{} .. {}]",
+                    "IndexRangeScan: {} col#{column} {}",
                     table.read().name(),
-                    lo.as_ref().map_or("-inf".into(), |v| v.to_string()),
-                    hi.as_ref().map_or("+inf".into(), |v| v.to_string()),
+                    interval(lo, hi)
                 )
             }
             PhysicalPlan::Values { rows, .. } => format!("Values: {} rows", rows.len()),
@@ -474,8 +492,9 @@ impl PhysicalPlan {
                 ..
             } => {
                 format!(
-                    "IndexNestedLoopJoin({join_type:?}): {} key in [{lo_expr} .. {hi_expr}]{}",
+                    "IndexNestedLoopJoin({join_type:?}): {} key in {}{}",
                     right_table.read().name(),
+                    interval(lo_expr, hi_expr),
                     residual
                         .as_ref()
                         .map_or(String::new(), |e| format!(" residual {e}")),

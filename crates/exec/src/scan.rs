@@ -1,5 +1,7 @@
 //! Scan operators.
 
+use std::ops::Bound;
+
 use rfv_storage::TableRef;
 use rfv_types::{Gov, Result, RfvError, Row, Value};
 
@@ -62,8 +64,8 @@ pub fn table_scan_par(table: &TableRef, par: &mut ParStats, gov: &Gov) -> Result
 pub fn index_range_scan(
     table: &TableRef,
     column: usize,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
+    lo: Bound<&Value>,
+    hi: Bound<&Value>,
     gov: &Gov,
 ) -> Result<Vec<Row>> {
     let guard = table.read();
@@ -123,20 +125,31 @@ mod tests {
         let rows = index_range_scan(
             &t,
             0,
-            Some(&Value::Int(1)),
-            Some(&Value::Int(2)),
+            Bound::Included(&Value::Int(1)),
+            Bound::Excluded(&Value::Int(3)),
             &Gov::none(),
         )
         .unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get(0), &Value::Int(1));
         assert_eq!(rows[1].get(0), &Value::Int(2));
+        // One-sided and unbounded scans come out in key order too.
+        let tail = index_range_scan(
+            &t,
+            0,
+            Bound::Excluded(&Value::Int(1)),
+            Bound::Unbounded,
+            &Gov::none(),
+        )
+        .unwrap();
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail[0].get(0), &Value::Int(2));
     }
 
     #[test]
     fn index_range_scan_without_index_errors() {
         let t = setup();
-        assert!(index_range_scan(&t, 1, None, None, &Gov::none()).is_err());
+        assert!(index_range_scan(&t, 1, Bound::Unbounded, Bound::Unbounded, &Gov::none()).is_err());
     }
 
     #[test]

@@ -7,16 +7,23 @@
 //!
 //! 1. If the right side is a bare table scan and the join condition bounds
 //!    an indexed right column by expressions over the left row
-//!    (equality, both-sided range, or BETWEEN), plan an
+//!    (equality, both-sided range — strict or not — or BETWEEN), plan an
 //!    [`PhysicalPlan::IndexNestedLoopJoin`].
 //! 2. Else if the condition contains left = right equi-conjuncts, plan a
 //!    [`PhysicalPlan::HashJoin`].
 //! 3. Else fall back to [`PhysicalPlan::NestedLoopJoin`].
+//!
+//! The same index serves reads: constant bounds on an indexed column
+//! become an [`PhysicalPlan::IndexRangeScan`] (one- or two-sided, strict
+//! or inclusive), and `ORDER BY` that column needs no sort when the index
+//! already delivers its order.
 
-use rfv_exec::{JoinType, PhysicalPlan};
+use std::ops::Bound;
+
+use rfv_exec::{JoinType, PhysicalPlan, SortKey};
 use rfv_expr::{BinaryOp, Expr};
-use rfv_storage::Catalog;
-use rfv_types::Result;
+use rfv_storage::{Catalog, IndexKind, TableRef};
+use rfv_types::{DataType, Result, SchemaRef, Value};
 
 use crate::logical::{LogicalJoinType, LogicalPlan};
 use crate::optimizer::{conjoin, split_conjuncts};
@@ -53,8 +60,7 @@ impl<'a> PhysicalPlanner<'a> {
                 // into an ordered index range scan.
                 if let LogicalPlan::Scan { table, schema } = input.as_ref() {
                     let table_ref = self.catalog.table(table)?;
-                    let indexed = table_ref.read().indexed_columns();
-                    if let Some(scan) = try_index_scan(predicate, &indexed, table_ref, schema) {
+                    if let Some(scan) = try_index_scan(predicate, table_ref, schema) {
                         return Ok(scan);
                     }
                 }
@@ -105,10 +111,24 @@ impl<'a> PhysicalPlanner<'a> {
                 schema: schema.clone(),
                 sources: Vec::new(),
             }),
-            LogicalPlan::Sort { input, keys } => Ok(PhysicalPlan::Sort {
-                input: Box::new(self.plan(input)?),
-                keys: keys.clone(),
-            }),
+            LogicalPlan::Sort { input, keys } => {
+                let mut input = self.plan(input)?;
+                if let [SortKey {
+                    expr: Expr::Column(c),
+                    desc: false,
+                }] = keys.as_slice()
+                {
+                    let ordered;
+                    (input, ordered) = in_index_order(input, *c);
+                    if ordered {
+                        return Ok(input);
+                    }
+                }
+                Ok(PhysicalPlan::Sort {
+                    input: Box::new(input),
+                    keys: keys.clone(),
+                })
+            }
             LogicalPlan::UnionAll { inputs } => Ok(PhysicalPlan::UnionAll {
                 inputs: inputs
                     .iter()
@@ -141,7 +161,7 @@ impl<'a> PhysicalPlanner<'a> {
             if let LogicalPlan::Scan { table, schema } = right {
                 let table_ref = self.catalog.table(table)?;
                 let indexed = table_ref.read().indexed_columns();
-                if let Some(inlj) = try_index_join(on, left_width, &indexed, schema.len()) {
+                if let Some(inlj) = try_index_join(on, left_width, &indexed) {
                     return Ok(PhysicalPlan::IndexNestedLoopJoin {
                         left: Box::new(left_plan),
                         right_table: table_ref,
@@ -209,68 +229,144 @@ impl<'a> PhysicalPlanner<'a> {
     }
 }
 
+/// The two ends of a range over one column, as a conjunct states them.
+type Ends<T> = (Bound<T>, Bound<T>);
+
+/// Take the ends one conjunct `stated` into `probe` where the probe has
+/// none yet (the first bound of each kind wins). Returns whether *every*
+/// stated end was taken: only then does the probe imply the conjunct, and
+/// only then may the conjunct leave the residual.
+fn absorb<T>(probe: &mut Ends<T>, stated: Ends<T>) -> bool {
+    let mut all = true;
+    for (slot, end) in [(&mut probe.0, stated.0), (&mut probe.1, stated.1)] {
+        match (&*slot, end) {
+            (_, Bound::Unbounded) => {}
+            (Bound::Unbounded, end) => *slot = end,
+            _ => all = false,
+        }
+    }
+    all
+}
+
+/// `end` as a constant the index on a `key_type` column can be probed
+/// with: `Unbounded` stays, a literal (after folding) of a type the column
+/// compares with becomes a value bound, anything else is `None`. NULL
+/// compares (as unknown) with every type: the scan then matches nothing.
+fn constant_end(end: Bound<Expr>, key_type: DataType) -> Option<Bound<Value>> {
+    let constant = |e: Expr| match rfv_expr::fold_constants(&e) {
+        Expr::Literal(v) => {
+            let numeric = |t| matches!(t, DataType::Int | DataType::Float);
+            let comparable = match v.data_type() {
+                None => true,
+                Some(t) => t == key_type || (numeric(t) && numeric(key_type)),
+            };
+            comparable.then_some(v)
+        }
+        _ => None,
+    };
+    Some(match end {
+        Bound::Included(e) => Bound::Included(constant(e)?),
+        Bound::Excluded(e) => Bound::Excluded(constant(e)?),
+        Bound::Unbounded => Bound::Unbounded,
+    })
+}
+
 /// If `predicate` bounds an indexed column with *constant* values
 /// (literals after constant folding), plan an [`PhysicalPlan::IndexRangeScan`]
-/// with the remaining conjuncts as a residual filter. Both bounds are
-/// required (the storage API takes an inclusive range; one-sided ranges
-/// stay a filter — acceptable for this engine's workloads).
-fn try_index_scan(
-    predicate: &Expr,
-    indexed: &[usize],
-    table: rfv_storage::TableRef,
-    schema: &rfv_types::SchemaRef,
-) -> Option<PhysicalPlan> {
-    use rfv_types::Value;
-
+/// with the remaining conjuncts as a residual filter. One bounded end is
+/// enough; a column bounded on both sides beats one bounded on one.
+fn try_index_scan(predicate: &Expr, table: TableRef, schema: &SchemaRef) -> Option<PhysicalPlan> {
     let conjuncts = split_conjuncts(predicate);
-    for &col in indexed {
-        let mut lo: Option<Value> = None;
-        let mut hi: Option<Value> = None;
+    let indexed = table.read().indexed_columns();
+    let mut best: Option<(usize, Ends<Value>, Vec<Expr>)> = None;
+    for col in indexed {
+        let key_type = schema.field(col).data_type;
+        let mut probe: Ends<Value> = (Bound::Unbounded, Bound::Unbounded);
         let mut residual: Vec<Expr> = Vec::new();
         for conjunct in &conjuncts {
             // `left_width = 0` makes `extract_bounds` accept only
             // constant (column-free) bound expressions.
-            if let Some((new_lo, new_hi)) = extract_bounds(conjunct, col, 0) {
-                let as_const = |e: Option<Expr>| -> Option<Value> {
-                    match e.map(|e| rfv_expr::fold_constants(&e)) {
-                        Some(Expr::Literal(v)) => Some(v),
-                        _ => None,
-                    }
-                };
-                let (cl, ch) = (as_const(new_lo), as_const(new_hi));
-                let mut used = false;
-                if lo.is_none() && cl.is_some() {
-                    lo = cl;
-                    used = true;
-                }
-                if hi.is_none() && ch.is_some() {
-                    hi = ch;
-                    used = true;
-                }
-                if used {
-                    continue;
-                }
-            }
-            residual.push(conjunct.clone());
-        }
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            let scan = PhysicalPlan::IndexRangeScan {
-                table,
-                schema: schema.clone(),
-                column: col,
-                lo: Some(lo),
-                hi: Some(hi),
-            };
-            return Some(match conjoin(residual) {
-                Some(p) => PhysicalPlan::Filter {
-                    input: Box::new(scan),
-                    predicate: p,
-                },
-                None => scan,
+            let absorbed = extract_bounds(conjunct, col, 0).is_some_and(|(lo, hi)| {
+                // An end that is no usable constant stays unstated here;
+                // the conjunct then stays in the residual.
+                let lo_const = constant_end(lo, key_type);
+                let hi_const = constant_end(hi, key_type);
+                let whole = lo_const.is_some() && hi_const.is_some();
+                let stated = (
+                    lo_const.unwrap_or(Bound::Unbounded),
+                    hi_const.unwrap_or(Bound::Unbounded),
+                );
+                absorb(&mut probe, stated) && whole
             });
+            if !absorbed {
+                residual.push(conjunct.clone());
+            }
+        }
+        let ends = |p: &Ends<Value>| {
+            usize::from(p.0 != Bound::Unbounded) + usize::from(p.1 != Bound::Unbounded)
+        };
+        if ends(&probe) > best.as_ref().map_or(0, |(_, p, _)| ends(p)) {
+            best = Some((col, probe, residual));
         }
     }
-    None
+    let (column, (lo, hi), residual) = best?;
+    let scan = PhysicalPlan::IndexRangeScan {
+        table,
+        schema: schema.clone(),
+        column,
+        lo,
+        hi,
+    };
+    Some(match conjoin(residual) {
+        Some(predicate) => PhysicalPlan::Filter {
+            input: Box::new(scan),
+            predicate,
+        },
+        None => scan,
+    })
+}
+
+/// `plan`, and whether it delivers its rows in ascending order of column
+/// `col`: an index range scan on `col`, with or without a filter on top,
+/// does; a bare table scan is turned into an unbounded range scan on `col`
+/// that does; any other plan comes back as it is and still needs its sort.
+/// Only a `Unique` index on a NOT NULL column qualifies: a range scan never
+/// returns NULL keys, and a non-unique index could order ties differently
+/// from the stable sort it replaces.
+fn in_index_order(plan: PhysicalPlan, col: usize) -> (PhysicalPlan, bool) {
+    let orders = |table: &TableRef| {
+        let guard = table.read();
+        let unique = guard
+            .index_on(col)
+            .is_some_and(|ix| ix.kind() == IndexKind::Unique);
+        unique
+            && guard
+                .schema()
+                .fields()
+                .get(col)
+                .is_some_and(|f| !f.nullable)
+    };
+    let ranged = |plan: &PhysicalPlan| {
+        matches!(plan, PhysicalPlan::IndexRangeScan { table, column, .. }
+            if *column == col && orders(table))
+    };
+    match plan {
+        PhysicalPlan::Filter { ref input, .. } if ranged(input) => (plan, true),
+        PhysicalPlan::TableScan { table, schema } if orders(&table) => {
+            let scan = PhysicalPlan::IndexRangeScan {
+                table,
+                schema,
+                column: col,
+                lo: Bound::Unbounded,
+                hi: Bound::Unbounded,
+            };
+            (scan, true)
+        }
+        plan => {
+            let ordered = ranged(&plan);
+            (plan, ordered)
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,8 +394,8 @@ fn side_of(expr: &Expr, left_width: usize) -> Option<ExprSide> {
 struct IndexJoin {
     column: usize,
     /// Bounds evaluated over the *left* row.
-    lo: Expr,
-    hi: Expr,
+    lo: Bound<Expr>,
+    hi: Bound<Expr>,
     /// Residual over `left ++ right`.
     residual: Option<Expr>,
 }
@@ -312,44 +408,27 @@ struct IndexJoin {
 /// * `#rc >= e1 AND #rc <= e2` (or >, <, mixed) → range probe
 /// * `#rc BETWEEN e1 AND e2`                    → range probe
 ///
-/// Strict bounds are widened by ±1 only for integer-typed expressions via
-/// `e ± 1`; other conjuncts become the residual.
-fn try_index_join(
-    on: &Expr,
-    left_width: usize,
-    indexed: &[usize],
-    _right_width: usize,
-) -> Option<IndexJoin> {
+/// Strict bounds stay strict (the key need not be an integer); conjuncts
+/// the probe does not fully imply become the residual.
+fn try_index_join(on: &Expr, left_width: usize, indexed: &[usize]) -> Option<IndexJoin> {
     let conjuncts = split_conjuncts(on);
     for &col in indexed {
         let rc = left_width + col;
-        let mut lo: Option<Expr> = None;
-        let mut hi: Option<Expr> = None;
+        let mut probe: Ends<Expr> = (Bound::Unbounded, Bound::Unbounded);
         let mut residual = Vec::new();
         for conjunct in &conjuncts {
-            if let Some((new_lo, new_hi)) = extract_bounds(conjunct, rc, left_width) {
-                // First bound of each kind wins; further ones stay residual
-                // (still correct, just not used for the probe).
-                let mut used = false;
-                if let (Some(b), None) = (&new_lo, &lo) {
-                    lo = Some(b.clone());
-                    used = true;
-                }
-                if let (Some(b), None) = (&new_hi, &hi) {
-                    hi = Some(b.clone());
-                    used = true;
-                }
-                if used {
-                    continue;
-                }
+            let absorbed = extract_bounds(conjunct, rc, left_width)
+                .is_some_and(|stated| absorb(&mut probe, stated));
+            if !absorbed {
+                residual.push(conjunct.clone());
             }
-            residual.push(conjunct.clone());
         }
-        if let (Some(lo), Some(hi)) = (lo, hi) {
+        // A one-sided probe would still walk half the index per left row.
+        if !matches!(probe, (Bound::Unbounded, _) | (_, Bound::Unbounded)) {
             return Some(IndexJoin {
                 column: col,
-                lo,
-                hi,
+                lo: probe.0,
+                hi: probe.1,
                 residual: conjoin(residual),
             });
         }
@@ -358,17 +437,10 @@ fn try_index_join(
 }
 
 /// If `conjunct` bounds right column `rc` by left-only expressions, return
-/// `(lo, hi)` bounds (either side may be None).
-fn extract_bounds(
-    conjunct: &Expr,
-    rc: usize,
-    left_width: usize,
-) -> Option<(Option<Expr>, Option<Expr>)> {
+/// the ends it states (either may be `Unbounded`).
+fn extract_bounds(conjunct: &Expr, rc: usize, left_width: usize) -> Option<Ends<Expr>> {
     let is_rc = |e: &Expr| matches!(e, Expr::Column(c) if *c == rc);
-    let left_only = |e: &Expr| {
-        let cols = e.referenced_columns();
-        !cols.is_empty() && cols.iter().all(|&c| c < left_width) || cols.is_empty()
-    };
+    let left_only = |e: &Expr| e.referenced_columns().iter().all(|&c| c < left_width);
     match conjunct {
         Expr::Binary { left, op, right } => {
             let (col_first, other, op) = if is_rc(left) && left_only(right) {
@@ -392,11 +464,11 @@ fn extract_bounds(
                 }
             };
             match op {
-                BinaryOp::Eq => Some((Some(e.clone()), Some(e))),
-                BinaryOp::GtEq => Some((Some(e), None)),
-                BinaryOp::LtEq => Some((None, Some(e))),
-                BinaryOp::Gt => Some((Some(e.add(Expr::lit(1i64))), None)),
-                BinaryOp::Lt => Some((None, Some(e.sub(Expr::lit(1i64))))),
+                BinaryOp::Eq => Some((Bound::Included(e.clone()), Bound::Included(e))),
+                BinaryOp::GtEq => Some((Bound::Included(e), Bound::Unbounded)),
+                BinaryOp::LtEq => Some((Bound::Unbounded, Bound::Included(e))),
+                BinaryOp::Gt => Some((Bound::Excluded(e), Bound::Unbounded)),
+                BinaryOp::Lt => Some((Bound::Unbounded, Bound::Excluded(e))),
                 _ => None,
             }
         }
@@ -407,7 +479,10 @@ fn extract_bounds(
             negated: false,
         } => {
             if is_rc(expr) && left_only(low) && left_only(high) {
-                Some((Some((**low).clone()), Some((**high).clone())))
+                Some((
+                    Bound::Included((**low).clone()),
+                    Bound::Included((**high).clone()),
+                ))
             } else {
                 None
             }
@@ -542,7 +617,8 @@ mod tests {
     #[test]
     fn strict_bounds_are_widened_for_ints() {
         let (catalog, s1, s2) = setup();
-        // s2.pos > s1.pos AND s2.pos < s1.pos + 3 → range [pos+1, pos+2].
+        // s2.pos > s1.pos AND s2.pos < s1.pos + 3 → range (pos, pos+3),
+        // which on an integer key is [pos+1, pos+2].
         let on = Expr::col(2)
             .gt(Expr::col(0))
             .and(Expr::col(2).lt(Expr::col(0).add(Expr::lit(3i64))));
@@ -668,19 +744,123 @@ mod index_scan_tests {
     #[test]
     fn one_sided_or_non_constant_ranges_stay_filters() {
         let (catalog, scan) = setup();
-        // One-sided.
+        // One-sided: a range scan open at the other end, strict end kept.
         let plan = filter(scan.clone(), Expr::col(0).gt(Expr::lit(10i64)));
+        let phys = plan_physical(&plan, &catalog).unwrap();
+        assert!(
+            matches!(phys, PhysicalPlan::IndexRangeScan { .. }),
+            "{}",
+            phys.explain()
+        );
+        assert!(
+            phys.explain().contains("(10 .. +inf)"),
+            "{}",
+            phys.explain()
+        );
+        assert_eq!(phys.execute().unwrap().len(), 90);
+        // Non-constant bound (references a column): the conjunct stays a
+        // filter; its constant end may still narrow the scan below it.
+        let plan = filter(scan, Expr::col(0).between(Expr::col(1), Expr::lit(10i64)));
         let phys = plan_physical(&plan, &catalog).unwrap();
         assert!(
             matches!(phys, PhysicalPlan::Filter { .. }),
             "{}",
             phys.explain()
         );
-        // Non-constant bound (references a column).
-        let plan = filter(scan, Expr::col(0).between(Expr::col(1), Expr::lit(10i64)));
+        assert_eq!(phys.execute().unwrap().len(), 10);
+    }
+
+    #[test]
+    fn a_conjunct_leaves_the_residual_only_when_every_end_was_absorbed() {
+        let (catalog, scan) = setup();
+        // `pos >= 1` takes the low end; BETWEEN's low end is then not part
+        // of the probe, so BETWEEN must stay as a filter.
+        let plan = filter(
+            scan.clone(),
+            Expr::col(0)
+                .gt_eq(Expr::lit(1i64))
+                .and(Expr::col(0).between(Expr::lit(5i64), Expr::lit(7i64))),
+        );
+        let phys = plan_physical(&plan, &catalog).unwrap();
+        let explain = phys.explain();
+        assert!(explain.trim_start().starts_with("Filter"), "{explain}");
+        assert!(
+            explain.contains("IndexRangeScan: seq col#0 [1 .. 7]"),
+            "{explain}"
+        );
+        assert_eq!(phys.execute().unwrap().len(), 3);
+        // A literal the key does not compare with is no probe at all.
+        let plan = filter(scan.clone(), Expr::col(0).gt(Expr::lit("x")));
         let phys = plan_physical(&plan, &catalog).unwrap();
         assert!(
             matches!(phys, PhysicalPlan::Filter { .. }),
+            "{}",
+            phys.explain()
+        );
+        // A NULL bound is a probe that matches nothing.
+        let plan = filter(scan, Expr::col(0).lt(Expr::Literal(rfv_types::Value::Null)));
+        let phys = plan_physical(&plan, &catalog).unwrap();
+        assert!(
+            matches!(phys, PhysicalPlan::IndexRangeScan { .. }),
+            "{}",
+            phys.explain()
+        );
+        assert!(phys.execute().unwrap().is_empty());
+    }
+
+    fn sorted(input: LogicalPlan, key: Expr, desc: bool) -> LogicalPlan {
+        LogicalPlan::Sort {
+            input: Box::new(input),
+            keys: vec![rfv_exec::SortKey { expr: key, desc }],
+        }
+    }
+
+    #[test]
+    fn order_by_a_unique_not_null_key_reads_in_index_order() {
+        let (catalog, scan) = setup();
+        // Over a range scan on the key: the scan as is.
+        let ranged = filter(scan.clone(), Expr::col(0).gt(Expr::lit(90i64)));
+        let phys = plan_physical(&sorted(ranged, Expr::col(0), false), &catalog).unwrap();
+        assert!(
+            matches!(phys, PhysicalPlan::IndexRangeScan { .. }),
+            "{}",
+            phys.explain()
+        );
+        let rows = phys.execute().unwrap();
+        assert_eq!(rows.len(), 10);
+        assert!(rows.windows(2).all(|w| w[0].get(0) < w[1].get(0)));
+        // Over a bare table scan: an unbounded range scan.
+        let phys = plan_physical(&sorted(scan.clone(), Expr::col(0), false), &catalog).unwrap();
+        assert!(
+            phys.explain().contains("(-inf .. +inf)"),
+            "{}",
+            phys.explain()
+        );
+        assert_eq!(phys.execute().unwrap().len(), 100);
+        // Descending, another column, or an expression still sort.
+        for (key, desc) in [
+            (Expr::col(0), true),
+            (Expr::col(1), false),
+            (Expr::col(0).add(Expr::lit(1i64)), false),
+        ] {
+            let phys = plan_physical(&sorted(scan.clone(), key, desc), &catalog).unwrap();
+            assert!(
+                matches!(phys, PhysicalPlan::Sort { .. }),
+                "{}",
+                phys.explain()
+            );
+        }
+        // A non-unique index, or a nullable key, keeps the sort too.
+        catalog
+            .table("seq")
+            .unwrap()
+            .write()
+            .create_index(1, IndexKind::NonUnique)
+            .unwrap();
+        let ranged = filter(scan, Expr::col(1).gt(Expr::lit(90.0f64)));
+        let phys = plan_physical(&sorted(ranged, Expr::col(1), false), &catalog).unwrap();
+        assert!(
+            matches!(phys, PhysicalPlan::Sort { .. }),
             "{}",
             phys.explain()
         );

@@ -1,5 +1,6 @@
 //! Ordered (B-tree) index over one column.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -92,27 +93,46 @@ impl OrderedIndex {
         self.entries.get(key).cloned().unwrap_or_default()
     }
 
-    /// Row ids with key in `[lo, hi]` (inclusive; `None` = unbounded),
-    /// in ascending key order. NULL keys are never returned: SQL range
-    /// predicates are unknown for NULL.
-    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
-        let lower = match lo {
-            Some(v) => Bound::Included(v.clone()),
-            // Exclude NULLs, which sort before every non-null value.
-            None => Bound::Excluded(Value::Null),
+    /// Row ids with key between `lo` and `hi`, in ascending key order.
+    /// SQL range predicates are unknown for NULL: NULL keys are never
+    /// returned, and a NULL bound matches nothing. `±0.0` are one SQL value
+    /// but two keys of the total order, so a bound at zero covers (or
+    /// excludes) both. An inverted or doubly-excluded empty range is empty.
+    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RowId> {
+        static NULL: Value = Value::Null;
+        static NEG_ZERO: Value = Value::Float(-0.0);
+        static POS_ZERO: Value = Value::Float(0.0);
+        let is_null =
+            |b: Bound<&Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null());
+        if is_null(lo) || is_null(hi) {
+            return Vec::new();
+        }
+        let is_zero = |v: &Value| *v == POS_ZERO || *v == NEG_ZERO;
+        let lo = match lo {
+            Bound::Included(v) if is_zero(v) => Bound::Included(&NEG_ZERO),
+            Bound::Excluded(v) if is_zero(v) => Bound::Excluded(&POS_ZERO),
+            // NULLs sort before every non-null value.
+            Bound::Unbounded => Bound::Excluded(&NULL),
+            other => other,
         };
-        let upper = match hi {
-            Some(v) => Bound::Included(v.clone()),
-            None => Bound::Unbounded,
+        let hi = match hi {
+            Bound::Included(v) if is_zero(v) => Bound::Included(&POS_ZERO),
+            Bound::Excluded(v) if is_zero(v) => Bound::Excluded(&NEG_ZERO),
+            other => other,
         };
-        if let (Bound::Included(a), Bound::Included(b)) = (&lower, &upper) {
-            if a.total_cmp(b) == std::cmp::Ordering::Greater {
-                return Vec::new();
+        // `BTreeMap::range` panics on these instead of returning nothing.
+        if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
+            (lo, hi)
+        {
+            let closed = matches!((lo, hi), (Bound::Included(_), Bound::Included(_)));
+            match a.total_cmp(b) {
+                Ordering::Greater => return Vec::new(),
+                Ordering::Equal if !closed => return Vec::new(),
+                _ => {}
             }
         }
         self.entries
-            .range((lower, upper))
-            .filter(|(k, _)| !k.is_null())
+            .range::<Value, _>((lo, hi))
             .flat_map(|(_, rids)| rids.iter().copied())
             .collect()
     }
@@ -126,6 +146,7 @@ impl OrderedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Bound::{Excluded, Included, Unbounded};
 
     fn v(i: i64) -> Value {
         Value::Int(i)
@@ -164,10 +185,51 @@ mod tests {
         for (i, k) in [5i64, 1, 3, 9, 7].into_iter().enumerate() {
             ix.insert(v(k), i).unwrap();
         }
-        assert_eq!(ix.range(Some(&v(3)), Some(&v(7))), vec![2, 0, 4]);
-        assert_eq!(ix.range(None, Some(&v(1))), vec![1]);
-        assert_eq!(ix.range(Some(&v(8)), None), vec![3]);
-        assert!(ix.range(Some(&v(7)), Some(&v(3))).is_empty(), "empty range");
+        assert_eq!(ix.range(Included(&v(3)), Included(&v(7))), vec![2, 0, 4]);
+        assert_eq!(ix.range(Unbounded, Included(&v(1))), vec![1]);
+        assert_eq!(ix.range(Included(&v(8)), Unbounded), vec![3]);
+        assert!(
+            ix.range(Included(&v(7)), Included(&v(3))).is_empty(),
+            "empty range"
+        );
+    }
+
+    #[test]
+    fn range_honours_strict_ends_and_never_panics_on_empty_ones() {
+        let mut ix = OrderedIndex::new(0, IndexKind::NonUnique);
+        for (i, k) in [1i64, 3, 5, 7].into_iter().enumerate() {
+            ix.insert(v(k), i).unwrap();
+        }
+        assert_eq!(ix.range(Excluded(&v(3)), Excluded(&v(7))), vec![2]);
+        assert_eq!(ix.range(Excluded(&v(3)), Included(&v(7))), vec![2, 3]);
+        // A float bound between two integer keys.
+        assert_eq!(ix.range(Excluded(&Value::Float(2.5)), Unbounded).len(), 3);
+        // Inverted, and empty because an equal end is excluded.
+        assert!(ix.range(Excluded(&v(7)), Excluded(&v(3))).is_empty());
+        assert!(ix.range(Excluded(&v(3)), Excluded(&v(3))).is_empty());
+        assert!(ix.range(Included(&v(3)), Excluded(&v(3))).is_empty());
+        assert_eq!(ix.range(Included(&v(3)), Included(&v(3))), vec![1]);
+        // A NULL bound is unknown for every key.
+        assert!(ix.range(Included(&Value::Null), Unbounded).is_empty());
+        assert!(ix.range(Unbounded, Excluded(&Value::Null)).is_empty());
+    }
+
+    #[test]
+    fn a_bound_at_zero_treats_both_float_zeros_as_one_value() {
+        let mut ix = OrderedIndex::new(0, IndexKind::NonUnique);
+        for (i, k) in [-1.0, -0.0, 0.0, 1.0].into_iter().enumerate() {
+            ix.insert(Value::Float(k), i).unwrap();
+        }
+        let zero = Value::Float(0.0);
+        assert_eq!(ix.range(Included(&zero), Unbounded), vec![1, 2, 3]);
+        assert_eq!(ix.range(Excluded(&v(0)), Unbounded), vec![3]);
+        assert_eq!(
+            ix.range(Unbounded, Included(&Value::Float(-0.0))),
+            vec![0, 1, 2]
+        );
+        assert_eq!(ix.range(Unbounded, Excluded(&zero)), vec![0]);
+        assert_eq!(ix.range(Included(&zero), Included(&zero)), vec![1, 2]);
+        assert!(ix.range(Included(&zero), Excluded(&zero)).is_empty());
     }
 
     #[test]
@@ -175,7 +237,7 @@ mod tests {
         let mut ix = OrderedIndex::new(0, IndexKind::NonUnique);
         ix.insert(Value::Null, 0).unwrap();
         ix.insert(v(1), 1).unwrap();
-        assert_eq!(ix.range(None, None), vec![1]);
+        assert_eq!(ix.range(Unbounded, Unbounded), vec![1]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Slotted in-memory row store.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 
 use rfv_types::{Result, RfvError, Row, Schema, SchemaRef, Value};
 
@@ -30,8 +31,8 @@ pub struct Table {
     live: usize,
     indexes: HashMap<usize, OrderedIndex>,
     /// Monotonic mutation counter: bumped once per successful mutating
-    /// call (insert / insert_many / update / delete / truncate /
-    /// create_index — index DDL changes plan choice, so it must
+    /// call (insert / insert_many / update / set_cell / delete / truncate
+    /// / create_index — index DDL changes plan choice, so it must
     /// invalidate cached plans too). Read under the same lock that
     /// guards the data, so `generation() == g` means the table holds
     /// exactly the state it held when `g` was last observed.
@@ -285,6 +286,39 @@ impl Table {
         Ok(old)
     }
 
+    /// Set one cell of the row at `rid` in place: the row is neither
+    /// cloned nor re-validated, and only an index on `col` itself is
+    /// touched. The value is checked against the column (type, NOT NULL,
+    /// unique key) before anything changes.
+    pub fn set_cell(&mut self, rid: RowId, col: usize, value: Value) -> Result<()> {
+        let field = self
+            .schema
+            .fields()
+            .get(col)
+            .ok_or_else(|| RfvError::schema(format!("`{}` has no column {col}", self.name)))?;
+        if (value.is_null() && !field.nullable) || !field.data_type.admits(&value) {
+            return Err(RfvError::schema(format!(
+                "value {value:?} not admissible in column `{}` ({}) of `{}`",
+                field.name, field.data_type, self.name
+            )));
+        }
+        let row = self
+            .slots
+            .get_mut(rid)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| RfvError::execution(format!("row id {rid} not found")))?;
+        if let Some(index) = self.indexes.get_mut(&col) {
+            if row.get(col) != &value {
+                index.check_insertable(&value)?;
+                index.remove(row.get(col), rid);
+                index.insert(value.clone(), rid)?;
+            }
+        }
+        row.set(col, value);
+        self.generation += 1;
+        Ok(())
+    }
+
     /// Iterate over `(RowId, &Row)` pairs of live rows in slot order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> {
         self.slots
@@ -315,13 +349,13 @@ impl Table {
         Ok(index.lookup(key))
     }
 
-    /// Row ids whose indexed column lies in `[lo, hi]` (inclusive bounds,
-    /// `None` = unbounded), in key order.
+    /// Row ids whose indexed column lies between `lo` and `hi`, in key
+    /// order (see [`OrderedIndex::range`] for NULLs and empty ranges).
     pub fn index_range(
         &self,
         col: usize,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
     ) -> Result<Vec<RowId>> {
         let index = self.indexes.get(&col).ok_or_else(|| {
             RfvError::execution(format!("no index on column {col} of `{}`", self.name))
@@ -517,7 +551,11 @@ mod tests {
         }
         t.create_index(0, IndexKind::NonUnique).unwrap();
         let rids = t
-            .index_range(0, Some(&Value::Int(3)), Some(&Value::Int(7)))
+            .index_range(
+                0,
+                Bound::Included(&Value::Int(3)),
+                Bound::Excluded(&Value::Int(9)),
+            )
             .unwrap();
         let keys: Vec<_> = rids
             .iter()
@@ -539,6 +577,33 @@ mod tests {
         // Key collision on update is rejected and leaves state intact.
         assert!(t.update(rid, row![2i64, 0.0]).is_err());
         assert_eq!(t.index_lookup(0, &Value::Int(5)).unwrap(), vec![rid]);
+    }
+
+    #[test]
+    fn set_cell_checks_the_column_and_keeps_its_index() {
+        let mut t = seq_table();
+        t.create_index(0, IndexKind::Unique).unwrap();
+        let a = t.insert(row![1i64, 10.0]).unwrap();
+        t.insert(row![2i64, 20.0]).unwrap();
+        // A non-indexed cell: set in place, NULL allowed in a nullable column.
+        t.set_cell(a, 1, Value::Float(11.0)).unwrap();
+        t.set_cell(a, 1, Value::Null).unwrap();
+        assert_eq!(
+            t.get(a).unwrap(),
+            &Row::new(vec![Value::Int(1), Value::Null])
+        );
+        // Refused before anything changes: type, NOT NULL, unique key,
+        // unknown column, dead row.
+        assert!(t.set_cell(a, 1, Value::str("x")).is_err());
+        assert!(t.set_cell(a, 0, Value::Null).is_err());
+        assert!(t.set_cell(a, 0, Value::Int(2)).is_err());
+        assert!(t.set_cell(a, 2, Value::Int(2)).is_err());
+        assert!(t.set_cell(9, 1, Value::Float(1.0)).is_err());
+        assert_eq!(t.index_lookup(0, &Value::Int(1)).unwrap(), vec![a]);
+        // An indexed cell moves its index entry with it.
+        t.set_cell(a, 0, Value::Int(5)).unwrap();
+        assert!(t.index_lookup(0, &Value::Int(1)).unwrap().is_empty());
+        assert_eq!(t.index_lookup(0, &Value::Int(5)).unwrap(), vec![a]);
     }
 
     #[test]
@@ -567,18 +632,21 @@ mod tests {
         assert_eq!(t.generation(), 4);
         t.create_index(0, IndexKind::Unique).unwrap();
         assert_eq!(t.generation(), 5);
-        t.truncate();
+        t.set_cell(0, 1, Value::Float(7.0)).unwrap();
         assert_eq!(t.generation(), 6);
+        t.truncate();
+        assert_eq!(t.generation(), 7);
         // Failed mutations leave the generation untouched: reads may
         // keep serving cached results keyed on it.
         assert!(t.insert(row![1i64]).is_err());
         assert!(t.update(17, row![1i64, 1.0]).is_err());
         assert!(t.delete(17).is_err());
-        assert_eq!(t.generation(), 6);
+        assert!(t.set_cell(17, 1, Value::Float(1.0)).is_err());
+        assert_eq!(t.generation(), 7);
         // Pure reads never bump.
         let _ = t.scan().count();
         let _ = t.stats();
-        assert_eq!(t.generation(), 6);
+        assert_eq!(t.generation(), 7);
     }
 
     #[test]
@@ -690,7 +758,11 @@ mod model_tests {
                         }
                         Op::Range(lo, hi) => {
                             let got: Vec<i64> = table
-                                .index_range(0, Some(&Value::Int(lo)), Some(&Value::Int(hi)))
+                                .index_range(
+                                    0,
+                                    Bound::Included(&Value::Int(lo)),
+                                    Bound::Included(&Value::Int(hi)),
+                                )
                                 .unwrap()
                                 .into_iter()
                                 .map(|rid| {

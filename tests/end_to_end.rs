@@ -1007,3 +1007,184 @@ fn refresh_views_after_bulk_load() {
     db.set_view_rewrite(false);
     assert_eq!(derived, col_f64(&db, sql, 1));
 }
+
+/// `t(id BIGINT PRIMARY KEY, x DOUBLE)` with x = 1.0, 2.0, 2.6, 3.2, 4.0, 5.5.
+fn float_key_db() -> Database {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE t (id BIGINT PRIMARY KEY, x DOUBLE);
+         INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 2.6), (4, 3.2), (5, 4.0), (6, 5.5);",
+    )
+    .unwrap();
+    db
+}
+
+fn explain(db: &Database, sql: &str) -> String {
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let lines: Vec<String> = plan.rows().iter().map(|r| r.get(0).to_string()).collect();
+    lines.join("\n")
+}
+
+/// A strict bound on an indexed column is not `± 1`: between 1.5 and 3.5
+/// lie 2.0, 2.6 and 3.2, index or no index — in a scan and in a join probe.
+#[test]
+fn strict_bounds_on_an_indexed_float_column_keep_their_rows() {
+    let scan = "SELECT id, x FROM t WHERE x > 1.5 AND x < 3.5 ORDER BY id";
+    let join = "SELECT a.id, b.id FROM t a JOIN t b ON b.x > a.x AND b.x < a.x + 1.5 \
+                ORDER BY a.id, b.id";
+    let plain = float_key_db();
+    let indexed = float_key_db();
+    indexed.execute("CREATE INDEX ix ON t (x)").unwrap();
+
+    let plan = explain(&indexed, scan);
+    assert!(
+        plan.contains("IndexRangeScan: t col#1 (1.5 .. 3.5)"),
+        "{plan}"
+    );
+    let rows = indexed.execute(scan).unwrap();
+    assert_eq!(col_f64(&indexed, scan, 1), vec![2.0, 2.6, 3.2]);
+    assert_eq!(rows.rows(), plain.execute(scan).unwrap().rows());
+
+    let plan = explain(&indexed, join);
+    assert!(plan.contains("IndexNestedLoopJoin"), "{plan}");
+    assert!(plan.contains("key in (#1 .. (#1 + 1.5))"), "{plan}");
+    let pairs = indexed.execute(join).unwrap();
+    assert_eq!(pairs.rows(), plain.execute(join).unwrap().rows());
+    // 1.0 → 2.0; 2.0 → 2.6, 3.2; 2.6 → 3.2, 4.0; 3.2 → 4.0; 4.0 → (5.5 is 1.5 away).
+    assert_eq!(pairs.rows().len(), 6);
+
+    // Inclusive and half-open ranges print as what they are.
+    for (predicate, range) in [
+        ("x >= 2 AND x <= 3", "[2 .. 3]"),
+        ("x <= 2.6", "(-inf .. 2.6]"),
+        ("x > 4", "(4 .. +inf)"),
+    ] {
+        let sql = format!("SELECT id FROM t WHERE {predicate}");
+        let plan = explain(&indexed, &sql);
+        assert!(
+            plan.contains(&format!("col#1 {range}")),
+            "{predicate}: {plan}"
+        );
+        let (got, want) = (indexed.execute(&sql).unwrap(), plain.execute(&sql).unwrap());
+        assert_eq!(got.rows().len(), want.rows().len(), "{predicate}");
+    }
+}
+
+/// A conjunct only leaves the residual when the index probe implies all of
+/// it: `id >= 1` takes the low end, so `BETWEEN 5 AND 7` must still filter.
+#[test]
+fn a_half_absorbed_between_still_filters() {
+    let db = float_key_db();
+    db.execute("INSERT INTO t VALUES (7, 7.0), (8, 8.0)")
+        .unwrap();
+    let sql = "SELECT id FROM t WHERE id >= 1 AND id BETWEEN 5 AND 7 ORDER BY id";
+    let ids = db.execute(sql).unwrap();
+    let ids: Vec<i64> = (ids.rows().iter())
+        .map(|r| r.get(0).as_int().unwrap().unwrap())
+        .collect();
+    assert_eq!(ids, vec![5, 6, 7], "{}", explain(&db, sql));
+}
+
+/// One random key table, twice: key kind, nullability, index kind, rows
+/// `(key choice, deleted afterwards)`, and reads `(shape, lo, hi, ordered)`.
+type IndexCase = (bool, bool, bool, Vec<(u8, bool)>, Vec<(u8, u8, u8, bool)>);
+
+/// Differential test of index use on the read path: every constant range
+/// predicate (one- or two-sided, strict or inclusive, integer, float, zero
+/// or NULL bounds), with and without `ORDER BY key`, reads the same rows
+/// from an indexed table as from its index-less twin — in the same order
+/// when ordered, as multisets otherwise.
+#[test]
+fn index_reads_match_an_index_less_twin() {
+    use rfv_testkit::{check, gen, Rng};
+
+    const INT_KEYS: [&str; 8] = ["-3", "-1", "0", "1", "2", "3", "5", "8"];
+    const FLOAT_KEYS: [&str; 8] = ["-1.5", "-0.0", "0.0", "0.5", "1.0", "2.5", "2.6", "3.0"];
+    const BOUNDS: [&str; 10] = [
+        "-2", "0", "0.0", "-0.0", "1", "2.5", "2.6", "3", "6", "NULL",
+    ];
+
+    let case = |rng: &mut Rng| -> IndexCase {
+        let rows = gen::vec_of(|r: &mut Rng| (r.u64_below(10) as u8, r.chance(1, 5)), 0, 14)(rng);
+        let read = |r: &mut Rng| {
+            let bound = |r: &mut Rng| r.u64_below(BOUNDS.len() as u64) as u8;
+            (r.u64_below(9) as u8, bound(r), bound(r), r.bool())
+        };
+        (
+            rng.bool(),
+            rng.bool(),
+            rng.bool(),
+            rows,
+            gen::vec_of(read, 1, 8)(rng),
+        )
+    };
+    check(
+        "index reads ≡ index-less twin",
+        case,
+        |(floats, nullable, unique, rows, reads)| {
+            let keys = if *floats { FLOAT_KEYS } else { INT_KEYS };
+            let build = |index: bool| {
+                let db = Database::new();
+                db.execute(&format!(
+                    "CREATE TABLE t (k {}{}, v BIGINT NOT NULL)",
+                    if *floats { "DOUBLE" } else { "BIGINT" },
+                    if *nullable { "" } else { " NOT NULL" },
+                ))
+                .unwrap();
+                if index {
+                    let kind = if *unique { "UNIQUE INDEX" } else { "INDEX" };
+                    db.execute(&format!("CREATE {kind} ON t (k)")).unwrap();
+                }
+                let mut seen = std::collections::HashSet::new();
+                for (v, &(choice, deleted)) in rows.iter().enumerate() {
+                    let key = match keys.get(choice as usize) {
+                        Some(key) if !*unique || seen.insert(*key) => *key,
+                        Some(_) => continue,
+                        None if *nullable => "NULL",
+                        None => continue,
+                    };
+                    db.execute(&format!("INSERT INTO t VALUES ({key}, {v})"))
+                        .unwrap();
+                    if deleted {
+                        db.execute(&format!("DELETE FROM t WHERE v = {v}")).unwrap();
+                    }
+                }
+                db
+            };
+            let (indexed, plain) = (build(true), build(false));
+            for &(shape, lo, hi, ordered) in reads {
+                let (lo, hi) = (BOUNDS[lo as usize], BOUNDS[hi as usize]);
+                let predicate = match shape {
+                    0 => format!("k > {lo}"),
+                    1 => format!("k >= {lo}"),
+                    2 => format!("k < {hi}"),
+                    3 => format!("{hi} >= k"),
+                    4 => format!("k > {lo} AND k < {hi}"),
+                    5 => format!("k >= {lo} AND k < {hi}"),
+                    6 => format!("k BETWEEN {lo} AND {hi}"),
+                    7 => format!("k = {lo}"),
+                    _ => format!("k >= {lo} AND k BETWEEN {lo} AND {hi} AND v <> 3"),
+                };
+                let order = if ordered { " ORDER BY k" } else { "" };
+                let sql = format!("SELECT k, v FROM t WHERE {predicate}{order}");
+                let read = |db: &Database| -> Vec<String> {
+                    let rows = db.execute(&sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+                    rows.rows()
+                        .iter()
+                        .map(|r| format!("{:?}", r.values()))
+                        .collect()
+                };
+                let (mut got, mut want) = (read(&indexed), read(&plain));
+                if !ordered {
+                    got.sort();
+                    want.sort();
+                }
+                assert_eq!(got, want, "{sql}\n{}", explain(&indexed, &sql));
+            }
+            // Whole-table reads in key order (NULL keys first, if any).
+            let sql = "SELECT k, v FROM t ORDER BY k";
+            let all = |db: &Database| format!("{:?}", db.execute(sql).unwrap().rows());
+            assert_eq!(all(&indexed), all(&plain), "{}", explain(&indexed, sql));
+        },
+    );
+}

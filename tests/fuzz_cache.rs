@@ -259,3 +259,132 @@ fn toggling_cache_midstream_is_safe() {
     assert_eq!(repop1.rows(), repop2.rows());
     assert_eq!(first.rows(), repop2.rows());
 }
+
+/// A second viewed scenario for the in-place write path: `seq` under three
+/// views whose mirrors are read by SQL (whole bodies, index-ordered tails,
+/// bounded slices), and `bare`, a view-less sequence table whose edits no
+/// view-registry change accompanies — the table's own generation is then all
+/// that stands between a cached result and a stale read.
+fn setup_mirrors(vals: &[i64]) -> Database {
+    let db = Database::new();
+    let tuples: Vec<String> = (vals.iter().enumerate())
+        .map(|(i, v)| format!("({}, {})", i + 1, *v as f64))
+        .collect();
+    for table in ["seq", "bare"] {
+        db.execute(&format!(
+            "CREATE TABLE {table} (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)"
+        ))
+        .unwrap();
+        db.execute(&format!("INSERT INTO {table} VALUES {}", tuples.join(", ")))
+            .unwrap();
+    }
+    for (name, agg, frame) in [
+        ("mv", "SUM", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"),
+        ("mv_cum", "SUM", "ROWS UNBOUNDED PRECEDING"),
+        ("mv_max", "MAX", "ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING"),
+    ] {
+        db.execute(&format!(
+            "CREATE MATERIALIZED VIEW {name} AS SELECT pos, {agg}(val) OVER \
+             (ORDER BY pos {frame}) AS s FROM seq"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Kinds 0–4 read (the same few statements again and again, so the cache-on
+/// engine serves hits whenever nothing changed in between); 5–9 are
+/// sequence edits. `n` is the current length of `seq`.
+fn mirror_step(db: &Database, n: &mut i64, (kind, a, b): Step) -> Option<Vec<Row>> {
+    let k = a.rem_euclid((*n).max(1)) + 1;
+    let read = match kind {
+        0 => "SELECT pos, val FROM mv ORDER BY pos".to_string(),
+        1 => format!(
+            "SELECT pos, val FROM mv_cum WHERE pos > {} ORDER BY pos",
+            k - 1
+        ),
+        2 => format!(
+            "SELECT pos, val FROM mv_max WHERE pos >= {k} AND pos < {}",
+            k + 3
+        ),
+        3 => "SELECT pos, val FROM bare ORDER BY pos".to_string(),
+        4 => format!("SELECT val FROM bare WHERE pos = {}", a.rem_euclid(4) + 1),
+        5 if *n > 0 => {
+            return db
+                .sequence_update("seq", k, b as f64)
+                .map(|()| None)
+                .unwrap()
+        }
+        6 => {
+            return db
+                .sequence_update("bare", a.rem_euclid(4) + 1, b as f64)
+                .map(|()| None)
+                .unwrap()
+        }
+        7 => {
+            *n += 1;
+            let at = a.rem_euclid(*n) + 1;
+            return db
+                .sequence_insert("seq", at, b as f64)
+                .map(|()| None)
+                .unwrap();
+        }
+        8 if *n > 1 => {
+            *n -= 1;
+            return db.sequence_delete("seq", k).map(|()| None).unwrap();
+        }
+        _ => {
+            *n += 1;
+            let sql = format!("INSERT INTO seq VALUES ({}, {})", *n, b as f64);
+            return db.execute(&sql).map(|_| None).unwrap();
+        }
+    };
+    let rows = db.execute(&read);
+    Some(rows.unwrap_or_else(|e| panic!("{e}: {read}")).into_rows())
+}
+
+/// Mirror tables and a bare sequence table read by SQL between in-place
+/// sequence edits: cache on ≡ cache off, statement by statement, and the
+/// final mirrors ≡ views created from scratch over the final base table.
+#[test]
+fn sql_reads_between_in_place_sequence_edits_never_go_stale() {
+    check(
+        "mirror and base reads between sequence edits: cache on ≡ cache off ≡ rebuilt",
+        |rng: &mut Rng| {
+            let vals = gen::vec_of(gen::i64_in(-20, 20), 4, 16)(rng);
+            let step = |rng: &mut Rng| {
+                (
+                    rng.u64_below(10) as u8,
+                    rng.i64_in(0, 15),
+                    rng.i64_in(-40, 40),
+                )
+            };
+            (vals, gen::vec_of(step, 4, 30)(rng))
+        },
+        |(vals, steps): &Scenario| {
+            let play = |cache: usize| {
+                let db = setup_mirrors(vals);
+                db.set_result_cache(cache);
+                let mut n = vals.len() as i64;
+                let outputs: Vec<_> = (steps.iter())
+                    .filter_map(|&step| mirror_step(&db, &mut n, step))
+                    .collect();
+                (db, outputs)
+            };
+            let ((on, out_on), (_, out_off)) = (play(8 << 20), play(0));
+            assert_eq!(out_on, out_off, "cache-on diverged from cache-off");
+
+            let base = on.execute("SELECT pos, val FROM seq ORDER BY pos").unwrap();
+            let base = base
+                .rows()
+                .iter()
+                .map(|r| r.get(1).as_f64().unwrap().unwrap() as i64);
+            let rebuilt = setup_mirrors(&base.collect::<Vec<_>>());
+            for view in ["mv", "mv_cum", "mv_max"] {
+                let sql = format!("SELECT pos, val FROM {view} ORDER BY pos");
+                let body = |db: &Database| db.execute(&sql).unwrap().into_rows();
+                assert_eq!(body(&on), body(&rebuilt), "{view} after the edits");
+            }
+        },
+    );
+}

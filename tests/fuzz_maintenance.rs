@@ -1,8 +1,8 @@
 //! Engine-level differential fuzzing of the **batched** maintenance path.
 //!
 //! Each case builds four databases over the same random base sequence
-//! and the same random view catalog (sliding SUM, cumulative SUM, MAX),
-//! then applies the same random delta batch four ways:
+//! and the same random view catalog (sliding SUM, cumulative SUM, MAX,
+//! MIN), then applies the same random delta batch four ways:
 //!
 //! * **batched** — one [`Database::apply_batch`] call (the path under
 //!   test: region coalescing, one write lock, parallel per-view compute);
@@ -27,10 +27,13 @@
 use rfv_core::{BatchOp, Database, MaintBatch};
 use rfv_testkit::{check, gen, oracle, Rng};
 
+/// The views every database in a case registers.
+const VIEWS: [&str; 4] = ["mv_sum", "mv_cum", "mv_max", "mv_min"];
+
 /// The view catalog every database in a case registers: one sliding SUM,
-/// one cumulative SUM, one MAX — enough to exercise the coalesced §2.3
-/// path, the `append_bulk` running-sum path, and the rematerialization
-/// path inside one parallel batch.
+/// one cumulative SUM, one MAX and one MIN — every §2.3 patch rule (the
+/// local window-sum restart, the running-sum suffix, the MIN/MAX kernel in
+/// both directions) inside one batch.
 fn create_views(db: &Database, l: i64, h: i64) {
     for (name, sql) in [
         (
@@ -52,6 +55,13 @@ fn create_views(db: &Database, l: i64, h: i64) {
             format!(
                 "CREATE MATERIALIZED VIEW mv_max AS SELECT pos, MAX(val) OVER \
                  (ORDER BY pos ROWS BETWEEN {l} PRECEDING AND {h} FOLLOWING) AS s FROM seq"
+            ),
+        ),
+        (
+            "mv_min",
+            format!(
+                "CREATE MATERIALIZED VIEW mv_min AS SELECT pos, MIN(val) OVER \
+                 (ORDER BY pos ROWS BETWEEN {h} PRECEDING AND {l} FOLLOWING) AS s FROM seq"
             ),
         ),
     ] {
@@ -206,8 +216,8 @@ const LEGS: [Leg; 3] = [
 /// Base rows and every view body, rendered exactly (float bits via
 /// `Debug`), for before/after comparisons.
 fn full_state(db: &Database) -> Vec<String> {
-    ["seq", "mv_sum", "mv_cum", "mv_max"]
-        .iter()
+    std::iter::once("seq")
+        .chain(VIEWS)
         .flat_map(|t| {
             db.execute(&format!("SELECT pos, val FROM {t} ORDER BY pos"))
                 .unwrap_or_else(|e| panic!("reading {t} failed: {e}"))
@@ -304,7 +314,7 @@ fn assert_bodies_match(
     scale: f64,
     context: &str,
 ) {
-    for view in ["mv_sum", "mv_cum", "mv_max"] {
+    for view in VIEWS {
         let a = view_body(got, view);
         let b = view_body(want, view);
         assert_eq!(
@@ -348,11 +358,12 @@ fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, conte
 
     // Conservation: per view, at most ops − 1 ops can be coalesced away
     // (each region pass accounts for at least one op). The returned stats
-    // aggregate over the three registered views.
+    // aggregate over the registered views.
     assert!(
-        stats.coalesced <= (batch.len() - 1) * 3,
-        "{context}: coalesced {} exceeds 3 views × (ops − 1) with {} ops",
+        stats.coalesced <= (batch.len() - 1) * VIEWS.len(),
+        "{context}: coalesced {} exceeds {} views × (ops − 1) with {} ops",
         stats.coalesced,
+        VIEWS.len(),
         batch.len()
     );
 
@@ -431,6 +442,31 @@ fn batched_maintenance_matches_under_float_cancellation() {
                 return;
             }
             run_case(vals, *l, *h, &batch, false, "float case");
+        },
+    );
+}
+
+/// Batches larger than the sequence itself, over short sequences with wide
+/// windows: update sets whose `[k−h, k+l]` neighbourhoods reach into the
+/// header and trailer and merge there, append runs longer than the body,
+/// and long interleaved streams that empty and refill the sequence.
+#[test]
+fn large_batches_merge_across_header_and_trailer() {
+    check(
+        "batched ≡ row-at-a-time ≡ remat (batches larger than the sequence)",
+        |rng| {
+            let vals = gen::int_values(0, 6)(rng);
+            let (l, h) = (rng.i64_in(0, 9), rng.i64_in(0, 9));
+            let shape = rng.u64_below(3) as u8;
+            let ops = raw_ops(40, false)(rng);
+            (vals, l, h, shape, ops)
+        },
+        |(vals, l, h, shape, ops)| {
+            let batch = resolve_batch(vals.len() as i64, *shape, ops);
+            if batch.is_empty() {
+                return;
+            }
+            run_case(vals, *l, *h, &batch, true, "large-batch case");
         },
     );
 }

@@ -370,3 +370,152 @@ fn drop_table_restricts_on_dependent_views_then_cleans_up() {
     assert!(db.execute("SELECT pos, val FROM seq").is_err());
     assert!(db.execute("SELECT pos, val FROM mv_rob").is_err());
 }
+
+/// The bench's four views over `seq`, with the frame each was defined by.
+const FOUR_VIEWS: [(&str, &str, &str); 4] = [
+    (
+        "mv_narrow",
+        "SUM",
+        "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING",
+    ),
+    ("mv_wide", "SUM", "ROWS BETWEEN 8 PRECEDING AND 4 FOLLOWING"),
+    ("mv_cum", "SUM", "ROWS UNBOUNDED PRECEDING"),
+    ("mv_max", "MAX", "ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING"),
+];
+
+fn create_four_views(db: &Database) {
+    for (name, agg, frame) in FOUR_VIEWS {
+        db.execute(&format!(
+            "CREATE MATERIALIZED VIEW {name} AS SELECT pos, {agg}(val) OVER \
+             (ORDER BY pos {frame}) AS s FROM seq"
+        ))
+        .unwrap();
+    }
+}
+
+fn body(db: &Database, sql: &str) -> Vec<(i64, Option<f64>)> {
+    let rows = db.execute(sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+    let cell = |r: &rfv_types::Row| {
+        (
+            r.get(0).as_int().unwrap().unwrap(),
+            r.get(1).as_f64().unwrap(),
+        )
+    };
+    rows.rows().iter().map(cell).collect()
+}
+
+/// Every view body (positions `1..=n`) equals the native window operator's
+/// recomputation from the base table; integer data, so to the bit.
+fn assert_views_match_native(db: &Database, context: &str) {
+    let n = body(db, "SELECT pos, val FROM seq").len();
+    db.set_view_rewrite(false);
+    for (view, agg, frame) in FOUR_VIEWS {
+        let stored = body(
+            db,
+            &format!("SELECT pos, val FROM {view} WHERE pos >= 1 AND pos <= {n} ORDER BY pos"),
+        );
+        let native = body(
+            db,
+            &format!(
+                "SELECT pos, {agg}(val) OVER (ORDER BY pos {frame}) AS s FROM seq ORDER BY pos"
+            ),
+        );
+        assert_eq!(stored, native, "{context}: {view}");
+    }
+    db.set_view_rewrite(true);
+}
+
+/// Mirrors are plain tables, and SQL may tamper with them. A write whose
+/// neighbourhood covers a tampered row must not fail with the base already
+/// changed: the mirror is refilled from the patched sequence and the write
+/// is logged like any other.
+#[test]
+fn a_tampered_mirror_is_healed_by_the_next_write_not_an_error() {
+    let dir = std::env::temp_dir().join(format!("rfv-robustness-heal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
+        .unwrap();
+    let tuples: Vec<String> = (1..=30)
+        .map(|i| format!("({i}, {}.0)", i * 7 % 11))
+        .collect();
+    db.execute(&format!("INSERT INTO seq VALUES {}", tuples.join(", ")))
+        .unwrap();
+    create_four_views(&db);
+    let healed = || db.metrics().counter_value("maintenance.mirror_healed");
+
+    // A deleted row: the index probe comes back one row short.
+    db.execute("DELETE FROM mv_wide WHERE pos = 12").unwrap();
+    db.sequence_update("seq", 10, 5.0).unwrap();
+    assert_eq!(healed(), 1, "only mv_wide was missing a row");
+    assert_views_match_native(&db, "after the deleted mirror row");
+
+    // An overwritten cell inside the neighbourhood is simply rewritten…
+    db.execute("UPDATE mv_narrow SET val = -1.0 WHERE pos = 21")
+        .unwrap();
+    db.sequence_update("seq", 20, 6.0).unwrap();
+    assert_eq!(healed(), 1);
+    assert_views_match_native(&db, "after the overwritten mirror cell");
+
+    // …and a row moved out of its position is a missing row again; an
+    // append that collides with a planted row heals too.
+    db.execute("UPDATE mv_max SET pos = 1000 WHERE pos = 5")
+        .unwrap();
+    db.sequence_update("seq", 5, 4.0).unwrap();
+    db.execute("INSERT INTO mv_cum VALUES (31, 0.0)").unwrap();
+    db.execute("INSERT INTO seq VALUES (31, 2.0)").unwrap();
+    assert_eq!(healed(), 3);
+    assert_views_match_native(&db, "after the moved and the planted row");
+    let mirror_rows = body(&db, "SELECT pos, val FROM mv_max ORDER BY pos").len();
+    assert_eq!(mirror_rows, 31 + 2 + 2, "the planted position is gone");
+
+    // Every one of those writes reached the WAL: a reopened engine holds
+    // the same bits, mirrors included.
+    let state = |db: &Database| {
+        let tables = ["seq", "mv_narrow", "mv_wide", "mv_cum", "mv_max"];
+        tables.map(|t| body(db, &format!("SELECT pos, val FROM {t} ORDER BY pos")))
+    };
+    let live = state(&db);
+    drop(db);
+    let reopened = Database::open(&dir).unwrap();
+    assert_eq!(state(&reopened), live);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The base table changed behind the engine's back but is still a dense
+/// sequence: the next write notices (its O(1) evidence no longer holds),
+/// re-reads the table, rematerializes, and carries on — and the write after
+/// that is local again.
+#[test]
+fn a_base_table_changed_through_the_catalog_is_picked_up_by_the_next_write() {
+    let db = seq_db(40);
+    create_four_views(&db);
+    let read = || db.metrics().counter_value("maintenance.base_rows_read");
+
+    let table = db.catalog().table("seq").unwrap();
+    let rid = table
+        .read()
+        .index_lookup(0, &rfv_types::Value::Int(7))
+        .unwrap()[0];
+    table
+        .write()
+        .update(rid, rfv_types::row![7i64, 70.0])
+        .unwrap();
+    table.write().insert(rfv_types::row![41i64, 41.0]).unwrap();
+
+    db.sequence_update("seq", 30, 3.0).unwrap();
+    assert_eq!(db.registry().get("mv_cum").unwrap().n(), 41);
+    assert_views_match_native(&db, "after the slow path");
+
+    let before = read();
+    db.sequence_update("seq", 35, 4.0).unwrap();
+    // [35−12, 41]: the widest window's reach, through to the end.
+    assert_eq!(read() - before, 12 + 7, "evidence was not re-recorded");
+    assert_views_match_native(&db, "after the next write");
+
+    // SQL appends take the same check: the evidence covers them too.
+    table.write().insert(rfv_types::row![42i64, 42.0]).unwrap();
+    db.execute("INSERT INTO seq VALUES (43, 1.0)").unwrap();
+    assert_views_match_native(&db, "after an append behind an append");
+}
