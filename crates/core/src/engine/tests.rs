@@ -1,6 +1,7 @@
 use super::*;
 use crate::maintenance::{BatchOp, MaintBatch};
 use crate::patterns::{minoa_pattern, PatternVariant};
+use rfv_types::Value;
 
 fn db_with_seq(n: i64) -> Database {
     let db = Database::new();
@@ -613,4 +614,48 @@ fn a_write_reads_and_writes_what_it_touches_at_any_length() {
         counts(100_000),
         "row counts depend on the sequence length"
     );
+}
+
+/// An integer written into a DOUBLE column is stored as the float of that
+/// value — by INSERT and by UPDATE, live and after recovery (the WAL
+/// record is built from the stored row) — so the column holds one variant
+/// and a native SUM over it has the schema's type.
+#[test]
+fn an_integer_written_into_a_double_column_is_stored_as_a_float() {
+    let dir = std::env::temp_dir().join(format!("rfv-engine-coerce-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, x DOUBLE, n BIGINT)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 5, 5), (2, 2.5, 2), (3, NULL, 3)")
+        .unwrap();
+    db.execute("INSERT INTO t (x, id) VALUES (4, 4)").unwrap();
+    db.execute("UPDATE t SET x = 7 WHERE id = 2").unwrap();
+    let check = |db: &Database, when: &str| {
+        let r = db.execute("SELECT x, n FROM t ORDER BY id").unwrap();
+        let xs: Vec<&Value> = r.rows().iter().map(|row| row.get(0)).collect();
+        assert!(
+            matches!(
+                xs[..],
+                [Value::Float(a), Value::Float(b), Value::Null, Value::Float(c)]
+                    if *a == 5.0 && *b == 7.0 && *c == 4.0
+            ),
+            "{when}: {xs:?}"
+        );
+        assert_eq!(xs[0].to_string(), "5.0", "{when}");
+        // A BIGINT column keeps its integers.
+        assert!(matches!(r.rows()[0].get(1), Value::Int(5)), "{when}");
+        let r = db
+            .execute("SELECT SUM(x) OVER (ORDER BY id ROWS UNBOUNDED PRECEDING) AS s FROM t")
+            .unwrap();
+        assert!(
+            matches!(r.rows()[3].get(0), Value::Float(s) if *s == 16.0),
+            "{when}: {:?}",
+            r.rows()[3]
+        );
+    };
+    check(&db, "live");
+    drop(db);
+    check(&Database::open(&dir).unwrap(), "recovered");
+    let _ = std::fs::remove_dir_all(&dir);
 }

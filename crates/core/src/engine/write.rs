@@ -128,6 +128,17 @@ fn read_raw(guard: &Table, pos_idx: usize, val_idx: usize, lo: i64, hi: i64) -> 
     Ok(found.into_iter().map(|(_, v)| v).collect())
 }
 
+/// `v` as a column of type `ty` stores it: an integer written into a DOUBLE
+/// column is the float of that value, so the column holds one variant and
+/// what it prints, sums to and recovers as does not depend on how a literal
+/// was spelled.
+fn stored(v: Value, ty: DataType) -> Value {
+    match (v, ty) {
+        (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+        (v, _) => v,
+    }
+}
+
 impl Database {
     // -- SQL DML ---------------------------------------------------------------
 
@@ -163,7 +174,8 @@ impl Database {
             let mut row_values = vec![Value::Null; schema.len()];
             for (expr, &idx) in tuple.iter().zip(&column_indexes) {
                 let bound = binder.bind_scalar(expr, &empty)?;
-                row_values[idx] = bound.eval(&Row::empty())?;
+                let value = bound.eval(&Row::empty())?;
+                row_values[idx] = stored(value, schema.field(idx).data_type);
             }
             rows.push(Row::new(row_values));
         }
@@ -290,7 +302,8 @@ impl Database {
                     Some(bound) => {
                         let mut new_row = row.clone();
                         for (idx, expr) in bound {
-                            new_row.set(*idx, expr.eval(row)?);
+                            let value = expr.eval(row)?;
+                            new_row.set(*idx, stored(value, schema.field(*idx).data_type));
                         }
                         guard.update(*rid, new_row)?;
                     }

@@ -1,12 +1,13 @@
 //! Row-level operators: filter, project, sort.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Range;
 
 use rfv_expr::Expr;
-use rfv_types::{Gov, Result, Row, Value};
+use rfv_types::{Gov, Result, RfvError, Row, Value};
 
-use crate::mem::{row_bytes, values_bytes};
+use crate::mem::{row_bytes, value_bytes};
 use crate::physical::SortKey;
 use crate::sched::{self, ParStats};
 
@@ -107,44 +108,302 @@ fn concat(chunks: Vec<Vec<Row>>) -> Vec<Row> {
     out
 }
 
-/// Evaluate the sort keys for a row.
-fn key_values(row: &Row, keys: &[SortKey]) -> Result<Vec<Value>> {
-    keys.iter().map(|k| k.expr.eval(row)).collect()
+/// What the ordering routine found in its input; `EXPLAIN ANALYZE` prints
+/// it as `order=…` on `Sort` and `Window` nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrderFound {
+    /// Already in key order: the rows were returned untouched.
+    Input,
+    /// In order on the first `prefix` of `keys` keys only: each of the
+    /// `runs` runs of equal prefix was sorted on the remaining keys.
+    Runs {
+        runs: usize,
+        prefix: usize,
+        keys: usize,
+    },
+    /// In order on no key prefix: one sort of the whole input.
+    Full,
 }
 
-/// Compare two key vectors under the per-key direction flags.
-pub(crate) fn compare_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
-    for ((av, bv), key) in a.iter().zip(b).zip(keys) {
-        let ord = av.total_cmp(bv);
-        let ord = if key.desc { ord.reverse() } else { ord };
+impl fmt::Display for OrderFound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OrderFound::Input => write!(f, "input"),
+            OrderFound::Runs { runs, prefix, keys } => {
+                write!(f, "runs({runs}) on {prefix} of {keys} keys")
+            }
+            OrderFound::Full => write!(f, "full"),
+        }
+    }
+}
+
+/// One expression evaluated over some rows, in the lane its values were
+/// observed to fit: all `Float` or all `Int` — hence without NULLs — is a
+/// plain vector, anything else (NULLs, mixed numerics, strings) stays boxed.
+pub(crate) enum Column {
+    Float(Vec<f64>),
+    Int(Vec<i64>),
+    Values(Vec<Value>),
+}
+
+impl Column {
+    /// One column per expression, in one pass over `rows`. The columns are
+    /// materialized state, charged here.
+    pub fn eval(rows: &[Row], exprs: &[&Expr], gov: &Gov) -> Result<Vec<Column>> {
+        let mut cols: Vec<Column> = (exprs.iter()).map(|_| Column::Values(Vec::new())).collect();
+        let mut pending = 0u64;
+        for (i, row) in rows.iter().enumerate() {
+            if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
+                gov.charge(&mut pending)?;
+            }
+            for (col, e) in cols.iter_mut().zip(exprs) {
+                let computed;
+                let v = match e {
+                    Expr::Column(c) if *c < row.len() => row.get(*c),
+                    e => {
+                        computed = e.eval(row)?;
+                        &computed
+                    }
+                };
+                pending += value_bytes(v);
+                col.push(v, rows.len());
+            }
+        }
+        gov.charge(&mut pending)?;
+        Ok(cols)
+    }
+
+    /// Append `v` to a column that will hold `cap` values: the first value
+    /// picks the lane, the first that does not fit it moves the column to
+    /// the boxed lane.
+    fn push(&mut self, v: &Value, cap: usize) {
+        fn lane<T>(first: T, cap: usize) -> Vec<T> {
+            let mut lane = Vec::with_capacity(cap);
+            lane.push(first);
+            lane
+        }
+        match (&mut *self, v) {
+            (Column::Float(lane), Value::Float(f)) => return lane.push(*f),
+            (Column::Int(lane), Value::Int(i)) => return lane.push(*i),
+            (Column::Values(lane), v) if !lane.is_empty() => return lane.push(v.clone()),
+            (Column::Values(_), Value::Float(f)) => return *self = Column::Float(lane(*f, cap)),
+            (Column::Values(_), Value::Int(i)) => return *self = Column::Int(lane(*i, cap)),
+            _ => {}
+        }
+        let mut boxed = Vec::with_capacity(cap);
+        match self {
+            Column::Float(lane) => boxed.extend(lane.iter().map(|f| Value::Float(*f))),
+            Column::Int(lane) => boxed.extend(lane.iter().map(|i| Value::Int(*i))),
+            Column::Values(_) => {}
+        }
+        boxed.push(v.clone());
+        *self = Column::Values(boxed);
+    }
+
+    /// Row `i` as a `u64` whose order is the lane's [`Value::total_cmp`]
+    /// order; the boxed lane has none.
+    fn code(&self, i: usize) -> Option<u64> {
+        const SIGN: u64 = 1 << 63;
+        match self {
+            Column::Float(lane) => {
+                let bits = lane[i].to_bits();
+                Some(if bits & SIGN == 0 { bits | SIGN } else { !bits })
+            }
+            Column::Int(lane) => Some(lane[i] as u64 ^ SIGN),
+            Column::Values(_) => None,
+        }
+    }
+
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Column::Float(lane) => Value::Float(lane[i]),
+            Column::Int(lane) => Value::Int(lane[i]),
+            Column::Values(lane) => lane[i].clone(),
+        }
+    }
+
+    /// [`Value::total_cmp`] of this column's row `i` and `other`'s row `j`.
+    fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
+        match (self, other) {
+            (Column::Float(a), Column::Float(b)) => a[i].total_cmp(&b[j]),
+            (Column::Int(a), Column::Int(b)) => a[i].cmp(&b[j]),
+            (Column::Values(a), Column::Values(b)) => a[i].total_cmp(&b[j]),
+            // Two morsels of one input that observed different lanes.
+            (a, b) => a.value(i).total_cmp(&b.value(j)),
+        }
+    }
+}
+
+/// Compare row `i` of key columns `a` with row `j` of key columns `b` on
+/// the keys from `from` on, under the per-key direction flags.
+fn compare_at(
+    keys: &[SortKey],
+    from: usize,
+    (a, i): (&[Column], usize),
+    (b, j): (&[Column], usize),
+) -> Ordering {
+    for (c, key) in keys.iter().enumerate().skip(from) {
+        let ord = a[c].cmp_at(i, &b[c], j);
         if ord != Ordering::Equal {
-            return ord;
+            return if key.desc { ord.reverse() } else { ord };
         }
     }
     Ordering::Equal
 }
 
-/// Stable sort by the given keys. The key decoration is the materialized
-/// state, charged against the budget; the `sort_by` itself is in-place.
-pub fn sort(rows: Vec<Row>, keys: &[SortKey], gov: &Gov) -> Result<Vec<Row>> {
-    let mut pending = 0u64;
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for (i, r) in rows.into_iter().enumerate() {
-        if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
-            gov.charge(&mut pending)?;
-        }
-        let k = key_values(&r, keys)?;
-        pending += values_bytes(&k);
-        decorated.push((k, r));
+/// Up to three keys, all in slice lanes, sort as plain integers: per row the
+/// keys' codes (inverted under DESC), then the row's position — which breaks
+/// ties the way a stable sort does. `None` for other keys.
+fn sort_codes(cols: &[Column], keys: &[SortKey], n: usize) -> Option<Vec<[u64; 4]>> {
+    if cols.len() > 3 {
+        return None;
     }
-    gov.charge(&mut pending)?;
-    decorated.sort_by(|(a, _), (b, _)| compare_keys(a, b, keys));
-    Ok(decorated.into_iter().map(|(_, r)| r).collect())
+    (0..n)
+        .map(|i| {
+            let mut row = [0, 0, 0, i as u64];
+            for (c, (col, key)) in cols.iter().zip(keys).enumerate() {
+                let code = col.code(i)?;
+                row[c] = if key.desc { !code } else { code };
+            }
+            Some(row)
+        })
+        .collect()
 }
 
-/// Parallel sort: each contiguous input morsel is key-decorated and
-/// stably sorted on the pool, then the sorted runs are k-way merged with
-/// ties broken by morsel index. Morsels are contiguous input ranges in
+/// The sort keys of some rows, evaluated once into one column per key, and
+/// the stable key order of those rows.
+pub(crate) struct KeyOrder {
+    cols: Vec<Column>,
+    /// Output position → input position; `None` is the identity.
+    perm: Option<Vec<u32>>,
+    pub found: OrderFound,
+}
+
+impl KeyOrder {
+    /// The one ordering routine, behind the `Sort` and the `Window` node:
+    /// the stable order by `keys` of the rows whose keys `cols` holds, one
+    /// column per key, sorting no more than the input's own order leaves to
+    /// sort. The columns tell the longest key prefix the input is already
+    /// non-decreasing on. All keys: nothing is sorted. Otherwise a `u32`
+    /// permutation (charged here) is stable-sorted on the remaining keys
+    /// inside runs of equal prefix only (segmented sort; no prefix is one
+    /// run, the full sort) — which is the stable sort of the whole, since
+    /// the runs already follow each other in prefix order.
+    pub fn of(cols: Vec<Column>, n: usize, keys: &[SortKey], gov: &Gov) -> Result<KeyOrder> {
+        let mut prefix = keys.len();
+        for i in 1..n {
+            gov.checkpoint(i)?;
+            // A descent on key `c` behind equal keys `..c` ends the prefix at `c`.
+            if compare_at(&keys[..prefix], 0, (&cols, i - 1), (&cols, i)) == Ordering::Greater {
+                prefix = (0..prefix)
+                    .find(|&c| cols[c].cmp_at(i - 1, &cols[c], i) != Ordering::Equal)
+                    .unwrap_or(0);
+            }
+        }
+        if prefix == keys.len() {
+            return Ok(KeyOrder {
+                cols,
+                perm: None,
+                found: OrderFound::Input,
+            });
+        }
+        let len = u32::try_from(n).map_err(|_| {
+            RfvError::resource_exhausted(format!("cannot order {n} rows (limit 2^32)"))
+        })?;
+        let mut coded = sort_codes(&cols[prefix..], &keys[prefix..], n);
+        let mut perm: Vec<u32> = match coded {
+            Some(_) => Vec::new(),
+            None => (0..len).collect(),
+        };
+        gov.reserve(u64::from(len) * if coded.is_some() { 32 } else { 4 })?;
+        let (mut runs, mut lo) = (0, 0);
+        for hi in 1..=n {
+            if hi == n
+                || compare_at(&keys[..prefix], 0, (&cols, hi - 1), (&cols, hi)) != Ordering::Equal
+            {
+                gov.check()?;
+                match &mut coded {
+                    Some(coded) => coded[lo..hi].sort_unstable(),
+                    None => perm[lo..hi].sort_by(|&a, &b| {
+                        compare_at(keys, prefix, (&cols, a as usize), (&cols, b as usize))
+                    }),
+                }
+                runs += 1;
+                lo = hi;
+            }
+        }
+        if let Some(coded) = coded {
+            perm = coded.iter().map(|row| row[3] as u32).collect();
+        }
+        let found = match prefix {
+            0 => OrderFound::Full,
+            _ => OrderFound::Runs {
+                runs,
+                prefix,
+                keys: keys.len(),
+            },
+        };
+        Ok(KeyOrder {
+            cols,
+            perm: Some(perm),
+            found,
+        })
+    }
+
+    /// Input position of the row at output position `i`.
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        self.perm.as_ref().map_or(i, |p| p[i] as usize)
+    }
+
+    /// The key columns and where in them output row `i` is, for [`compare_at`].
+    fn key(&self, i: usize) -> (&[Column], usize) {
+        (&self.cols, self.at(i))
+    }
+
+    /// Whether output rows `i − 1` and `i` differ on any of `keys`.
+    pub fn differs(&self, i: usize, keys: Range<usize>) -> bool {
+        let (a, b) = (self.at(i - 1), self.at(i));
+        (self.cols[keys].iter()).any(|col| col.cmp_at(a, col, b) != Ordering::Equal)
+    }
+
+    /// `rows` — the rows the keys were evaluated on — moved into key order.
+    pub fn apply(&self, mut rows: Vec<Row>) -> Vec<Row> {
+        match &self.perm {
+            None => rows,
+            Some(perm) => (perm.iter())
+                .map(|&i| std::mem::replace(&mut rows[i as usize], Row::empty()))
+                .collect(),
+        }
+    }
+
+    /// `col` — evaluated on the same rows as the keys — put into key order.
+    pub fn apply_to(&self, col: Column) -> Column {
+        let Some(perm) = &self.perm else { return col };
+        let at = perm.iter().map(|&i| i as usize);
+        match &col {
+            Column::Float(lane) => Column::Float(at.map(|i| lane[i]).collect()),
+            Column::Int(lane) => Column::Int(at.map(|i| lane[i]).collect()),
+            Column::Values(lane) => Column::Values(at.map(|i| lane[i].clone()).collect()),
+        }
+    }
+}
+
+/// [`KeyOrder::of`] the keys of `rows`.
+fn order(rows: &[Row], keys: &[SortKey], gov: &Gov) -> Result<KeyOrder> {
+    let exprs: Vec<&Expr> = keys.iter().map(|k| &k.expr).collect();
+    KeyOrder::of(Column::eval(rows, &exprs, gov)?, rows.len(), keys, gov)
+}
+
+/// Stable sort by the given keys (see [`KeyOrder::of`]), and what it found.
+pub fn sort(rows: Vec<Row>, keys: &[SortKey], gov: &Gov) -> Result<(Vec<Row>, OrderFound)> {
+    let ord = order(&rows, keys, gov)?;
+    Ok((ord.apply(rows), ord.found))
+}
+
+/// Parallel sort: each contiguous input morsel is ordered on the pool (see
+/// [`KeyOrder::of`]), then the ordered runs are k-way merged by their key columns
+/// with ties broken by morsel index. Morsels are contiguous input ranges in
 /// order, so (morsel index, within-morsel position) reproduces the input
 /// order on ties — the merged output is byte-identical to the serial
 /// stable [`sort`].
@@ -154,54 +413,65 @@ pub fn sort_par(
     par: &mut ParStats,
     gov: &Gov,
 ) -> Result<Vec<Row>> {
-    if !sched::should_parallelize(rows.len(), 2) {
-        return sort(rows, keys, gov);
-    }
     let n = rows.len();
-    let chunks = sched::split_morsels(rows);
+    let chunks = match sched::should_parallelize(n, 2) {
+        true => sched::split_morsels(rows),
+        false => vec![rows],
+    };
     if chunks.len() <= 1 {
-        return sort(chunks.into_iter().next().unwrap_or_default(), keys, gov);
+        let (out, found) = sort(chunks.into_iter().next().unwrap_or_default(), keys, gov)?;
+        par.order = Some(found);
+        return Ok(out);
     }
     par.record(chunks.len());
     let keys_owned: Vec<SortKey> = keys.to_vec();
     let worker_gov = gov.clone();
-    let mut runs: Vec<VecDeque<(Vec<Value>, Row)>> =
+    let mut runs: Vec<(Vec<Row>, KeyOrder)> =
         sched::run_ordered_gov(chunks, gov.clone(), move |_, chunk: Vec<Row>| {
-            let mut pending = 0u64;
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(chunk.len());
-            for r in chunk {
-                let k = key_values(&r, &keys_owned)?;
-                pending += values_bytes(&k);
-                decorated.push((k, r));
-            }
-            worker_gov.charge(&mut pending)?;
-            decorated.sort_by(|(a, _), (b, _)| compare_keys(a, b, &keys_owned));
-            Ok(decorated.into_iter().collect::<VecDeque<_>>())
+            let ord = order(&chunk, &keys_owned, &worker_gov)?;
+            Ok((chunk, ord))
         })?;
+
+    // Every morsel in order and every seam between two morsels in order:
+    // the input was in order, and its rows go back untouched.
+    let seams_ordered = runs.windows(2).all(|w| {
+        let last = w[0].0.len().saturating_sub(1);
+        w.iter().any(|run| run.0.is_empty())
+            || compare_at(keys, 0, w[0].1.key(last), w[1].1.key(0)) != Ordering::Greater
+    });
+    if seams_ordered && runs.iter().all(|run| run.1.found == OrderFound::Input) {
+        par.order = Some(OrderFound::Input);
+        return Ok(concat(runs.into_iter().map(|run| run.0).collect()));
+    }
+    par.order = Some(OrderFound::Full);
 
     // K-way merge: linear scan over run heads (k is small — a few runs
     // per thread). Ties select the lowest run index, which is exactly
     // input order because runs are contiguous input ranges.
+    let mut heads = vec![0usize; runs.len()];
     let mut out = Vec::with_capacity(n);
     loop {
         gov.checkpoint(out.len())?;
         let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let Some((key, _)) = run.front() else {
+        for (r, run) in runs.iter().enumerate() {
+            if heads[r] == run.0.len() {
                 continue;
-            };
-            let better = match best.and_then(|b| runs[b].front()) {
+            }
+            let better = match best {
                 None => true,
-                Some((bkey, _)) => compare_keys(key, bkey, keys) == Ordering::Less,
+                Some(b) => {
+                    compare_at(keys, 0, run.1.key(heads[r]), runs[b].1.key(heads[b]))
+                        == Ordering::Less
+                }
             };
             if better {
-                best = Some(i);
+                best = Some(r);
             }
         }
-        match best.and_then(|i| runs[i].pop_front()) {
-            Some((_, row)) => out.push(row),
-            None => break,
-        }
+        let Some(r) = best else { break };
+        let at = runs[r].1.at(heads[r]);
+        out.push(std::mem::replace(&mut runs[r].0[at], Row::empty()));
+        heads[r] += 1;
     }
     Ok(out)
 }
@@ -250,25 +520,202 @@ mod tests {
     fn sort_multi_key_directions() {
         let rows = vec![row![1i64, "b"], row![2i64, "a"], row![1i64, "a"]];
         let keys = [SortKey::asc(Expr::col(0)), SortKey::desc(Expr::col(1))];
-        let out = sort(rows, &keys, &Gov::none()).unwrap();
+        let (out, found) = sort(rows, &keys, &Gov::none()).unwrap();
         assert_eq!(out, vec![row![1i64, "b"], row![1i64, "a"], row![2i64, "a"]]);
+        assert_eq!(found, OrderFound::Full);
     }
 
     #[test]
     fn sort_nulls_first_on_asc() {
         let rows = vec![row![1i64], Row::new(vec![Value::Null])];
-        let out = sort(rows, &[SortKey::asc(Expr::col(0))], &Gov::none()).unwrap();
+        let (out, _) = sort(rows, &[SortKey::asc(Expr::col(0))], &Gov::none()).unwrap();
         assert!(out[0].get(0).is_null());
         let rows = vec![Row::new(vec![Value::Null]), row![1i64]];
-        let out = sort(rows, &[SortKey::desc(Expr::col(0))], &Gov::none()).unwrap();
+        let (out, _) = sort(rows, &[SortKey::desc(Expr::col(0))], &Gov::none()).unwrap();
         assert!(out[1].get(0).is_null(), "NULLs last on DESC");
     }
 
     #[test]
     fn sort_is_stable() {
         let rows = vec![row![1i64, 1i64], row![1i64, 2i64], row![1i64, 3i64]];
-        let out = sort(rows.clone(), &[SortKey::asc(Expr::col(0))], &Gov::none()).unwrap();
+        let (out, found) = sort(rows.clone(), &[SortKey::asc(Expr::col(0))], &Gov::none()).unwrap();
         assert_eq!(out, rows);
+        assert_eq!(found, OrderFound::Input);
+    }
+
+    /// The reference the ordering routine is checked against: the sort it
+    /// replaced — key tuples decorated onto the rows, one stable `sort_by`.
+    fn reference_sort(rows: Vec<Row>, keys: &[SortKey]) -> Vec<Row> {
+        let mut decorated: Vec<(Vec<Value>, Row)> = rows
+            .into_iter()
+            .map(|r| (keys.iter().map(|k| k.expr.eval(&r).unwrap()).collect(), r))
+            .collect();
+        decorated.sort_by(|(a, _), (b, _)| {
+            for ((av, bv), key) in a.iter().zip(b).zip(keys) {
+                let ord = av.total_cmp(bv);
+                if ord != Ordering::Equal {
+                    return if key.desc { ord.reverse() } else { ord };
+                }
+            }
+            Ordering::Equal
+        });
+        decorated.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Key `code` as a value of a column of `kind`: integers (a slice
+    /// lane), floats with both zeros (the other), or whatever was written
+    /// before a column had one type — NULLs, and `Int(1)` beside the
+    /// `Float(1.0)` it ties with.
+    fn key_value(kind: u8, code: u8) -> Value {
+        match (kind % 3, code % 6) {
+            (0, c) => Value::Int(i64::from(c) - 2),
+            (1, 0) => Value::Float(-0.0),
+            (1, 1) => Value::Float(0.0),
+            (1, c) => Value::Float(f64::from(c) * 0.5 - 2.0),
+            (_, 0) => Value::Null,
+            (_, 1) => Value::Int(1),
+            (_, 2) => Value::Float(1.0),
+            (_, 3) => Value::str("a"),
+            (_, c) => Value::Float(f64::from(c) - 4.5),
+        }
+    }
+
+    type OrderCase = (Vec<(u8, u8, u8)>, (u8, u8, u8), (bool, bool, bool), u8);
+
+    /// Rows `(k0, k1, k2, id)` — `id` is the input position, so comparing
+    /// rows checks where every tie went — in the input shape `shape` asks
+    /// for, and the three sort keys.
+    fn order_case((codes, kinds, desc, shape): &OrderCase) -> (Vec<Row>, Vec<SortKey>) {
+        let keys: Vec<SortKey> = [desc.0, desc.1, desc.2]
+            .iter()
+            .enumerate()
+            .map(|(c, &desc)| SortKey {
+                expr: Expr::col(c),
+                desc,
+            })
+            .collect();
+        let row = |&(a, b, c): &(u8, u8, u8)| match shape % 7 {
+            5 => (0, 0, 0),             // all equal
+            6 => (a % 2, b % 2, c % 2), // heavy ties
+            _ => (a, b, c),
+        };
+        let rows: Vec<Row> = codes
+            .iter()
+            .map(row)
+            .map(|(a, b, c)| {
+                vec![
+                    key_value(kinds.0, a),
+                    key_value(kinds.1, b),
+                    key_value(kinds.2, c),
+                ]
+            })
+            .map(Row::new)
+            .collect();
+        let mut rows = match shape % 7 {
+            1 | 2 => reference_sort(rows, &keys), // ordered (2: then reversed)
+            3 => reference_sort(rows, &keys[..1]), // ordered on one key
+            4 => reference_sort(rows, &keys[..2]), // ordered on two
+            _ => rows,
+        };
+        if shape % 7 == 2 {
+            rows.reverse();
+        }
+        let rows = (rows.into_iter().enumerate())
+            .map(|(id, r)| {
+                let mut values = r.into_values();
+                values.push(Value::Int(id as i64));
+                Row::new(values)
+            })
+            .collect();
+        (rows, keys)
+    }
+
+    fn order_cases(rng: &mut rfv_testkit::Rng) -> OrderCase {
+        use rfv_testkit::gen;
+        let code = |rng: &mut rfv_testkit::Rng| rng.u64_below(6) as u8;
+        let codes = gen::vec_of(
+            move |rng: &mut rfv_testkit::Rng| (code(rng), code(rng), code(rng)),
+            0,
+            48,
+        )(rng);
+        let kinds = (code(rng), code(rng), code(rng));
+        (
+            codes,
+            kinds,
+            (rng.bool(), rng.bool(), rng.bool()),
+            rng.u64_below(7) as u8,
+        )
+    }
+
+    #[test]
+    fn ordering_matches_the_stable_sort_it_replaced() {
+        rfv_testkit::check_config(
+            600,
+            "sort ≡ decorate + stable sort_by, ties included",
+            order_cases,
+            |case| {
+                let (rows, keys) = order_case(case);
+                let want = reference_sort(rows.clone(), &keys);
+                let (got, found) = sort(rows.clone(), &keys, &Gov::none()).unwrap();
+                assert_eq!(got, want, "found {found}");
+                // What it says it found is what the input was.
+                let ordered = |k: usize| reference_sort(rows.clone(), &keys[..k]) == rows;
+                match found {
+                    OrderFound::Input => assert!(ordered(3)),
+                    OrderFound::Full => assert!(!ordered(1)),
+                    OrderFound::Runs { prefix, keys, .. } => {
+                        assert!(keys == 3 && ordered(prefix) && !ordered(prefix + 1));
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn parallel_sort_matches_serial_at_every_thread_count() {
+        let _guard = sched::knob_guard();
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                sched::set_threads(0);
+                sched::set_parallel_threshold(usize::MAX);
+            }
+        }
+        let _reset = Reset;
+        sched::set_parallel_threshold(4);
+        rfv_testkit::check_config(
+            200,
+            "sort_par ≡ sort at threads {1, 2, 8}",
+            order_cases,
+            |case| {
+                let (rows, keys) = order_case(case);
+                let (want, found) = sort(rows.clone(), &keys, &Gov::none()).unwrap();
+                for threads in [1, 2, 8] {
+                    sched::set_threads(threads);
+                    let mut par = ParStats::default();
+                    let got = sort_par(rows.clone(), &keys, &mut par, &Gov::none()).unwrap();
+                    assert_eq!(got, want, "threads={threads}");
+                    // Ordered input is recognized across the morsel seams too.
+                    assert_eq!(
+                        par.order == Some(OrderFound::Input),
+                        found == OrderFound::Input,
+                        "threads={threads}"
+                    );
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn more_than_three_keys_and_strings_sort_through_the_comparator() {
+        // Four remaining keys: past the integer-coded sort.
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| row![i % 2, (i * 7) % 3, (i * 5) % 4, -(i % 5), i])
+            .collect();
+        let keys: Vec<SortKey> = (0..4).map(|c| SortKey::asc(Expr::col(c))).collect();
+        let (got, found) = sort(rows.clone(), &keys, &Gov::none()).unwrap();
+        assert_eq!(got, reference_sort(rows, &keys));
+        assert_eq!(found, OrderFound::Full);
     }
 
     #[test]

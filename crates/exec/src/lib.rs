@@ -23,6 +23,7 @@ mod scan;
 pub mod sched;
 pub mod window;
 
+pub use filter::OrderFound;
 pub use opmetrics::{ExecCounters, ExecProbe, OpMetrics};
 pub use physical::{JoinType, PhysicalPlan, SortKey};
 pub use sched::{ParStats, SchedMetrics, WorkerStat, DEFAULT_PARALLEL_THRESHOLD};

@@ -17,6 +17,7 @@
 //! elsewhere. `rows_in` is the sum of child output cardinalities;
 //! leaves report 0 (their input is storage, tallied by `rows_scanned`).
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rfv_obs::{fmt_ns, Counter};
@@ -81,6 +82,9 @@ pub struct OpMetrics {
     pub morsels: u64,
     /// Pool workers available to those morsels (0 when serial).
     pub workers: u64,
+    /// What the operator found out about its input while running, as
+    /// `key=value` — `order=runs(16) on 1 of 3 keys` on `Sort` and `Window`.
+    pub note: Option<String>,
     pub children: Vec<OpMetrics>,
 }
 
@@ -117,29 +121,22 @@ impl OpMetrics {
     }
 
     /// The `EXPLAIN ANALYZE` annotation for this node. Parallel
-    /// execution adds `morsels=`/`workers=` before `time=` (so
-    /// time-masking tooling keeps working); serial nodes render exactly
-    /// as before.
+    /// execution adds `morsels=`/`workers=`, and an operator with a note
+    /// adds it, before `time=` (so time-masking tooling keeps working);
+    /// other nodes render exactly as before.
     pub fn actuals(&self) -> String {
+        let mut out = format!(
+            "(actual rows={} in={} batches={}",
+            self.rows_out, self.rows_in, self.batches
+        );
         if self.morsels > 1 {
-            format!(
-                "(actual rows={} in={} batches={} morsels={} workers={} time={})",
-                self.rows_out,
-                self.rows_in,
-                self.batches,
-                self.morsels,
-                self.workers,
-                fmt_ns(self.elapsed_ns)
-            )
-        } else {
-            format!(
-                "(actual rows={} in={} batches={} time={})",
-                self.rows_out,
-                self.rows_in,
-                self.batches,
-                fmt_ns(self.elapsed_ns)
-            )
+            let _ = write!(out, " morsels={} workers={}", self.morsels, self.workers);
         }
+        if let Some(note) = &self.note {
+            let _ = write!(out, " {note}");
+        }
+        let _ = write!(out, " time={})", fmt_ns(self.elapsed_ns));
+        out
     }
 }
 
@@ -156,6 +153,7 @@ mod tests {
             elapsed_ns: ns,
             morsels: 0,
             workers: 0,
+            note: None,
             children: vec![],
         }
     }
@@ -170,6 +168,7 @@ mod tests {
             elapsed_ns: 1000,
             morsels: 0,
             workers: 0,
+            note: None,
             children: vec![leaf(10, 300), leaf(20, 400)],
         };
         assert_eq!(m.self_ns(), 300);
@@ -178,6 +177,25 @@ mod tests {
         assert!(m
             .actuals()
             .starts_with("(actual rows=10 in=30 batches=2 time="));
+    }
+
+    #[test]
+    fn a_note_renders_between_the_counts_and_the_time() {
+        let mut m = leaf(5, 100);
+        m.note = Some("order=runs(16) on 1 of 3 keys".into());
+        let text = m.actuals();
+        assert!(
+            text.starts_with("(actual rows=5 in=0 batches=1 order=runs(16) on 1 of 3 keys time="),
+            "{text}"
+        );
+        m.morsels = 4;
+        m.workers = 2;
+        assert!(
+            m.actuals()
+                .contains("batches=1 morsels=4 workers=2 order=runs(16) on 1 of 3 keys time="),
+            "{}",
+            m.actuals()
+        );
     }
 
     #[test]
@@ -190,6 +208,7 @@ mod tests {
             elapsed_ns: 10,
             morsels: 0,
             workers: 0,
+            note: None,
             children: vec![leaf(1, 25)],
         };
         assert_eq!(m.self_ns(), 0);

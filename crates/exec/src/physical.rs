@@ -358,6 +358,7 @@ impl PhysicalPlan {
             elapsed_ns: sw.elapsed_ns(),
             morsels: par.morsels,
             workers: par.workers,
+            note: par.order.map(|found| format!("order={found}")),
             children: kids,
         });
         Ok((out, metrics))

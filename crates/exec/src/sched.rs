@@ -546,6 +546,8 @@ pub fn split_morsels<T>(mut items: Vec<T>) -> Vec<Vec<T>> {
 pub struct ParStats {
     pub morsels: u64,
     pub workers: u64,
+    /// What an ordering operator (`Sort`, `Window`) found in its input.
+    pub order: Option<crate::filter::OrderFound>,
 }
 
 impl ParStats {
@@ -561,15 +563,16 @@ impl ParStats {
     }
 }
 
+/// Serialize this crate's unit tests that mutate the process-wide knobs.
+#[cfg(test)]
+pub(crate) fn knob_guard() -> MutexGuard<'static, ()> {
+    static KNOBS: Mutex<()> = Mutex::new(());
+    KNOBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialize tests that mutate the process-wide knobs.
-    fn knob_guard() -> MutexGuard<'static, ()> {
-        static KNOBS: Mutex<()> = Mutex::new(());
-        KNOBS.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn run_ordered_preserves_input_order() {
@@ -736,7 +739,8 @@ mod tests {
             p,
             ParStats {
                 morsels: 8,
-                workers: 3
+                workers: 3,
+                order: None
             }
         );
         p.record(2);

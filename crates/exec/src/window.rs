@@ -17,15 +17,16 @@
 //! Rows are sorted by (partition keys, order keys); output preserves that
 //! order and appends one column per window expression.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rfv_expr::{AggFunc, Expr};
+use rfv_expr::{AggFunc, AvgAcc, CountAcc, Expr, SumAcc, TypedRetract};
 use rfv_types::{Gov, Result, RfvError, Row, Value};
 
-use crate::filter::compare_keys;
-use crate::mem::{row_bytes, values_bytes};
+use crate::filter::{Column, KeyOrder};
+use crate::mem::values_bytes;
 use crate::physical::SortKey;
 use crate::sched::{self, ParStats};
 
@@ -138,19 +139,20 @@ impl WindowFrame {
     /// start = UNBOUNDED FOLLOWING and end = UNBOUNDED PRECEDING; were
     /// such a frame ever constructed anyway, the clamp still yields an
     /// empty frame rather than panicking mid-query.
-    /// Widening to `i128` makes the bound arithmetic immune to wrap: with
-    /// `i < len ≤ usize::MAX` and `|offset| ≤ i64::MAX`, every intermediate
-    /// fits in `i128` with room to spare, and the clamp brings the result
-    /// back into `[0, len]` before narrowing.
+    /// `i < len ≤ isize::MAX`, so both fit an `i64`; saturating adds make
+    /// the bound arithmetic immune to wrap at any offset, and the clamp
+    /// brings the result back into `[0, len]` before narrowing.
+    #[inline]
     fn indices(&self, i: usize, len: usize) -> (usize, usize) {
+        let at = |offset: i64| (i as i64).saturating_add(offset).clamp(0, len as i64) as usize;
         let lo = match self.start {
             FrameBound::UnboundedPreceding => 0,
-            FrameBound::Offset(s) => (i as i128 + s as i128).clamp(0, len as i128) as usize,
+            FrameBound::Offset(s) => at(s),
             FrameBound::UnboundedFollowing => len,
         };
         let hi = match self.end {
             FrameBound::UnboundedFollowing => len,
-            FrameBound::Offset(e) => (i as i128 + e as i128 + 1).clamp(0, len as i128) as usize,
+            FrameBound::Offset(e) => at(e.saturating_add(1)),
             FrameBound::UnboundedPreceding => 0,
         };
         (lo, hi.max(lo))
@@ -279,10 +281,15 @@ pub fn execute_window(
 }
 
 /// [`execute_window`] with parallelism accounting and per-expression
-/// [`SequenceSource`]s (`sources[i]` answers `window_exprs[i]`). Partitions
-/// are independent, so contiguous groups of partition ranges run on the
-/// shared scheduler when the cost gate opens. Each group owns its span of
-/// the sorted rows and stitches its own output rows; group outputs
+/// [`SequenceSource`]s (`sources[i]` answers `window_exprs[i]`). One pass
+/// over the input extracts the key columns and each distinct argument
+/// column (none for an expression a source answers); [`KeyOrder::of`] puts
+/// rows and columns in (partition keys, order keys) order — sorting only
+/// what the input's own order leaves to sort — and partitions and peer
+/// groups are read off the key columns by adjacent comparison. Partitions
+/// are independent, so contiguous groups of them run on the shared
+/// scheduler when the cost gate opens, each through the same
+/// [`Node::eval_group`] the serial path calls once; group outputs
 /// concatenate in partition order, so the result is byte-identical to
 /// serial evaluation at every thread count.
 #[allow(clippy::too_many_arguments)]
@@ -296,101 +303,72 @@ pub fn execute_window_par(
     par: &mut ParStats,
     gov: &Gov,
 ) -> Result<Vec<Row>> {
-    // Sort by (partition keys ASC, order keys as specified).
+    // Order by (partition keys ASC, order keys as specified).
     let mut keys: Vec<SortKey> = partition_by
         .iter()
         .map(|e| SortKey::asc(e.clone()))
         .collect();
     keys.extend(order_by.iter().cloned());
-    let sorted = crate::filter::sort(rows, &keys, gov)?;
-
-    // Partition boundaries: runs of equal partition-key vectors.
-    let mut pending = 0u64;
-    let mut part_keys: Vec<Vec<Value>> = Vec::with_capacity(sorted.len());
-    for (i, r) in sorted.iter().enumerate() {
-        if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
-            gov.charge(&mut pending)?;
-        }
-        let pk = partition_by
-            .iter()
-            .map(|e| e.eval(r))
-            .collect::<Result<Vec<Value>>>()?;
-        pending += values_bytes(&pk);
-        part_keys.push(pk);
-    }
-    gov.charge(&mut pending)?;
-    let part_sort_keys: Vec<SortKey> = partition_by
-        .iter()
-        .map(|e| SortKey::asc(e.clone()))
+    let mut exprs: Vec<&Expr> = keys.iter().map(|k| &k.expr).collect();
+    let arg_of: Vec<Option<usize>> = (window_exprs.iter().enumerate())
+        .map(|(i, spec)| {
+            let arg = spec
+                .arg
+                .as_ref()
+                .filter(|_| source_of(sources, i).is_none())?;
+            let at = (exprs[keys.len()..].iter()).position(|e| *e == arg);
+            Some(at.unwrap_or_else(|| {
+                exprs.push(arg);
+                exprs.len() - keys.len() - 1
+            }))
+        })
         .collect();
+    let n = rows.len();
+    let mut cols = Column::eval(&rows, &exprs, gov)?;
+    let args = cols.split_off(keys.len());
+    let ord = KeyOrder::of(cols, n, &keys, gov)?;
+    par.order = Some(ord.found);
+    let args: Vec<Column> = args.into_iter().map(|col| ord.apply_to(col)).collect();
+
+    // Partitions are runs of equal partition keys; within one, a row opens a
+    // new peer group when its order keys differ from the row before (only
+    // the ranking functions ask).
+    let ranked = window_exprs.iter().any(|s| s.func.is_ranking());
+    let mut peers: Vec<bool> = Vec::with_capacity(if ranked { n } else { 0 });
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut start = 0usize;
-    for i in 1..sorted.len() {
-        if compare_keys(&part_keys[i - 1], &part_keys[i], &part_sort_keys)
-            != std::cmp::Ordering::Equal
-        {
+    for i in 0..n {
+        gov.checkpoint(i)?;
+        let opens = i > 0 && ord.differs(i, 0..partition_by.len());
+        if opens {
             ranges.push((start, i));
             start = i;
         }
+        if ranked {
+            peers.push(i == 0 || opens || ord.differs(i, partition_by.len()..keys.len()));
+        }
     }
-    if !sorted.is_empty() {
-        ranges.push((start, sorted.len()));
+    if n > 0 {
+        ranges.push((start, n));
     }
-
-    // Ranking functions compare order-key tuples; evaluate them once.
-    let need_order_keys = window_exprs.iter().any(|s| s.func.is_ranking());
-    let order_keys: Vec<Vec<Value>> = if need_order_keys {
-        sorted
-            .iter()
-            .map(|r| {
-                order_by
-                    .iter()
-                    .map(|k| k.expr.eval(r))
-                    .collect::<Result<Vec<Value>>>()
-            })
-            .collect::<Result<_>>()?
-    } else {
-        Vec::new()
-    };
+    gov.reserve(peers.len() as u64)?;
+    let sorted = ord.apply(rows);
+    drop(ord);
 
     // Partitions are independent; hand contiguous groups of them to the
     // shared pool when the cost gate opens (threshold and thread count both
     // live in the scheduler, overridable for tests).
-    if !sched::should_parallelize(sorted.len(), ranges.len()) {
-        let per_range: Vec<Vec<Vec<Value>>> = ranges
-            .iter()
-            .map(|&range| {
-                let part = &sorted[range.0..range.1];
-                let keys = if need_order_keys {
-                    &order_keys[range.0..range.1]
-                } else {
-                    &[][..]
-                };
-                window_exprs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, spec)| {
-                        eval_window_expr(part, keys, spec, source_of(sources, i), mode, gov)
-                    })
-                    .collect()
-            })
-            .collect::<Result<_>>()?;
-        let mut out = Vec::with_capacity(sorted.len());
-        let mut pending = 0u64;
-        for (range, cols) in ranges.iter().zip(per_range) {
-            for i in range.0..range.1 {
-                gov.checkpoint(out.len())?;
-                let mut values = sorted[i].values().to_vec();
-                for col in &cols {
-                    values.push(col[i - range.0].clone());
-                }
-                let row = Row::new(values);
-                pending += row_bytes(&row);
-                out.push(row);
-            }
-        }
-        gov.charge(&mut pending)?;
-        return Ok(out);
+    if !sched::should_parallelize(n, ranges.len()) {
+        let node = Node {
+            specs: window_exprs,
+            sources,
+            args: &args,
+            arg_of: &arg_of,
+            peers: &peers,
+            mode,
+            gov,
+        };
+        return node.eval_group(0, sorted, &ranges);
     }
 
     // Carve the sorted rows into owned spans at group boundaries,
@@ -401,67 +379,35 @@ pub fn execute_window_par(
         .min(ranges.len())
         .max(1);
     let per_group = ranges.len().div_ceil(n_groups);
-    let groups: Vec<Vec<(usize, usize)>> = ranges.chunks(per_group).map(<[_]>::to_vec).collect();
-    par.record(groups.len());
+    par.record(ranges.len().div_ceil(per_group));
 
-    // One task: (base offset, owned row span, owned order-key span, ranges).
-    type GroupTask = (usize, Vec<Row>, Vec<Vec<Value>>, Vec<(usize, usize)>);
+    // One task: (base offset, owned row span, its ranges relative to base).
+    type GroupTask = (usize, Vec<Row>, Vec<(usize, usize)>);
     let mut rows_rest = sorted;
-    let mut keys_rest = order_keys;
-    let mut tasks: Vec<GroupTask> = Vec::with_capacity(groups.len());
-    for group in groups.into_iter().rev() {
-        let Some(&(base, _)) = group.first() else {
-            continue; // chunks() never yields an empty group
-        };
-        let span_rows = rows_rest.split_off(base);
-        let span_keys = if need_order_keys {
-            keys_rest.split_off(base)
-        } else {
-            Vec::new()
-        };
-        tasks.push((base, span_rows, span_keys, group));
+    let mut tasks: Vec<GroupTask> = Vec::with_capacity(n_groups);
+    for group in ranges.chunks(per_group).rev() {
+        let base = group[0].0;
+        let relative = group.iter().map(|&(lo, hi)| (lo - base, hi - base));
+        tasks.push((base, rows_rest.split_off(base), relative.collect()));
     }
     tasks.reverse();
 
     let specs = window_exprs.to_vec();
     let sources = sources.to_vec();
     let task_gov = gov.clone();
-    let outs = sched::run_ordered_gov(
-        tasks,
-        gov.clone(),
-        move |_, (base, span_rows, span_keys, group)| {
-            let mut out = Vec::with_capacity(span_rows.len());
-            let mut pending = 0u64;
-            for &(lo, hi) in &group {
-                let (l, h) = (lo - base, hi - base);
-                let part = &span_rows[l..h];
-                let keys = if span_keys.is_empty() {
-                    &[][..]
-                } else {
-                    &span_keys[l..h]
-                };
-                let cols = specs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, spec)| {
-                        eval_window_expr(part, keys, spec, source_of(&sources, i), mode, &task_gov)
-                    })
-                    .collect::<Result<Vec<Vec<Value>>>>()?;
-                for i in l..h {
-                    let mut values = span_rows[i].values().to_vec();
-                    for col in &cols {
-                        values.push(col[i - l].clone());
-                    }
-                    let row = Row::new(values);
-                    pending += row_bytes(&row);
-                    out.push(row);
-                }
-                task_gov.charge(&mut pending)?;
-            }
-            Ok(out)
-        },
-    )?;
-    let mut out = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    let outs = sched::run_ordered_gov(tasks, gov.clone(), move |_, (base, span, group)| {
+        let node = Node {
+            specs: &specs,
+            sources: &sources,
+            args: &args,
+            arg_of: &arg_of,
+            peers: &peers,
+            mode,
+            gov: &task_gov,
+        };
+        node.eval_group(base, span, &group)
+    })?;
+    let mut out = Vec::with_capacity(n);
     for chunk in outs {
         out.extend(chunk);
     }
@@ -476,185 +422,352 @@ pub(crate) fn source_of(
     sources.get(i)?.as_deref()
 }
 
-/// Evaluate one window expression over one partition: the source's column
-/// when there is a source and it recognizes the partition, the native
-/// kernel otherwise.
-fn eval_window_expr(
-    part: &[Row],
-    order_keys: &[Vec<Value>],
-    spec: &WindowExprSpec,
-    source: Option<&dyn SequenceSource>,
+/// What the groups of one window node share. `args` and `peers` cover the
+/// node's whole ordered input; `peers` is empty when nothing ranks.
+struct Node<'a> {
+    specs: &'a [WindowExprSpec],
+    sources: &'a [Option<Arc<dyn SequenceSource>>],
+    /// The distinct argument columns extracted up front.
+    args: &'a [Column],
+    /// `args[arg_of[i]]` is `specs[i]`'s argument, if it was extracted.
+    arg_of: &'a [Option<usize>],
+    peers: &'a [bool],
     mode: WindowMode,
-    gov: &Gov,
-) -> Result<Vec<Value>> {
-    if let Some(source) = source {
-        if let Some(col) = source.column(part, gov)? {
-            if col.len() != part.len() {
+    gov: &'a Gov,
+}
+
+impl Node<'_> {
+    /// Evaluate every window expression over a run of whole partitions —
+    /// `rows`, which start at `base` in the node's ordered input and which
+    /// `ranges` (relative to `base`, ascending) cover — and append the
+    /// results to the rows, which are moved, not copied, into the output.
+    /// The result columns are the materialized state, charged here.
+    fn eval_group(
+        &self,
+        base: usize,
+        mut rows: Vec<Row>,
+        ranges: &[(usize, usize)],
+    ) -> Result<Vec<Row>> {
+        let mut cols = Vec::with_capacity(self.specs.len());
+        for i in 0..self.specs.len() {
+            let col = self.column(i, base, &rows, ranges)?;
+            self.gov.reserve(values_bytes(&col))?;
+            cols.push(col.into_iter());
+        }
+        for (i, row) in rows.iter_mut().enumerate() {
+            self.gov.checkpoint(i)?;
+            let mut values = std::mem::replace(row, Row::empty()).into_values();
+            // Amortized growth: the next window node of a chain pushes into
+            // the capacity this reallocation bought.
+            values.reserve(cols.len());
+            values.extend(cols.iter_mut().filter_map(Iterator::next));
+            *row = Row::new(values);
+        }
+        Ok(rows)
+    }
+
+    /// The `i`-th expression's column over the group: a partition's values
+    /// come from the expression's source where there is one and it
+    /// recognizes the partition, from the native kernel otherwise.
+    fn column(
+        &self,
+        i: usize,
+        base: usize,
+        rows: &[Row],
+        ranges: &[(usize, usize)],
+    ) -> Result<Vec<Value>> {
+        let (spec, gov) = (&self.specs[i], self.gov);
+        let mut col: Vec<Value> = Vec::with_capacity(rows.len());
+        // An argument that was not extracted up front — the expression has a
+        // source — is evaluated on the first partition the source declines.
+        let mut own: Option<Column> = None;
+        let mut kernel = |ranges: &[(usize, usize)], col: &mut Vec<Value>| {
+            let func = match spec.func {
+                WindowFuncKind::Agg(f) => f,
+                ranking => return eval_ranking(&self.peers[base..], ranking, ranges, col),
+            };
+            let args = match (self.arg_of[i], &mut own) {
+                (Some(at), _) => (&self.args[at], base),
+                (None, Some(own)) => (&*own, 0),
+                (None, own) => {
+                    let args = match &spec.arg {
+                        Some(e) => Column::eval(rows, &[e], gov)?.remove(0),
+                        // COUNT(*) counts rows; feed a non-null dummy.
+                        None => Column::Int(vec![1; rows.len()]),
+                    };
+                    (&*own.insert(args), 0)
+                }
+            };
+            self.run_kernel(func, &spec.frame, args, ranges, col)
+        };
+        let Some(source) = source_of(self.sources, i) else {
+            kernel(ranges, &mut col)?;
+            return Ok(col);
+        };
+        for &(lo, hi) in ranges {
+            match source.column(&rows[lo..hi], gov)? {
+                Some(part) => col.extend(part),
+                None => kernel(&[(lo, hi)], &mut col)?,
+            }
+            if col.len() != hi {
                 return Err(RfvError::internal(format!(
-                    "sequence source `{}` answered {} values for a partition of {} rows",
+                    "`{spec}` (source `{}`) answered {} values for the first {hi} rows",
                     source.describe(),
-                    col.len(),
-                    part.len()
+                    col.len()
                 )));
             }
-            gov.reserve(values_bytes(&col))?;
-            return Ok(col);
         }
+        Ok(col)
     }
-    let func = match spec.func {
-        WindowFuncKind::Agg(f) => f,
-        ranking => return eval_ranking(part.len(), order_keys, ranking),
-    };
-    // Pre-evaluate the argument once per row. The argument span is the
-    // window's materialized state; charge it before the frame walk.
-    let args: Vec<Value> = match &spec.arg {
-        Some(e) => part.iter().map(|r| e.eval(r)).collect::<Result<_>>()?,
-        // COUNT(*) counts rows; feed a non-null dummy.
-        None => vec![Value::Int(1); part.len()],
-    };
-    gov.reserve(values_bytes(&args))?;
-    match mode {
-        WindowMode::Naive => eval_naive(&args, func, spec, gov),
-        WindowMode::Pipelined => {
-            if func.is_retractable() {
-                eval_pipelined(&args, func, spec, gov)
-            } else {
-                eval_minmax_deque(&args, func, spec, gov)
+
+    /// Append `func`'s values over the partitions `ranges` of a group whose
+    /// rows' arguments are `args[base..]`.
+    fn run_kernel(
+        &self,
+        func: AggFunc,
+        frame: &WindowFrame,
+        (args, base): (&Column, usize),
+        ranges: &[(usize, usize)],
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        // Call `$kernel` on the group's part of the column, whichever lane it is in.
+        macro_rules! on_lane {
+            ($kernel:expr) => {
+                match args {
+                    Column::Float(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
+                    Column::Int(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
+                    Column::Values(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
+                }
+            };
+        }
+        match (self.mode, func) {
+            (WindowMode::Naive, _) => on_lane!(|a, f, r, o, g| eval_naive(a, func, f, r, o, g)),
+            (_, AggFunc::Sum) => on_lane!(eval_pipelined::<_, SumAcc>),
+            (_, AggFunc::Avg) => on_lane!(eval_pipelined::<_, AvgAcc>),
+            (_, AggFunc::Count | AggFunc::CountStar) => on_lane!(eval_pipelined::<_, CountAcc>),
+            (_, AggFunc::Min | AggFunc::Max) => {
+                on_lane!(|a, f, r, o, g| eval_minmax_deque(a, func, f, r, o, g))
             }
         }
     }
 }
 
-/// ROW_NUMBER / RANK / DENSE_RANK over one partition. `order_keys` holds
-/// the evaluated ORDER BY tuple per row (already sorted); peers are rows
-/// with equal tuples.
-fn eval_ranking(len: usize, order_keys: &[Vec<Value>], func: WindowFuncKind) -> Result<Vec<Value>> {
-    let mut out = Vec::with_capacity(len);
-    let mut rank = 0i64;
-    let mut dense = 0i64;
-    for i in 0..len {
-        let new_key = i == 0 || order_keys[i] != order_keys[i - 1];
-        if new_key {
-            rank = i as i64 + 1;
-            dense += 1;
-        }
-        out.push(Value::Int(match func {
-            WindowFuncKind::RowNumber => i as i64 + 1,
-            WindowFuncKind::Rank => rank,
-            WindowFuncKind::DenseRank => dense,
-            WindowFuncKind::Agg(_) => {
-                return Err(RfvError::internal("aggregate in ranking evaluator"))
-            }
-        }));
-    }
-    Ok(out)
+/// One element of a kernel's input column. A column observed to be all
+/// `Float` or all `Int`, hence without NULLs, is walked as a plain `&[f64]`
+/// / `&[i64]` (the slice lanes); anything else — NULLs, mixed numerics,
+/// strings under MIN/MAX — as `&[Value]`. The recurrences below are written
+/// once over this trait, and every lane enters the accumulators through the
+/// same arithmetic ([`TypedRetract`]), so which lane ran cannot be told
+/// from the result, float bits included.
+trait Lane {
+    fn is_null(&self) -> bool;
+    fn add(&self, acc: &mut impl TypedRetract) -> Result<()>;
+    fn retract(&self, acc: &mut impl TypedRetract) -> Result<()>;
+    /// [`Value::sql_cmp`] of the lane's values.
+    fn sql_cmp(&self, other: &Self) -> Result<Option<Ordering>>;
+    fn value(&self) -> Value;
 }
 
-fn eval_naive(
-    args: &[Value],
+impl Lane for f64 {
+    fn is_null(&self) -> bool {
+        false
+    }
+    fn add(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.add_float(*self);
+        Ok(())
+    }
+    fn retract(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.retract_float(*self);
+        Ok(())
+    }
+    fn sql_cmp(&self, other: &Self) -> Result<Option<Ordering>> {
+        Ok(Some(self.partial_cmp(other).unwrap_or(Ordering::Equal)))
+    }
+    fn value(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl Lane for i64 {
+    fn is_null(&self) -> bool {
+        false
+    }
+    fn add(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.add_int(*self);
+        Ok(())
+    }
+    fn retract(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.retract_int(*self);
+        Ok(())
+    }
+    fn sql_cmp(&self, other: &Self) -> Result<Option<Ordering>> {
+        Ok(Some(self.cmp(other)))
+    }
+    fn value(&self) -> Value {
+        Value::Int(*self)
+    }
+}
+
+impl Lane for Value {
+    fn is_null(&self) -> bool {
+        Value::is_null(self)
+    }
+    fn add(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.update(self)
+    }
+    fn retract(&self, acc: &mut impl TypedRetract) -> Result<()> {
+        acc.retract(self)
+    }
+    fn sql_cmp(&self, other: &Self) -> Result<Option<Ordering>> {
+        Value::sql_cmp(self, other)
+    }
+    fn value(&self) -> Value {
+        self.clone()
+    }
+}
+
+/// ROW_NUMBER / RANK / DENSE_RANK. `peers[i]` says whether row `i` opens a
+/// new peer group (its ORDER BY tuple differs from the row before).
+fn eval_ranking(
+    peers: &[bool],
+    func: WindowFuncKind,
+    ranges: &[(usize, usize)],
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    for &(lo, hi) in ranges {
+        let (mut rank, mut dense) = (0i64, 0i64);
+        for (number, opens) in (1i64..).zip(&peers[lo..hi]) {
+            if number == 1 || *opens {
+                rank = number;
+                dense += 1;
+            }
+            out.push(Value::Int(match func {
+                WindowFuncKind::RowNumber => number,
+                WindowFuncKind::Rank => rank,
+                WindowFuncKind::DenseRank => dense,
+                WindowFuncKind::Agg(_) => {
+                    return Err(RfvError::internal("aggregate in ranking evaluator"))
+                }
+            }));
+        }
+    }
+    Ok(())
+}
+
+/// The explicit form of §2.2 — re-aggregate the whole frame for every row —
+/// kept as [`WindowMode::Naive`]: the paper's baseline and the tests' oracle.
+fn eval_naive<T: Lane>(
+    args: &[T],
     func: AggFunc,
-    spec: &WindowExprSpec,
+    frame: &WindowFrame,
+    ranges: &[(usize, usize)],
+    out: &mut Vec<Value>,
     gov: &Gov,
-) -> Result<Vec<Value>> {
-    let len = args.len();
-    let mut out = Vec::with_capacity(len);
+) -> Result<()> {
     let mut acc = func.accumulator();
-    for i in 0..len {
-        // O(n·W): a wide frame makes this the longest uninterruptible
-        // stretch in the engine, so poll every row, not every stride.
-        gov.check()?;
-        acc.reset();
-        let (lo, hi) = spec.frame.indices(i, len);
-        for arg in &args[lo..hi] {
-            acc.update(arg)?;
+    for &(plo, phi) in ranges {
+        for i in plo..phi {
+            // O(n·W): a wide frame makes this the longest uninterruptible
+            // stretch in the engine, so poll every row, not every stride.
+            gov.check()?;
+            acc.reset();
+            let (lo, hi) = frame.indices(i - plo, phi - plo);
+            for arg in &args[plo + lo..plo + hi] {
+                acc.update(&arg.value())?;
+            }
+            out.push(acc.finish()?);
         }
-        out.push(acc.finish()?);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Incremental evaluation with a retractable accumulator: both frame ends
 /// move monotonically with the row index, so each value is added and
 /// retracted at most once (the paper's three-operations-per-position claim).
-fn eval_pipelined(
-    args: &[Value],
-    func: AggFunc,
-    spec: &WindowExprSpec,
+fn eval_pipelined<T: Lane, A: TypedRetract>(
+    args: &[T],
+    frame: &WindowFrame,
+    ranges: &[(usize, usize)],
+    out: &mut Vec<Value>,
     gov: &Gov,
-) -> Result<Vec<Value>> {
-    let len = args.len();
-    let mut out = Vec::with_capacity(len);
-    let mut acc = func.retract_accumulator()?;
-    let (mut cur_lo, mut cur_hi) = (0usize, 0usize);
-    for i in 0..len {
-        gov.checkpoint(i)?;
-        let (lo, hi) = spec.frame.indices(i, len);
-        while cur_hi < hi {
-            acc.update(&args[cur_hi])?;
-            cur_hi += 1;
+) -> Result<()> {
+    let mut acc = A::default();
+    for &(plo, phi) in ranges {
+        acc.reset();
+        let (mut cur_lo, mut cur_hi) = (plo, plo);
+        for i in plo..phi {
+            gov.checkpoint(i)?;
+            let (lo, hi) = frame.indices(i - plo, phi - plo);
+            while cur_hi < plo + hi {
+                args[cur_hi].add(&mut acc)?;
+                cur_hi += 1;
+            }
+            while cur_lo < plo + lo {
+                args[cur_lo].retract(&mut acc)?;
+                cur_lo += 1;
+            }
+            // An empty frame (lo == hi) leaves the accumulator drained.
+            out.push(acc.finish()?);
         }
-        while cur_lo < lo {
-            acc.retract(&args[cur_lo])?;
-            cur_lo += 1;
-        }
-        // An empty frame (lo == hi) leaves the accumulator drained.
-        out.push(acc.finish()?);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Sliding MIN/MAX via a monotonic deque of candidate indices. NULLs are
 /// skipped on entry (SQL aggregates ignore NULL).
-fn eval_minmax_deque(
-    args: &[Value],
+fn eval_minmax_deque<T: Lane>(
+    args: &[T],
     func: AggFunc,
-    spec: &WindowExprSpec,
+    frame: &WindowFrame,
+    ranges: &[(usize, usize)],
+    out: &mut Vec<Value>,
     gov: &Gov,
-) -> Result<Vec<Value>> {
+) -> Result<()> {
     let want = match func {
-        AggFunc::Min => std::cmp::Ordering::Less,
-        AggFunc::Max => std::cmp::Ordering::Greater,
+        AggFunc::Min => Ordering::Less,
+        AggFunc::Max => Ordering::Greater,
         other => {
             return Err(RfvError::internal(format!(
                 "deque evaluator called for retractable {other}"
             )))
         }
     };
-    let len = args.len();
-    let mut out = Vec::with_capacity(len);
     let mut deque: VecDeque<usize> = VecDeque::new();
-    let mut cur_hi = 0usize;
-    for i in 0..len {
-        gov.checkpoint(i)?;
-        let (lo, hi) = spec.frame.indices(i, len);
-        while cur_hi < hi {
-            let v = &args[cur_hi];
-            if !v.is_null() {
-                while let Some(&back) = deque.back() {
-                    // Keep the deque monotone: drop candidates dominated by v.
-                    let dominated = match args[back].sql_cmp(v)? {
-                        Some(o) => o != want && o != std::cmp::Ordering::Equal,
-                        None => false,
-                    };
-                    if dominated {
-                        deque.pop_back();
-                    } else {
-                        break;
+    for &(plo, phi) in ranges {
+        deque.clear();
+        let mut cur_hi = plo;
+        for i in plo..phi {
+            gov.checkpoint(i)?;
+            let (lo, hi) = frame.indices(i - plo, phi - plo);
+            while cur_hi < plo + hi {
+                let v = &args[cur_hi];
+                if !v.is_null() {
+                    while let Some(&back) = deque.back() {
+                        // Keep the deque monotone: drop candidates dominated by v.
+                        let dominated = match args[back].sql_cmp(v)? {
+                            Some(o) => o != want && o != Ordering::Equal,
+                            None => false,
+                        };
+                        if dominated {
+                            deque.pop_back();
+                        } else {
+                            break;
+                        }
                     }
+                    deque.push_back(cur_hi);
                 }
-                deque.push_back(cur_hi);
+                cur_hi += 1;
             }
-            cur_hi += 1;
+            while deque.front().is_some_and(|&f| f < plo + lo) {
+                deque.pop_front();
+            }
+            out.push(match deque.front() {
+                Some(&f) => args[f].value(),
+                None => Value::Null,
+            });
         }
-        while deque.front().is_some_and(|&f| f < lo) {
-            deque.pop_front();
-        }
-        out.push(match deque.front() {
-            Some(&f) => args[f].clone(),
-            None => Value::Null,
-        });
     }
-    Ok(out)
+    Ok(())
 }
 
 impl WindowFuncKind {
@@ -1027,5 +1140,150 @@ mod tests {
                 assert_eq!(a, b, "{func} {frame}");
             }
         }
+    }
+    /// Variant and bits of every value: `0.0` and `-0.0`, `Int(3)` and
+    /// `Float(3.0)` are different answers here.
+    fn bits(vals: &[Value]) -> Vec<String> {
+        vals.iter()
+            .map(|v| match v {
+                Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
+    /// `func` over `ranges` of a column forced into a lane by how `col`
+    /// was built — the operator's own dispatch, minus the observation.
+    fn kernel(
+        mode: WindowMode,
+        func: AggFunc,
+        frame: &WindowFrame,
+        col: &Column,
+        ranges: &[(usize, usize)],
+    ) -> Vec<Value> {
+        let node = Node {
+            specs: &[],
+            sources: &[],
+            args: &[],
+            arg_of: &[],
+            peers: &[],
+            mode,
+            gov: &Gov::none(),
+        };
+        let mut out = Vec::new();
+        node.run_kernel(func, frame, (col, 0), ranges, &mut out)
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn slice_lanes_are_bit_identical_to_the_value_lane_and_to_naive_where_it_is_exact() {
+        const FLOATS: [f64; 8] = [-0.0, 0.0, 1.5, -2.25, 1e16, -1e16, 0.1, 3.0];
+        let frames = [
+            WindowFrame::cumulative(),
+            WindowFrame::sliding(2, 1),
+            WindowFrame::sliding(0, 3),
+            WindowFrame::new(FrameBound::Offset(2), FrameBound::Offset(3)).unwrap(),
+            WindowFrame::new(FrameBound::Offset(-3), FrameBound::Offset(-1)).unwrap(),
+            WindowFrame::sliding(1000, 1000),
+            WindowFrame::unbounded(),
+        ];
+        rfv_testkit::check_config(
+            400,
+            "slice lane ≡ Value lane (bits); both ≡ naive where naive is exact",
+            |rng| {
+                // Per row: (value code, whether it opens a partition).
+                let code = |rng: &mut rfv_testkit::Rng| (rng.u64_below(8) as u8, rng.chance(1, 3));
+                let rows = rfv_testkit::gen::vec_of(code, 0, 40)(rng);
+                (rows, rng.u64_below(4) as u8, rng.u64_below(7) as u8)
+            },
+            |(rows, kind, frame)| {
+                let frame = &frames[usize::from(*frame)];
+                let vals: Vec<Value> = (rows.iter().enumerate())
+                    .map(|(i, &(code, _))| match kind {
+                        0 => Value::Float(FLOATS[usize::from(code)]),
+                        1 => Value::Int(i64::from(code) - 3),
+                        2 if code == 7 => Value::Null,
+                        2 => Value::Float(FLOATS[usize::from(code)]),
+                        // Written before the column had one type.
+                        _ if i % 2 == 0 => Value::Int(i64::from(code) - 3),
+                        _ => Value::Float(FLOATS[usize::from(code)]),
+                    })
+                    .collect();
+                let mut ranges: Vec<(usize, usize)> = Vec::new();
+                for (i, &(_, opens)) in rows.iter().enumerate() {
+                    match ranges.last_mut() {
+                        Some(last) if !opens => last.1 = i + 1,
+                        _ => ranges.push((i, i + 1)),
+                    }
+                }
+                let floats = vals.iter().map(|v| match v {
+                    Value::Float(f) => Some(*f),
+                    _ => None,
+                });
+                let ints = vals.iter().map(|v| match v {
+                    Value::Int(i) => Some(*i),
+                    _ => None,
+                });
+                let slices: Option<Column> = match kind {
+                    0 => floats.collect::<Option<_>>().map(Column::Float),
+                    1 => ints.collect::<Option<_>>().map(Column::Int),
+                    _ => None,
+                };
+                for func in [
+                    AggFunc::Sum,
+                    AggFunc::Avg,
+                    AggFunc::Count,
+                    AggFunc::CountStar,
+                    AggFunc::Min,
+                    AggFunc::Max,
+                ] {
+                    // COUNT(*) is fed one non-null dummy per row.
+                    let ones = func == AggFunc::CountStar;
+                    let boxed = match ones {
+                        true => Column::Values(vec![Value::Int(1); vals.len()]),
+                        false => Column::Values(vals.clone()),
+                    };
+                    let by_value = kernel(WindowMode::Pipelined, func, frame, &boxed, &ranges);
+                    assert_eq!(by_value.len(), vals.len());
+                    let ones = ones.then(|| Column::Int(vec![1; vals.len()]));
+                    if let Some(slices) = ones.as_ref().or(slices.as_ref()) {
+                        let by_slice = kernel(WindowMode::Pipelined, func, frame, slices, &ranges);
+                        assert_eq!(bits(&by_slice), bits(&by_value), "{func} {frame}");
+                    }
+                    // A fresh sum per frame rounds differently from a
+                    // running one; everything else must agree with it.
+                    let float_sum = *kind != 1 && matches!(func, AggFunc::Sum | AggFunc::Avg);
+                    if !float_sum {
+                        let naive = kernel(WindowMode::Naive, func, frame, &boxed, &ranges);
+                        assert_eq!(bits(&naive), bits(&by_value), "{func} {frame}");
+                    }
+                }
+            },
+        );
+    }
+
+    /// What the operator observes is what the test above forces: a column
+    /// of one numeric variant takes a slice lane, anything else the boxed one.
+    #[test]
+    fn the_lane_is_chosen_from_the_values_observed() {
+        let lane = |vals: Vec<Value>| {
+            let rows: Vec<Row> = vals.into_iter().map(|v| Row::new(vec![v])).collect();
+            match Column::eval(&rows, &[&Expr::col(0)], &Gov::none())
+                .unwrap()
+                .remove(0)
+            {
+                Column::Float(_) => "f64",
+                Column::Int(_) => "i64",
+                Column::Values(_) => "Value",
+            }
+        };
+        assert_eq!(lane(vec![Value::Float(1.0), Value::Float(-0.0)]), "f64");
+        assert_eq!(lane(vec![Value::Int(1), Value::Int(2)]), "i64");
+        assert_eq!(lane(vec![Value::Float(1.0), Value::Null]), "Value");
+        assert_eq!(lane(vec![Value::Null, Value::Float(1.0)]), "Value");
+        assert_eq!(lane(vec![Value::Int(1), Value::Float(1.0)]), "Value");
+        assert_eq!(lane(vec![Value::str("a"), Value::str("b")]), "Value");
+        assert_eq!(lane(vec![]), "Value");
     }
 }

@@ -130,6 +130,19 @@ pub trait RetractAccumulator: Accumulator {
     fn retract(&mut self, value: &Value) -> Result<()>;
 }
 
+/// Typed entry points of the retractable accumulators, for a caller that
+/// holds its input as `&[f64]` / `&[i64]` instead of boxed [`Value`]s (the
+/// window operator's slice lanes). [`Accumulator::update`] and
+/// [`RetractAccumulator::retract`] dispatch a `Value` to these same methods,
+/// so both ways in perform the same operations in the same order and their
+/// results are bit-identical.
+pub trait TypedRetract: RetractAccumulator + Default {
+    fn add_int(&mut self, i: i64);
+    fn add_float(&mut self, f: f64);
+    fn retract_int(&mut self, i: i64);
+    fn retract_float(&mut self, f: f64);
+}
+
 /// SUM over ints stays exact (i128 internally to dodge transient overflow);
 /// any float input switches the state to float.
 ///
@@ -142,7 +155,7 @@ pub trait RetractAccumulator: Accumulator {
 /// so long pipelined scans over mixed int/float data cannot carry residue
 /// from windows that no longer overlap the current one.
 #[derive(Debug, Default)]
-struct SumAcc {
+pub struct SumAcc {
     int_sum: i128,
     /// Running float sum (Neumaier main term).
     float_sum: f64,
@@ -160,7 +173,7 @@ struct SumAcc {
 impl SumAcc {
     /// Neumaier (improved Kahan) compensated add. Retraction is the same
     /// operation with `-f`.
-    fn add_float(&mut self, f: f64) {
+    fn neumaier(&mut self, f: f64) {
         let t = self.float_sum + f;
         if self.float_sum.abs() >= f.abs() {
             self.float_comp += (self.float_sum - t) + f;
@@ -175,20 +188,47 @@ impl SumAcc {
     }
 }
 
+impl TypedRetract for SumAcc {
+    #[inline]
+    fn add_int(&mut self, i: i64) {
+        self.int_sum += i as i128;
+        self.non_null += 1;
+    }
+
+    #[inline]
+    fn add_float(&mut self, f: f64) {
+        self.neumaier(f);
+        self.float_n += 1;
+        self.saw_float = true;
+        self.non_null += 1;
+    }
+
+    #[inline]
+    fn retract_int(&mut self, i: i64) {
+        self.int_sum -= i as i128;
+        self.non_null -= 1;
+    }
+
+    #[inline]
+    fn retract_float(&mut self, f: f64) {
+        self.neumaier(-f);
+        self.float_n -= 1;
+        self.non_null -= 1;
+        if self.float_n == 0 {
+            // All floats retracted: snap to exact zero so residual
+            // rounding error cannot leak into later windows.
+            self.float_sum = 0.0;
+            self.float_comp = 0.0;
+        }
+    }
+}
+
 impl Accumulator for SumAcc {
     fn update(&mut self, value: &Value) -> Result<()> {
         match value {
             Value::Null => {}
-            Value::Int(i) => {
-                self.int_sum += *i as i128;
-                self.non_null += 1;
-            }
-            Value::Float(f) => {
-                self.add_float(*f);
-                self.float_n += 1;
-                self.saw_float = true;
-                self.non_null += 1;
-            }
+            Value::Int(i) => self.add_int(*i),
+            Value::Float(f) => self.add_float(*f),
             other => {
                 return Err(RfvError::execution(format!(
                     "SUM over non-numeric {other:?}"
@@ -222,21 +262,8 @@ impl RetractAccumulator for SumAcc {
     fn retract(&mut self, value: &Value) -> Result<()> {
         match value {
             Value::Null => {}
-            Value::Int(i) => {
-                self.int_sum -= *i as i128;
-                self.non_null -= 1;
-            }
-            Value::Float(f) => {
-                self.add_float(-*f);
-                self.float_n -= 1;
-                self.non_null -= 1;
-                if self.float_n == 0 {
-                    // All floats retracted: snap to exact zero so residual
-                    // rounding error cannot leak into later windows.
-                    self.float_sum = 0.0;
-                    self.float_comp = 0.0;
-                }
-            }
+            Value::Int(i) => self.retract_int(*i),
+            Value::Float(f) => self.retract_float(*f),
             other => {
                 return Err(RfvError::execution(format!(
                     "SUM over non-numeric {other:?}"
@@ -247,10 +274,33 @@ impl RetractAccumulator for SumAcc {
     }
 }
 
-#[derive(Debug)]
-struct CountAcc {
+/// COUNT of non-NULL values; with `count_star`, of rows.
+#[derive(Debug, Default)]
+pub struct CountAcc {
     count_star: bool,
     count: i64,
+}
+
+impl TypedRetract for CountAcc {
+    #[inline]
+    fn add_int(&mut self, _: i64) {
+        self.count += 1;
+    }
+
+    #[inline]
+    fn add_float(&mut self, _: f64) {
+        self.count += 1;
+    }
+
+    #[inline]
+    fn retract_int(&mut self, _: i64) {
+        self.count -= 1;
+    }
+
+    #[inline]
+    fn retract_float(&mut self, _: f64) {
+        self.count -= 1;
+    }
 }
 
 impl Accumulator for CountAcc {
@@ -280,8 +330,30 @@ impl RetractAccumulator for CountAcc {
 }
 
 #[derive(Debug, Default)]
-struct AvgAcc {
+pub struct AvgAcc {
     sum: SumAcc,
+}
+
+impl TypedRetract for AvgAcc {
+    #[inline]
+    fn add_int(&mut self, i: i64) {
+        self.sum.add_int(i);
+    }
+
+    #[inline]
+    fn add_float(&mut self, f: f64) {
+        self.sum.add_float(f);
+    }
+
+    #[inline]
+    fn retract_int(&mut self, i: i64) {
+        self.sum.retract_int(i);
+    }
+
+    #[inline]
+    fn retract_float(&mut self, f: f64) {
+        self.sum.retract_float(f);
+    }
 }
 
 impl Accumulator for AvgAcc {

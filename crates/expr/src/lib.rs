@@ -12,6 +12,6 @@ mod agg;
 mod expr;
 mod fold;
 
-pub use agg::{Accumulator, AggFunc, RetractAccumulator};
+pub use agg::{Accumulator, AggFunc, AvgAcc, CountAcc, RetractAccumulator, SumAcc, TypedRetract};
 pub use expr::{BinaryOp, Expr, ScalarFn, UnaryOp};
 pub use fold::fold_constants;

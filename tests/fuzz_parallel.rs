@@ -139,6 +139,13 @@ fn queries(rng: &mut Rng) -> Vec<String> {
         // Ranking over partitions (order-key path in the window operator).
         "SELECT pos, ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val DESC) AS r FROM t"
             .to_string(),
+        // Two partition columns and about one row per partition: almost
+        // every row is a partition boundary and a group boundary.
+        format!(
+            "SELECT pos, SUM(val) OVER (PARTITION BY grp, pos / 2 ORDER BY pos \
+             ROWS BETWEEN {l} PRECEDING AND {h} FOLLOWING) AS s, \
+             RANK() OVER (PARTITION BY grp, pos / 2 ORDER BY val) AS r FROM t"
+        ),
     ]
 }
 

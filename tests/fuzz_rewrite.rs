@@ -54,22 +54,13 @@ fn scenario(rng: &mut Rng) -> Scenario {
     (vals, views, exprs, rng.bool(), rng.bool())
 }
 
-/// The value column's SQL type, and `v` as a literal of that type (`5` is
-/// an integer literal, `5.0` a float one: a DOUBLE column keeps whichever
-/// it is given).
+/// The value column's SQL type. Values are written as bare integer
+/// literals into either: a DOUBLE column stores them as floats.
 fn val_column(int_col: bool) -> &'static str {
     if int_col {
         "BIGINT"
     } else {
         "DOUBLE"
-    }
-}
-
-fn val_literal(int_col: bool, v: i64) -> String {
-    if int_col {
-        v.to_string()
-    } else {
-        format!("{:?}", v as f64)
     }
 }
 
@@ -174,12 +165,8 @@ fn check_unpartitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec], int
     ))
     .unwrap();
     for (i, v) in vals.iter().enumerate() {
-        db.execute(&format!(
-            "INSERT INTO seq VALUES ({}, {})",
-            i + 1,
-            val_literal(int_col, *v)
-        ))
-        .unwrap();
+        db.execute(&format!("INSERT INTO seq VALUES ({}, {v})", i + 1))
+            .unwrap();
     }
     for (i, (kind, l, h)) in views.iter().enumerate() {
         let (func, frame) = match kind % 4 {
@@ -225,12 +212,8 @@ fn check_partitioned(vals: &[i64], views: &[ViewSpec], exprs: &[ExprSpec], int_c
     let chunk = vals.len().div_ceil(3).max(1);
     for (g, part) in vals.chunks(chunk).enumerate() {
         for (i, v) in part.iter().enumerate() {
-            db.execute(&format!(
-                "INSERT INTO pseq VALUES ({g}, {}, {})",
-                i + 1,
-                val_literal(int_col, *v)
-            ))
-            .unwrap();
+            db.execute(&format!("INSERT INTO pseq VALUES ({g}, {}, {v})", i + 1))
+                .unwrap();
         }
     }
     for (i, (_, l, h)) in views.iter().enumerate() {

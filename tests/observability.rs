@@ -201,6 +201,68 @@ fn explain_analyze_annotates_parallel_morsels() {
     assert!(masked.contains("(actual rows="), "{masked}");
 }
 
+/// `EXPLAIN ANALYZE` says what each ordering operator found in its input:
+/// nothing to sort, runs of an ordered key prefix to sort separately, or a
+/// full sort. Plain `EXPLAIN` evaluates nothing and says nothing.
+#[test]
+fn explain_analyze_says_what_the_ordering_found() {
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE ticks (pos BIGINT PRIMARY KEY, region BIGINT NOT NULL, \
+         month BIGINT NOT NULL, cust BIGINT NOT NULL, amount DOUBLE NOT NULL)",
+    )
+    .unwrap();
+    let tuples: Vec<String> = (1..=240)
+        .map(|i| {
+            format!(
+                "({i}, {}, {}, {}, {i}.25)",
+                i * 7 % 16,
+                i * 5 % 24,
+                i * 11 % 90
+            )
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO ticks VALUES {}", tuples.join(",")))
+        .unwrap();
+    // `<operator> order=<found>` of every node whose actuals carry the note.
+    let orders_in = |text: &str| -> Vec<String> {
+        let notes = text.lines().filter_map(|line| {
+            let (at, end) = (line.rfind(" order=")?, line.find(" time=")?);
+            let operator = line.trim_start().split(['(', ':']).next()?;
+            Some(format!("{operator} {}", &line[at + 1..end]))
+        });
+        notes.collect()
+    };
+    let orders = |sql: &str| orders_in(&db.explain(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
+
+    // The three-OVER statement, root first: the scan's `pos` order is no
+    // use to the innermost node, and each later node finds `region` done.
+    let three = "SELECT pos, \
+         SUM(amount) OVER (PARTITION BY region ORDER BY pos ROWS 2 PRECEDING) AS a, \
+         SUM(amount) OVER (PARTITION BY region, cust ORDER BY pos ROWS 2 PRECEDING) AS b, \
+         SUM(amount) OVER (PARTITION BY region ORDER BY month, pos ROWS 2 PRECEDING) AS c \
+         FROM ticks";
+    assert_eq!(
+        orders(three),
+        [
+            "Window order=runs(16) on 1 of 3 keys",
+            "Window order=runs(16) on 1 of 3 keys",
+            "Window order=full",
+        ]
+    );
+    // A window in scan order, and a Sort above a window that delivers it.
+    assert_eq!(
+        orders("SELECT pos, SUM(amount) OVER (ORDER BY pos ROWS 2 PRECEDING) AS s FROM ticks ORDER BY pos"),
+        ["Sort order=input", "Window order=input"]
+    );
+    assert_eq!(
+        orders("SELECT pos FROM ticks ORDER BY amount DESC"),
+        ["Sort order=full"]
+    );
+    let plain = db.explain(&format!("EXPLAIN {three}")).unwrap();
+    assert!(orders_in(&plain).is_empty(), "{plain}");
+}
+
 /// The shared pool's process-wide counters are mirrored into every
 /// engine's registry, so `\metrics` / `metrics_json` expose scheduler
 /// activity without a side channel.
