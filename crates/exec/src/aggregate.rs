@@ -3,10 +3,9 @@
 use std::collections::HashMap;
 
 use rfv_expr::{Accumulator, AggFunc, Expr};
-use rfv_types::{Gov, Result, RfvError, Row, Value};
+use rfv_types::{Gov, Result, Row, Value};
 
 use crate::mem::values_bytes;
-use crate::sched::{self, ParStats};
 
 /// One group: its key values plus one accumulator per aggregate.
 type GroupState = (Vec<Value>, Vec<Box<dyn Accumulator>>);
@@ -16,7 +15,9 @@ type GroupState = (Vec<Value>, Vec<Box<dyn Accumulator>>);
 /// Output rows consist of the group values followed by the aggregate
 /// results. Groups are emitted in first-seen order so results are
 /// deterministic. With an empty `group_exprs`, exactly one row is produced
-/// even for empty input (SQL global aggregate semantics).
+/// even for empty input (SQL global aggregate semantics). One accumulator
+/// chain per group, fed in input order at every thread count: a group's
+/// float sum cannot be split without reassociating it.
 pub fn hash_aggregate(
     rows: Vec<Row>,
     group_exprs: &[Expr],
@@ -75,141 +76,6 @@ pub fn hash_aggregate(
             for acc in &accs {
                 key.push(acc.finish()?);
             }
-            Ok(Row::new(key))
-        })
-        .collect()
-}
-
-/// Partition-parallel [`hash_aggregate`] with a deterministic ordered
-/// merge. Three stages:
-///
-/// 1. **Evaluate** (morsel-parallel): group keys and aggregate arguments
-///    are computed per row, in row order within each contiguous morsel.
-/// 2. **Assign** (serial, cheap): walking rows in input order assigns each
-///    distinct key a group id in first-seen order — the serial emission
-///    order — and buckets `(gid, args)` pairs into `gid % strata` strata,
-///    preserving row order.
-/// 3. **Fold** (stratum-parallel): every group lives wholly inside one
-///    stratum, so its accumulators see *exactly* the serial update
-///    sequence — no float reassociation, Kahan compensation bits and all.
-///    Finished values are stitched back by group id.
-///
-/// The output is byte-identical to [`hash_aggregate`] at every thread
-/// count. Global aggregates (no GROUP BY) stay serial: a single
-/// accumulator chain cannot be split without reassociating.
-pub fn hash_aggregate_par(
-    rows: Vec<Row>,
-    group_exprs: &[Expr],
-    aggregates: &[(AggFunc, Option<Expr>)],
-    par: &mut ParStats,
-    gov: &Gov,
-) -> Result<Vec<Row>> {
-    if group_exprs.is_empty() || !sched::should_parallelize(rows.len(), 2) {
-        return hash_aggregate(rows, group_exprs, aggregates, gov);
-    }
-    let chunks = sched::split_morsels(rows);
-    if chunks.len() <= 1 {
-        return hash_aggregate(
-            chunks.into_iter().next().unwrap_or_default(),
-            group_exprs,
-            aggregates,
-            gov,
-        );
-    }
-    par.record(chunks.len());
-
-    // Stage 1: evaluate (key, args) per row. Key-then-args interleaving
-    // per row matches the serial loop, so the first error is the same one
-    // serial execution reports.
-    let ge = group_exprs.to_vec();
-    let agg_args: Vec<Option<Expr>> = aggregates.iter().map(|(_, a)| a.clone()).collect();
-    let eval_gov = gov.clone();
-    let evaluated: Vec<Vec<(Vec<Value>, Vec<Value>)>> =
-        sched::run_ordered_gov(chunks, gov.clone(), move |_, chunk: Vec<Row>| {
-            let mut pending = 0u64;
-            let out: Vec<(Vec<Value>, Vec<Value>)> = chunk
-                .iter()
-                .map(|row| {
-                    let key: Vec<Value> = ge.iter().map(|e| e.eval(row)).collect::<Result<_>>()?;
-                    let args: Vec<Value> = agg_args
-                        .iter()
-                        .map(|arg| match arg {
-                            Some(e) => e.eval(row),
-                            // COUNT(*): any non-null value counts the row.
-                            None => Ok(Value::Int(1)),
-                        })
-                        .collect::<Result<_>>()?;
-                    pending += 48 + values_bytes(&key) + values_bytes(&args);
-                    Ok((key, args))
-                })
-                .collect::<Result<_>>()?;
-            eval_gov.charge(&mut pending)?;
-            Ok(out)
-        })?;
-
-    // Stage 2: first-seen group ids + stratum bucketing, in input order.
-    let strata = sched::effective_threads().saturating_mul(2).max(2);
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut group_keys: Vec<Vec<Value>> = Vec::new();
-    let mut buckets: Vec<Vec<(usize, Vec<Value>)>> = (0..strata).map(|_| Vec::new()).collect();
-    for (i, (key, args)) in evaluated.into_iter().flatten().enumerate() {
-        gov.checkpoint(i)?;
-        let gid = match index.get(&key) {
-            Some(&g) => g,
-            None => {
-                group_keys.push(key.clone());
-                index.insert(key, group_keys.len() - 1);
-                group_keys.len() - 1
-            }
-        };
-        buckets[gid % strata].push((gid, args));
-    }
-    let n_groups = group_keys.len();
-
-    // Stage 3: fold each stratum's groups in row order.
-    let funcs: Vec<AggFunc> = aggregates.iter().map(|(f, _)| *f).collect();
-    let finished: Vec<Vec<(usize, Vec<Value>)>> = sched::run_ordered_gov(
-        buckets,
-        gov.clone(),
-        move |_, bucket: Vec<(usize, Vec<Value>)>| {
-            let mut local: HashMap<usize, Vec<Box<dyn Accumulator>>> = HashMap::new();
-            let mut order: Vec<usize> = Vec::new();
-            for (gid, args) in &bucket {
-                let accs = local.entry(*gid).or_insert_with(|| {
-                    order.push(*gid);
-                    funcs.iter().map(|f| f.accumulator()).collect()
-                });
-                for (v, acc) in args.iter().zip(accs.iter_mut()) {
-                    acc.update(v)?;
-                }
-            }
-            order
-                .into_iter()
-                .map(|gid| {
-                    let vals = local[&gid]
-                        .iter()
-                        .map(|a| a.finish())
-                        .collect::<Result<Vec<Value>>>()?;
-                    Ok((gid, vals))
-                })
-                .collect()
-        },
-    )?;
-
-    // Ordered merge: emit groups by first-seen id, exactly like serial.
-    let mut slots: Vec<Option<Vec<Value>>> = (0..n_groups).map(|_| None).collect();
-    for (gid, vals) in finished.into_iter().flatten() {
-        slots[gid] = Some(vals);
-    }
-    group_keys
-        .into_iter()
-        .zip(slots)
-        .map(|(mut key, vals)| {
-            // Invariant: every group folds in exactly one stratum.
-            let vals = vals.ok_or_else(|| {
-                RfvError::internal("parallel aggregate produced no values for a group")
-            })?;
-            key.extend(vals);
             Ok(Row::new(key))
         })
         .collect()

@@ -11,101 +11,44 @@ use crate::mem::{row_bytes, value_bytes};
 use crate::physical::SortKey;
 use crate::sched::{self, ParStats};
 
-/// Keep rows for which `predicate` is TRUE (NULL/unknown drops the row).
-/// Surviving rows are moved, not copied, so the governance hook is a
-/// cancellation checkpoint only — no memory charge.
-pub fn filter(rows: Vec<Row>, predicate: &Expr, gov: &Gov) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    for (i, row) in rows.into_iter().enumerate() {
-        gov.checkpoint(i)?;
-        if predicate.eval(&row)?.as_bool()? == Some(true) {
-            out.push(row);
+/// Keep rows for which `predicate` is TRUE (NULL/unknown drops the row),
+/// per morsel. Surviving rows are moved, not copied, so the governance hook
+/// is a cancellation checkpoint only — no memory charge.
+pub fn filter(rows: Vec<Row>, predicate: &Expr, par: &mut ParStats, gov: &Gov) -> Result<Vec<Row>> {
+    sched::morsels(predicate, rows, par, gov, |predicate, rows, gov| {
+        let mut out = Vec::new();
+        for (i, row) in rows.into_iter().enumerate() {
+            gov.checkpoint(i)?;
+            if predicate.eval(&row)?.as_bool()? == Some(true) {
+                out.push(row);
+            }
         }
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
-/// Evaluate one expression per output column.
-pub fn project(rows: Vec<Row>, exprs: &[Expr], gov: &Gov) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut pending = 0u64;
-    for (i, row) in rows.iter().enumerate() {
-        if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
-            gov.charge(&mut pending)?;
+/// Evaluate one expression per output column, per morsel.
+pub fn project(rows: Vec<Row>, exprs: &[Expr], par: &mut ParStats, gov: &Gov) -> Result<Vec<Row>> {
+    sched::morsels(exprs, rows, par, gov, |exprs, rows, gov| {
+        let mut out = Vec::with_capacity(rows.len());
+        let mut pending = 0u64;
+        for (i, row) in rows.iter().enumerate() {
+            if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
+                gov.charge(&mut pending)?;
+            }
+            // Collecting through `Result` loses the length and over-allocates;
+            // a projected row may live on in the result cache, so size it exactly.
+            let mut values: Vec<Value> = Vec::with_capacity(exprs.len());
+            for e in exprs {
+                values.push(e.eval(row)?);
+            }
+            let projected = Row::new(values);
+            pending += row_bytes(&projected);
+            out.push(projected);
         }
-        // Collecting through `Result` loses the length and over-allocates;
-        // a projected row may live on in the result cache, so size it exactly.
-        let mut values: Vec<Value> = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            values.push(e.eval(row)?);
-        }
-        let projected = Row::new(values);
-        pending += row_bytes(&projected);
-        out.push(projected);
-    }
-    gov.charge(&mut pending)?;
-    Ok(out)
-}
-
-/// Morsel-parallel [`filter`]: contiguous input morsels are filtered
-/// independently and concatenated in morsel order — byte-identical to the
-/// serial scan order.
-pub fn filter_par(
-    rows: Vec<Row>,
-    predicate: &Expr,
-    par: &mut ParStats,
-    gov: &Gov,
-) -> Result<Vec<Row>> {
-    if !sched::should_parallelize(rows.len(), 2) {
-        return filter(rows, predicate, gov);
-    }
-    let chunks = sched::split_morsels(rows);
-    if chunks.len() <= 1 {
-        return filter(
-            chunks.into_iter().next().unwrap_or_default(),
-            predicate,
-            gov,
-        );
-    }
-    par.record(chunks.len());
-    let predicate = predicate.clone();
-    let worker_gov = gov.clone();
-    let outs = sched::run_ordered_gov(chunks, gov.clone(), move |_, chunk| {
-        filter(chunk, &predicate, &worker_gov)
-    })?;
-    Ok(concat(outs))
-}
-
-/// Morsel-parallel [`project`]: per-morsel projection, order-preserving
-/// concatenation.
-pub fn project_par(
-    rows: Vec<Row>,
-    exprs: &[Expr],
-    par: &mut ParStats,
-    gov: &Gov,
-) -> Result<Vec<Row>> {
-    if !sched::should_parallelize(rows.len(), 2) {
-        return project(rows, exprs, gov);
-    }
-    let chunks = sched::split_morsels(rows);
-    if chunks.len() <= 1 {
-        return project(chunks.into_iter().next().unwrap_or_default(), exprs, gov);
-    }
-    par.record(chunks.len());
-    let exprs = exprs.to_vec();
-    let worker_gov = gov.clone();
-    let outs = sched::run_ordered_gov(chunks, gov.clone(), move |_, chunk| {
-        project(chunk, &exprs, &worker_gov)
-    })?;
-    Ok(concat(outs))
-}
-
-fn concat(chunks: Vec<Vec<Row>>) -> Vec<Row> {
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+        gov.charge(&mut pending)?;
+        Ok(out)
+    })
 }
 
 /// What the ordering routine found in its input; `EXPLAIN ANALYZE` prints
@@ -214,36 +157,21 @@ impl Column {
         }
     }
 
-    fn value(&self, i: usize) -> Value {
+    /// [`Value::total_cmp`] of this column's rows `i` and `j`.
+    fn cmp_at(&self, i: usize, j: usize) -> Ordering {
         match self {
-            Column::Float(lane) => Value::Float(lane[i]),
-            Column::Int(lane) => Value::Int(lane[i]),
-            Column::Values(lane) => lane[i].clone(),
-        }
-    }
-
-    /// [`Value::total_cmp`] of this column's row `i` and `other`'s row `j`.
-    fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
-        match (self, other) {
-            (Column::Float(a), Column::Float(b)) => a[i].total_cmp(&b[j]),
-            (Column::Int(a), Column::Int(b)) => a[i].cmp(&b[j]),
-            (Column::Values(a), Column::Values(b)) => a[i].total_cmp(&b[j]),
-            // Two morsels of one input that observed different lanes.
-            (a, b) => a.value(i).total_cmp(&b.value(j)),
+            Column::Float(lane) => lane[i].total_cmp(&lane[j]),
+            Column::Int(lane) => lane[i].cmp(&lane[j]),
+            Column::Values(lane) => lane[i].total_cmp(&lane[j]),
         }
     }
 }
 
-/// Compare row `i` of key columns `a` with row `j` of key columns `b` on
-/// the keys from `from` on, under the per-key direction flags.
-fn compare_at(
-    keys: &[SortKey],
-    from: usize,
-    (a, i): (&[Column], usize),
-    (b, j): (&[Column], usize),
-) -> Ordering {
-    for (c, key) in keys.iter().enumerate().skip(from) {
-        let ord = a[c].cmp_at(i, &b[c], j);
+/// Compare rows `i` and `j` of the key columns `cols` on the keys from
+/// `from` on, under the per-key direction flags.
+fn compare_at(keys: &[SortKey], from: usize, cols: &[Column], i: usize, j: usize) -> Ordering {
+    for (col, key) in cols.iter().zip(keys).skip(from) {
+        let ord = col.cmp_at(i, j);
         if ord != Ordering::Equal {
             return if key.desc { ord.reverse() } else { ord };
         }
@@ -294,9 +222,9 @@ impl KeyOrder {
         for i in 1..n {
             gov.checkpoint(i)?;
             // A descent on key `c` behind equal keys `..c` ends the prefix at `c`.
-            if compare_at(&keys[..prefix], 0, (&cols, i - 1), (&cols, i)) == Ordering::Greater {
+            if compare_at(&keys[..prefix], 0, &cols, i - 1, i) == Ordering::Greater {
                 prefix = (0..prefix)
-                    .find(|&c| cols[c].cmp_at(i - 1, &cols[c], i) != Ordering::Equal)
+                    .find(|&c| cols[c].cmp_at(i - 1, i) != Ordering::Equal)
                     .unwrap_or(0);
             }
         }
@@ -318,15 +246,12 @@ impl KeyOrder {
         gov.reserve(u64::from(len) * if coded.is_some() { 32 } else { 4 })?;
         let (mut runs, mut lo) = (0, 0);
         for hi in 1..=n {
-            if hi == n
-                || compare_at(&keys[..prefix], 0, (&cols, hi - 1), (&cols, hi)) != Ordering::Equal
-            {
+            if hi == n || compare_at(&keys[..prefix], 0, &cols, hi - 1, hi) != Ordering::Equal {
                 gov.check()?;
                 match &mut coded {
                     Some(coded) => coded[lo..hi].sort_unstable(),
-                    None => perm[lo..hi].sort_by(|&a, &b| {
-                        compare_at(keys, prefix, (&cols, a as usize), (&cols, b as usize))
-                    }),
+                    None => perm[lo..hi]
+                        .sort_by(|&a, &b| compare_at(keys, prefix, &cols, a as usize, b as usize)),
                 }
                 runs += 1;
                 lo = hi;
@@ -356,15 +281,10 @@ impl KeyOrder {
         self.perm.as_ref().map_or(i, |p| p[i] as usize)
     }
 
-    /// The key columns and where in them output row `i` is, for [`compare_at`].
-    fn key(&self, i: usize) -> (&[Column], usize) {
-        (&self.cols, self.at(i))
-    }
-
     /// Whether output rows `i − 1` and `i` differ on any of `keys`.
     pub fn differs(&self, i: usize, keys: Range<usize>) -> bool {
         let (a, b) = (self.at(i - 1), self.at(i));
-        (self.cols[keys].iter()).any(|col| col.cmp_at(a, col, b) != Ordering::Equal)
+        (self.cols[keys].iter()).any(|col| col.cmp_at(a, b) != Ordering::Equal)
     }
 
     /// `rows` — the rows the keys were evaluated on — moved into key order.
@@ -401,91 +321,17 @@ pub fn sort(rows: Vec<Row>, keys: &[SortKey], gov: &Gov) -> Result<(Vec<Row>, Or
     Ok((ord.apply(rows), ord.found))
 }
 
-/// Parallel sort: each contiguous input morsel is ordered on the pool (see
-/// [`KeyOrder::of`]), then the ordered runs are k-way merged by their key columns
-/// with ties broken by morsel index. Morsels are contiguous input ranges in
-/// order, so (morsel index, within-morsel position) reproduces the input
-/// order on ties — the merged output is byte-identical to the serial
-/// stable [`sort`].
-pub fn sort_par(
-    rows: Vec<Row>,
-    keys: &[SortKey],
-    par: &mut ParStats,
-    gov: &Gov,
-) -> Result<Vec<Row>> {
-    let n = rows.len();
-    let chunks = match sched::should_parallelize(n, 2) {
-        true => sched::split_morsels(rows),
-        false => vec![rows],
-    };
-    if chunks.len() <= 1 {
-        let (out, found) = sort(chunks.into_iter().next().unwrap_or_default(), keys, gov)?;
-        par.order = Some(found);
-        return Ok(out);
-    }
-    par.record(chunks.len());
-    let keys_owned: Vec<SortKey> = keys.to_vec();
-    let worker_gov = gov.clone();
-    let mut runs: Vec<(Vec<Row>, KeyOrder)> =
-        sched::run_ordered_gov(chunks, gov.clone(), move |_, chunk: Vec<Row>| {
-            let ord = order(&chunk, &keys_owned, &worker_gov)?;
-            Ok((chunk, ord))
-        })?;
-
-    // Every morsel in order and every seam between two morsels in order:
-    // the input was in order, and its rows go back untouched.
-    let seams_ordered = runs.windows(2).all(|w| {
-        let last = w[0].0.len().saturating_sub(1);
-        w.iter().any(|run| run.0.is_empty())
-            || compare_at(keys, 0, w[0].1.key(last), w[1].1.key(0)) != Ordering::Greater
-    });
-    if seams_ordered && runs.iter().all(|run| run.1.found == OrderFound::Input) {
-        par.order = Some(OrderFound::Input);
-        return Ok(concat(runs.into_iter().map(|run| run.0).collect()));
-    }
-    par.order = Some(OrderFound::Full);
-
-    // K-way merge: linear scan over run heads (k is small — a few runs
-    // per thread). Ties select the lowest run index, which is exactly
-    // input order because runs are contiguous input ranges.
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(n);
-    loop {
-        gov.checkpoint(out.len())?;
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if heads[r] == run.0.len() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    compare_at(keys, 0, run.1.key(heads[r]), runs[b].1.key(heads[b]))
-                        == Ordering::Less
-                }
-            };
-            if better {
-                best = Some(r);
-            }
-        }
-        let Some(r) = best else { break };
-        let at = runs[r].1.at(heads[r]);
-        out.push(std::mem::replace(&mut runs[r].0[at], Row::empty()));
-        heads[r] += 1;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfv_types::row;
+    use crate::{ExecProbe, PhysicalPlan};
+    use rfv_types::{row, DataType, Schema, SchemaRef};
 
     #[test]
     fn filter_drops_false_and_null() {
         let rows = vec![row![1i64], row![2i64], Row::new(vec![Value::Null])];
         let pred = Expr::col(0).gt(Expr::lit(1i64));
-        let out = filter(rows, &pred, &Gov::none()).unwrap();
+        let out = filter(rows, &pred, &mut ParStats::default(), &Gov::none()).unwrap();
         assert_eq!(out, vec![row![2i64]], "NULL > 1 is unknown, dropped");
     }
 
@@ -495,6 +341,7 @@ mod tests {
         let out = project(
             rows,
             &[Expr::col(1), Expr::col(0).add(Expr::col(1))],
+            &mut ParStats::default(),
             &Gov::none(),
         )
         .unwrap();
@@ -507,7 +354,8 @@ mod tests {
     fn projected_rows_allocate_what_they_hold() {
         for width in 1..=5 {
             let exprs: Vec<Expr> = (0..width).map(|_| Expr::col(0)).collect();
-            let out = project(vec![row![7i64], row![8i64]], &exprs, &Gov::none()).unwrap();
+            let rows = vec![row![7i64], row![8i64]];
+            let out = project(rows, &exprs, &mut ParStats::default(), &Gov::none()).unwrap();
             for r in out {
                 let values = r.into_values();
                 assert_eq!(values.len(), width);
@@ -685,22 +533,31 @@ mod tests {
         sched::set_parallel_threshold(4);
         rfv_testkit::check_config(
             200,
-            "sort_par ≡ sort at threads {1, 2, 8}",
+            "the thread setting does not reach Sort: threads {1, 2, 8}",
             order_cases,
             |case| {
                 let (rows, keys) = order_case(case);
                 let (want, found) = sort(rows.clone(), &keys, &Gov::none()).unwrap();
+                let fields = (0..4).map(|c| rfv_types::Field::new(format!("c{c}"), DataType::Int));
+                let plan = PhysicalPlan::Sort {
+                    input: Box::new(PhysicalPlan::Values {
+                        schema: SchemaRef::new(Schema::new(fields.collect())),
+                        rows,
+                    }),
+                    keys,
+                };
+                let probe = ExecProbe {
+                    counters: None,
+                    trace: true,
+                    token: None,
+                };
                 for threads in [1, 2, 8] {
                     sched::set_threads(threads);
-                    let mut par = ParStats::default();
-                    let got = sort_par(rows.clone(), &keys, &mut par, &Gov::none()).unwrap();
+                    let (got, metrics) = plan.execute_probed(&probe).unwrap();
                     assert_eq!(got, want, "threads={threads}");
-                    // Ordered input is recognized across the morsel seams too.
-                    assert_eq!(
-                        par.order == Some(OrderFound::Input),
-                        found == OrderFound::Input,
-                        "threads={threads}"
-                    );
+                    let metrics = metrics.expect("traced");
+                    assert_eq!(metrics.morsels, 0, "threads={threads}");
+                    assert_eq!(metrics.note, Some(format!("order={found}")));
                 }
             },
         );
@@ -726,7 +583,7 @@ mod tests {
         let token = Arc::new(CancelToken::new().with_mem_budget(8));
         let gov = Gov::new(Some(token));
         assert!(matches!(
-            project(rows, &[Expr::col(0)], &gov),
+            project(rows, &[Expr::col(0)], &mut ParStats::default(), &gov),
             Err(RfvError::ResourceExhausted(_))
         ));
     }

@@ -235,7 +235,7 @@ impl PhysicalPlan {
             Ok(rows)
         };
         let out = match self {
-            PhysicalPlan::TableScan { table, .. } => scan::table_scan_par(table, &mut par, &gov)?,
+            PhysicalPlan::TableScan { table, .. } => scan::table_scan(table, &mut par, &gov)?,
             PhysicalPlan::IndexRangeScan {
                 table,
                 column,
@@ -245,10 +245,10 @@ impl PhysicalPlan {
             } => scan::index_range_scan(table, *column, lo.as_ref(), hi.as_ref(), &gov)?,
             PhysicalPlan::Values { rows, .. } => rows.clone(),
             PhysicalPlan::Filter { input, predicate } => {
-                filter::filter_par(run(input)?, predicate, &mut par, &gov)?
+                filter::filter(run(input)?, predicate, &mut par, &gov)?
             }
             PhysicalPlan::Project { input, exprs, .. } => {
-                filter::project_par(run(input)?, exprs, &mut par, &gov)?
+                filter::project(run(input)?, exprs, &mut par, &gov)?
             }
             PhysicalPlan::NestedLoopJoin {
                 left,
@@ -301,16 +301,16 @@ impl PhysicalPlan {
                 &gov,
             )?,
             PhysicalPlan::Sort { input, keys } => {
-                filter::sort_par(run(input)?, keys, &mut par, &gov)?
+                let (rows, found) = filter::sort(run(input)?, keys, &gov)?;
+                par.order = Some(found);
+                rows
             }
             PhysicalPlan::HashAggregate {
                 input,
                 group_exprs,
                 aggregates,
                 ..
-            } => {
-                aggregate::hash_aggregate_par(run(input)?, group_exprs, aggregates, &mut par, &gov)?
-            }
+            } => aggregate::hash_aggregate(run(input)?, group_exprs, aggregates, &gov)?,
             PhysicalPlan::UnionAll { inputs } => {
                 let mut out = Vec::new();
                 for p in inputs {
@@ -331,7 +331,7 @@ impl PhysicalPlan {
                 mode,
                 sources,
                 ..
-            } => window::execute_window_par(
+            } => window::execute_window(
                 run(input)?,
                 partition_by,
                 order_by,
@@ -431,20 +431,16 @@ impl PhysicalPlan {
         }
     }
 
-    /// The strategy this operator uses on the shared worker pool when the
-    /// scheduler's cost gate opens, or `None` for always-serial
-    /// operators. This is *eligibility*: small inputs still run serially
-    /// at execution time.
+    /// How this operator splits its input on the shared worker pool when
+    /// the scheduler's cost gate opens, or `None` for the operators that
+    /// run one algorithm at every thread count — `Sort`, `HashAggregate`
+    /// and `Window` among them. This is *eligibility*: inputs below the
+    /// gate are not split at execution time.
     pub fn parallel_strategy(&self) -> Option<&'static str> {
         match self {
             PhysicalPlan::TableScan { .. } => Some("morsel scan"),
             PhysicalPlan::Filter { .. } => Some("morsel filter"),
             PhysicalPlan::Project { .. } => Some("morsel project"),
-            PhysicalPlan::Sort { .. } => Some("morsel sort + k-way merge"),
-            PhysicalPlan::HashAggregate { group_exprs, .. } if !group_exprs.is_empty() => {
-                Some("partitioned aggregate")
-            }
-            PhysicalPlan::Window { .. } => Some("partition-parallel window"),
             _ => None,
         }
     }

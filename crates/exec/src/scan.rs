@@ -8,56 +8,30 @@ use rfv_types::{Gov, Result, RfvError, Row, Value};
 use crate::mem::row_bytes;
 use crate::sched::{self, ParStats};
 
-/// Full table scan in slot order.
-pub fn table_scan(table: &TableRef, gov: &Gov) -> Result<Vec<Row>> {
-    let guard = table.read();
-    let mut out = Vec::new();
-    let mut pending = 0u64;
-    for (i, (_, r)) in guard.scan().enumerate() {
-        if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
-            gov.charge(&mut pending)?;
-        }
-        pending += row_bytes(r);
-        out.push(r.clone());
-    }
-    gov.charge(&mut pending)?;
-    Ok(out)
-}
-
-/// Morsel-parallel full table scan: the slot space is split into
-/// contiguous ranges, each cloned out under its own read guard, and the
-/// per-range vectors concatenate in range order — byte-identical to the
-/// serial slot-order scan. Like every read in this engine, a scan is not
-/// snapshot-isolated against concurrent writers; each morsel sees the
-/// table as of its own read lock.
-pub fn table_scan_par(table: &TableRef, par: &mut ParStats, gov: &Gov) -> Result<Vec<Row>> {
+/// Full table scan in slot order, through the morsel driver: runs of
+/// slots are cloned out under a read guard each and concatenate in slot
+/// order. An unsplit scan is one read of the table at one instant; like
+/// every read in this engine a split one is not snapshot-isolated against
+/// concurrent writers — each morsel sees the table as of its own read lock.
+pub fn table_scan(table: &TableRef, par: &mut ParStats, gov: &Gov) -> Result<Vec<Row>> {
     let slots = table.read().stats().slot_count;
-    if !sched::should_parallelize(slots, 2) {
-        return table_scan(table, gov);
-    }
-    let ranges = sched::morsel_ranges(slots);
-    if ranges.len() <= 1 {
-        return table_scan(table, gov);
-    }
-    par.record(ranges.len());
-    let t = table.clone();
-    let worker_gov = gov.clone();
-    let chunks = sched::run_ordered_gov(ranges, gov.clone(), move |_, (lo, hi)| {
-        let guard = t.read();
-        let mut chunk = Vec::new();
+    sched::morsels(table, (0, slots), par, gov, move |table, (lo, hi), gov| {
+        let guard = table.read();
+        // The last run reads to the table's end as of its own lock, not
+        // as of the count above.
+        let hi = if hi == slots { usize::MAX } else { hi };
+        let mut out = Vec::new();
         let mut pending = 0u64;
-        for (_, r) in guard.scan_range(lo, hi) {
+        for (i, (_, r)) in guard.scan_range(lo, hi).enumerate() {
+            if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
+                gov.charge(&mut pending)?;
+            }
             pending += row_bytes(r);
-            chunk.push(r.clone());
+            out.push(r.clone());
         }
-        worker_gov.charge(&mut pending)?;
-        Ok(chunk)
-    })?;
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    Ok(out)
+        gov.charge(&mut pending)?;
+        Ok(out)
+    })
 }
 
 /// Ordered range scan through the index on `column`.
@@ -116,7 +90,12 @@ mod tests {
     #[test]
     fn table_scan_returns_all_rows() {
         let t = setup();
-        assert_eq!(table_scan(&t, &Gov::none()).unwrap().len(), 3);
+        assert_eq!(
+            table_scan(&t, &mut ParStats::default(), &Gov::none())
+                .unwrap()
+                .len(),
+            3
+        );
     }
 
     #[test]
@@ -160,7 +139,10 @@ mod tests {
         let token = Arc::new(CancelToken::new());
         token.cancel();
         let gov = Gov::new(Some(token));
-        assert!(matches!(table_scan(&t, &gov), Err(RfvError::Cancelled(_))));
+        assert!(matches!(
+            table_scan(&t, &mut ParStats::default(), &gov),
+            Err(RfvError::Cancelled(_))
+        ));
     }
 
     #[test]
@@ -170,7 +152,7 @@ mod tests {
         let t = setup();
         let token = Arc::new(CancelToken::new());
         let gov = Gov::new(Some(token.clone()));
-        table_scan(&t, &gov).unwrap();
+        table_scan(&t, &mut ParStats::default(), &gov).unwrap();
         assert!(token.mem_used() > 0, "scan must charge its clones");
     }
 }

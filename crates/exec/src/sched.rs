@@ -1,33 +1,31 @@
-//! The shared work-stealing scheduler behind every parallel operator.
+//! The shared work-stealing scheduler and the one morsel driver on it.
 //!
-//! One fixed pool of worker threads serves the whole process: morsel-driven
-//! scans, filters, projections, sorts, partition-parallel aggregation and
-//! window evaluation, and batched view maintenance all inject chunked tasks
-//! here instead of spawning ad-hoc `thread::scope` threads. Each worker owns
-//! a deque; an idle worker steals from the back of its peers' deques, so an
-//! uneven morsel (one giant partition, one selective filter chunk) never
-//! serializes the rest of the pipeline behind it.
+//! One fixed pool of worker threads serves the whole process. The three
+//! operators that were measured to gain from splitting — table scan,
+//! filter, projection — hand [`morsels`] a per-morsel closure; nothing else
+//! injects work. `Sort`, `HashAggregate` and `Window` run one algorithm at
+//! every thread count (see [`DEFAULT_PARALLEL_THRESHOLD`] for the
+//! measurement). Each worker owns a deque; an idle worker steals from the
+//! back of its peers' deques, so an uneven morsel (one selective filter
+//! chunk) never serializes the rest behind it.
 //!
 //! ## Determinism contract
 //!
 //! [`run_ordered`] is the only way work enters the pool, and it returns
 //! results **in input order**, keyed by chunk index — never by completion
-//! order. Operators built on it are required to produce byte-identical
-//! output to their serial forms at every thread count: order-preserving
-//! concatenation for scans/filters/projections, k-way merge with
-//! chunk-index tie-breaks for sort, and per-group input-order folding with
-//! first-seen emission for aggregation. Scheduling decides only *when* a
-//! chunk runs, never *what* the caller observes.
+//! order. [`morsels`] concatenates them in that order, so a split operator
+//! produces byte-identical output to the same closure called once on the
+//! whole input. Scheduling decides only *when* a chunk runs, never *what*
+//! the caller observes.
 //!
 //! ## Cost gate
 //!
-//! Parallelism only pays above a row-count threshold (task injection,
-//! wake-ups, and result stitching are not free). [`should_parallelize`]
-//! centralizes that decision: at least two independent units of work,
-//! at least [`DEFAULT_PARALLEL_THRESHOLD`] rows (override with the
-//! `RFV_PARALLEL_THRESHOLD` env var or [`set_parallel_threshold`]), and an
-//! effective thread count above one. `window.rs` and the morsel operators
-//! all consult this gate instead of carrying private heuristics.
+//! Parallelism only pays above a row count (task injection, wake-ups, and
+//! result stitching are not free). [`should_parallelize`] is that decision,
+//! consulted in one place, by [`morsels`]: enough rows for two morsels, at
+//! least [`DEFAULT_PARALLEL_THRESHOLD`] rows ([`set_parallel_threshold`] is
+//! the tests' hook to force splitting on small inputs), and an effective
+//! thread count above one.
 //!
 //! ## Pool lifecycle
 //!
@@ -40,16 +38,26 @@
 //! of one bypasses the pool entirely — serial execution never pays for a
 //! thread, a lock, or a clock read.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rfv_obs::{Counter, Histogram};
-use rfv_types::{Result, RfvError};
+use rfv_types::{Gov, Result, RfvError, Row};
 
-/// Default minimum input rows before an operator goes parallel.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 8192;
+/// Minimum input rows before a morsel operator splits: a measured
+/// constant, not a knob. On the 2-vCPU reference host (EXPERIMENTS.md,
+/// "Parallel operators, T = 2 vs T = 1": p50 of 40 fresh-literal statements
+/// a side, two rounds, two passes; serial ÷ split, > 1 means the split
+/// wins) a scan → filter → project statement with the gate forced open
+/// reads 0.80–1.00 at 8 192 rows, 0.71–1.47 at 16 384 (parity), 1.25–2.03
+/// at 32 768 (one cell of sixteen at 1.04) and 1.59–1.94 at 65 536. This
+/// is the smallest power of two at which the split is worth ≥ 1.2 ×, and
+/// it leaves the benchmark's 10 000-row window table and 22 000-row view
+/// bodies unsplit, where T = 2 must cost what T = 1 costs.
+pub const DEFAULT_PARALLEL_THRESHOLD: usize = 32_768;
 
 /// Hard cap on worker threads (sanity bound for `RFV_THREADS`).
 const MAX_THREADS: usize = 512;
@@ -57,23 +65,16 @@ const MAX_THREADS: usize = 512;
 /// Runtime override of the effective thread count (0 = unset).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Runtime override of the parallel row threshold (`usize::MAX` = unset).
+/// Test override of the parallel row threshold (`usize::MAX` = unset).
 static THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
 
 /// `RFV_THREADS` parsed once (the env cannot change mid-process).
 fn env_threads() -> Option<usize> {
     static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| env_usize("RFV_THREADS").filter(|&n| n > 0))
-}
-
-/// `RFV_PARALLEL_THRESHOLD` parsed once.
-fn env_threshold() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| env_usize("RFV_PARALLEL_THRESHOLD"))
+    *CACHE.get_or_init(|| {
+        let threads = std::env::var("RFV_THREADS").ok()?.trim().parse().ok()?;
+        Some(threads).filter(|&n| n > 0)
+    })
 }
 
 /// Override the effective thread count for this process (`0` resets to
@@ -94,26 +95,25 @@ pub fn effective_threads() -> usize {
 }
 
 /// Override the parallel row threshold (`usize::MAX` resets to
-/// `RFV_PARALLEL_THRESHOLD` / the default). Tests use this to force the
-/// parallel paths on small inputs.
+/// [`DEFAULT_PARALLEL_THRESHOLD`]). Tests use this to force the morsel
+/// split on small inputs.
 pub fn set_parallel_threshold(rows: usize) {
     THRESHOLD_OVERRIDE.store(rows, Ordering::Relaxed);
 }
 
-/// Minimum input rows before an operator goes parallel.
+/// Minimum input rows before a morsel operator splits.
 pub fn parallel_threshold() -> usize {
     match THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
-        usize::MAX => env_threshold().unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
+        usize::MAX => DEFAULT_PARALLEL_THRESHOLD,
         n => n,
     }
 }
 
-/// The shared cost gate: `units` independent pieces of work over `rows`
-/// input rows is worth parallelizing iff there are at least two units,
-/// the input meets [`parallel_threshold`], and more than one thread is
-/// effective.
-pub fn should_parallelize(rows: usize, units: usize) -> bool {
-    units > 1 && rows >= parallel_threshold() && effective_threads() > 1
+/// The cost gate: an input of `rows` rows is worth splitting iff it can
+/// make two morsels, meets [`parallel_threshold`], and more than one
+/// thread is effective.
+fn should_parallelize(rows: usize) -> bool {
+    rows >= parallel_threshold().max(2) && effective_threads() > 1
 }
 
 /// Process-wide scheduler metrics, mirrored into each engine's
@@ -210,13 +210,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 thread_local! {
-    /// Set inside pool workers so nested `run_ordered` calls execute
-    /// inline instead of deadlocking the pool on itself.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// The executing worker, for per-worker task attribution from inside
-    /// the `run_ordered` task wrapper.
+    /// The executing pool worker, for per-worker task attribution from
+    /// inside the `run_ordered` task wrapper; `None` on every other thread.
     static CURRENT_WORKER: std::cell::RefCell<Option<Arc<Worker>>> =
         const { std::cell::RefCell::new(None) };
+}
+
+/// Whether this is a pool worker: a nested `run_ordered` call executes
+/// inline instead of deadlocking the pool on itself.
+fn in_worker() -> bool {
+    CURRENT_WORKER.with(|w| w.borrow().is_some())
 }
 
 /// Attribute one executed task to the current pool worker (no-op on
@@ -303,7 +306,6 @@ impl Pool {
     }
 
     fn worker_loop(&'static self, id: usize, own: Arc<Worker>) {
-        IN_WORKER.with(|w| w.set(true));
         CURRENT_WORKER.with(|w| *w.borrow_mut() = Some(Arc::clone(&own)));
         // Claim a flight-recorder lane so this worker's tasks show up as
         // their own timeline row in the Perfetto export.
@@ -343,31 +345,13 @@ impl Pool {
     }
 }
 
-/// Outcome slot for one task of a [`run_ordered`] call.
-enum TaskOut<U> {
-    Done(Result<U>),
-    Panicked(String),
-}
-
-struct RunSlots<U> {
-    results: Vec<Option<TaskOut<U>>>,
-    remaining: usize,
-}
-
-struct RunState<U> {
-    slots: Mutex<RunSlots<U>>,
-    done: Condvar,
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string panic payload>".to_string())
-    }
+    let msg = match payload.downcast_ref::<&str>() {
+        Some(s) => Some((*s).to_string()),
+        None => payload.downcast_ref::<String>().cloned(),
+    };
+    let msg = msg.unwrap_or_else(|| "<non-string panic payload>".to_string());
+    format!("parallel worker panicked: {msg}")
 }
 
 /// Execute `f` over `chunks` on the shared pool, returning the results
@@ -376,35 +360,35 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// reporting is deterministic: the error of the lowest-index failing chunk
 /// wins, exactly as a serial left-to-right fold would report it.
 ///
+/// Every task polls `gov` *before* doing any work, so once a statement's
+/// token trips, its queued chunks drain from the pool in microseconds
+/// instead of running to completion. This is the scheduler-level
+/// cancellation point; operators add finer-grained checks inside their own
+/// loops.
+///
 /// Runs inline (in order, on the calling thread) when the pool would not
 /// help: fewer than two chunks, an effective thread count of one, or a
 /// call from inside a pool worker (nested parallelism).
-pub fn run_ordered<C, U, F>(chunks: Vec<C>, f: F) -> Result<Vec<U>>
+pub fn run_ordered<C, U, F>(chunks: Vec<C>, gov: Gov, f: F) -> Result<Vec<U>>
 where
     C: Send + 'static,
     U: Send + 'static,
     F: Fn(usize, C) -> Result<U> + Send + Sync + 'static,
 {
+    let f = move |i, chunk| {
+        gov.check()?;
+        f(i, chunk)
+    };
     let n = chunks.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
     let threads = effective_threads();
-    if n == 1 || threads == 1 || IN_WORKER.with(|w| w.get()) {
-        return chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| f(i, c))
-            .collect();
-    }
-
     let pool = Pool::global();
-    pool.ensure_workers(threads.min(n));
-    if pool.workers.read().is_empty() {
-        // Thread spawning unavailable; degrade to serial.
-        return chunks
-            .into_iter()
-            .enumerate()
+    let inline = n < 2 || threads == 1 || in_worker() || {
+        pool.ensure_workers(threads.min(n));
+        // Thread spawning unavailable: degrade to serial.
+        pool.workers.read().is_empty()
+    };
+    if inline {
+        return (chunks.into_iter().enumerate())
             .map(|(i, c)| f(i, c))
             .collect();
     }
@@ -413,19 +397,15 @@ where
     m.parallel_ops.incr();
     m.tasks.add(n as u64);
 
-    let state: Arc<RunState<U>> = Arc::new(RunState {
-        slots: Mutex::new(RunSlots {
-            results: (0..n).map(|_| None).collect(),
-            remaining: n,
-        }),
-        done: Condvar::new(),
-    });
+    // Every task sends its chunk's result home and drops its sender, so
+    // the receive loop ends when the last one has.
+    let (home, results) = mpsc::channel();
     let f = Arc::new(f);
     let tasks: Vec<Task> = chunks
         .into_iter()
         .enumerate()
         .map(|(i, chunk)| {
-            let state = Arc::clone(&state);
+            let home = home.clone();
             let f = Arc::clone(&f);
             Box::new(move || {
                 // The recorder start stamp is guarded on enablement so a
@@ -433,72 +413,31 @@ where
                 let rec = rfv_obs::event::recorder();
                 let rec_start = rec.is_enabled().then(rfv_obs::event::now_ns);
                 let clock = rfv_obs::Stopwatch::start();
-                let out = panic::catch_unwind(AssertUnwindSafe(|| f(i, chunk)));
+                let out = panic::catch_unwind(AssertUnwindSafe(|| f(i, chunk)))
+                    .unwrap_or_else(|p| Err(RfvError::internal(panic_message(p))));
                 let busy = clock.elapsed_ns();
                 metrics().busy_ns.record(busy);
                 credit_current_worker(busy);
                 if let Some(start) = rec_start {
                     rec.complete("task", "sched", start, busy, None);
                 }
-                let mut slots = lock(&state.slots);
-                slots.results[i] = Some(match out {
-                    Ok(r) => TaskOut::Done(r),
-                    Err(p) => TaskOut::Panicked(panic_message(p)),
-                });
-                slots.remaining -= 1;
-                if slots.remaining == 0 {
-                    state.done.notify_all();
-                }
+                // The caller is blocked on the other end until this is dropped.
+                let _ = home.send((i, out));
             }) as Task
         })
         .collect();
+    drop(home);
     pool.inject(tasks);
 
-    let mut slots = lock(&state.slots);
-    while slots.remaining > 0 {
-        slots = state
-            .done
-            .wait(slots)
-            .unwrap_or_else(PoisonError::into_inner);
+    let mut slots: Vec<Option<Result<U>>> = (0..n).map(|_| None).collect();
+    for (i, out) in results {
+        slots[i] = Some(out);
     }
-    let results = std::mem::take(&mut slots.results);
-    drop(slots);
-
-    let mut out = Vec::with_capacity(n);
-    for slot in results {
-        match slot {
-            Some(TaskOut::Done(Ok(v))) => out.push(v),
-            Some(TaskOut::Done(Err(e))) => return Err(e),
-            Some(TaskOut::Panicked(msg)) => {
-                return Err(RfvError::internal(format!(
-                    "parallel worker panicked: {msg}"
-                )))
-            }
-            None => {
-                return Err(RfvError::internal(
-                    "parallel task completed without filling its result slot",
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`run_ordered`] with a governance checkpoint in the work loop: every
-/// task polls `gov` *before* doing any work, so once a statement's token
-/// trips, its queued morsels drain from the pool in microseconds instead
-/// of running to completion. This is the scheduler-level cancellation
-/// point; operators add finer-grained checks inside their own loops.
-pub fn run_ordered_gov<C, U, F>(chunks: Vec<C>, gov: rfv_types::Gov, f: F) -> Result<Vec<U>>
-where
-    C: Send + 'static,
-    U: Send + 'static,
-    F: Fn(usize, C) -> Result<U> + Send + Sync + 'static,
-{
-    run_ordered(chunks, move |i, chunk| {
-        gov.check()?;
-        f(i, chunk)
-    })
+    // In chunk order, so the first error is the lowest-index one.
+    let unfilled = || RfvError::internal("parallel task completed without filling its result slot");
+    (slots.into_iter())
+        .map(|slot| slot.unwrap_or_else(|| Err(unfilled())))
+        .collect()
 }
 
 /// Split `len` items into contiguous morsel ranges `[lo, hi)` sized for
@@ -523,20 +462,81 @@ pub fn morsel_ranges(len: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Split an owned vector into the same contiguous morsels as
-/// [`morsel_ranges`], preserving order.
-pub fn split_morsels<T>(mut items: Vec<T>) -> Vec<Vec<T>> {
-    let ranges = morsel_ranges(items.len());
-    if ranges.len() <= 1 {
-        return vec![items];
+/// An operator input [`morsels`] can cut into contiguous pieces.
+pub trait Morsels: Sized + Send + 'static {
+    /// Rows (or table slots) in the input: what the cost gate weighs.
+    fn rows(&self) -> usize;
+    /// The input cut at `ranges` — those of [`morsel_ranges`]: contiguous,
+    /// ascending, covering `0..rows()` — preserving order.
+    fn split(self, ranges: &[(usize, usize)]) -> Vec<Self>;
+}
+
+impl<T: Send + 'static> Morsels for Vec<T> {
+    fn rows(&self) -> usize {
+        self.len()
     }
-    let mut chunks = Vec::with_capacity(ranges.len());
-    for &(lo, hi) in ranges.iter().rev() {
-        chunks.push(items.split_off(lo));
-        debug_assert_eq!(lo + chunks.last().unwrap().len(), hi);
+
+    fn split(mut self, ranges: &[(usize, usize)]) -> Vec<Self> {
+        // Back to front, so `split_off` always leaves the prefix behind;
+        // what is left at the end is the first morsel.
+        let tail = ranges.iter().skip(1).rev();
+        let mut chunks: Vec<Self> = tail.map(|&(lo, _)| self.split_off(lo)).collect();
+        chunks.push(self);
+        chunks.reverse();
+        chunks
     }
-    chunks.reverse();
-    chunks
+}
+
+/// A run of table slots `[lo, hi)`.
+impl Morsels for (usize, usize) {
+    fn rows(&self) -> usize {
+        self.1 - self.0
+    }
+
+    fn split(self, ranges: &[(usize, usize)]) -> Vec<Self> {
+        ranges
+            .iter()
+            .map(|&(lo, hi)| (self.0 + lo, self.0 + hi))
+            .collect()
+    }
+}
+
+/// The one entry every morsel operator goes through: `f(state, input, gov)`
+/// is the operator over any contiguous piece of its input. Below the cost
+/// gate it is called once, here, on the whole input — nothing is cloned,
+/// split or scheduled. Above it the input is cut into [`morsel_ranges`],
+/// `f` runs per morsel on the pool over an owned copy of `state` (the
+/// operator's expressions or table handle), the outputs concatenate in
+/// morsel order — byte-identical to the single call — and `par` records
+/// the split.
+pub fn morsels<S, I, F>(
+    state: &S,
+    input: I,
+    par: &mut ParStats,
+    gov: &Gov,
+    f: F,
+) -> Result<Vec<Row>>
+where
+    S: ToOwned + ?Sized,
+    S::Owned: Send + Sync + 'static,
+    I: Morsels,
+    F: Fn(&S, I, &Gov) -> Result<Vec<Row>> + Send + Sync + 'static,
+{
+    let len = input.rows();
+    if !should_parallelize(len) {
+        return f(state, input, gov);
+    }
+    let chunks = input.split(&morsel_ranges(len));
+    par.record(chunks.len());
+    let (state, task_gov) = (state.to_owned(), gov.clone());
+    let outs = run_ordered(chunks, gov.clone(), move |_, chunk| {
+        f(state.borrow(), chunk, &task_gov)
+    })?;
+    let mut out = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    for chunk in outs {
+        out.extend(chunk);
+    }
+    Ok(out)
 }
 
 /// How a parallel-capable operator actually executed: number of morsels
@@ -556,11 +556,6 @@ impl ParStats {
         self.morsels = morsels as u64;
         self.workers = effective_threads().min(morsels) as u64;
     }
-
-    /// Whether the operator actually went parallel.
-    pub fn is_parallel(&self) -> bool {
-        self.morsels > 1
-    }
 }
 
 /// Serialize this crate's unit tests that mutate the process-wide knobs.
@@ -579,7 +574,7 @@ mod tests {
         let _g = knob_guard();
         set_threads(4);
         let chunks: Vec<usize> = (0..64).collect();
-        let out = run_ordered(chunks, |i, c| {
+        let out = run_ordered(chunks, Gov::none(), |i, c| {
             assert_eq!(i, c);
             // Uneven work so completion order scrambles.
             std::thread::sleep(std::time::Duration::from_micros(((c * 7) % 13) as u64));
@@ -594,7 +589,7 @@ mod tests {
     fn panicking_chunk_becomes_internal_error() {
         let _g = knob_guard();
         set_threads(4);
-        let err = run_ordered((0..8).collect::<Vec<usize>>(), |_, c| {
+        let err = run_ordered((0..8).collect::<Vec<usize>>(), Gov::none(), |_, c| {
             if c == 5 {
                 panic!("boom in chunk {c}");
             }
@@ -604,7 +599,7 @@ mod tests {
         assert!(err.to_string().contains("panicked"), "{err}");
         assert!(err.to_string().contains("boom in chunk 5"), "{err}");
         // The pool survives a panicking task.
-        let ok = run_ordered(vec![1usize, 2, 3], |_, c| Ok(c)).unwrap();
+        let ok = run_ordered(vec![1usize, 2, 3], Gov::none(), |_, c| Ok(c)).unwrap();
         assert_eq!(ok, vec![1, 2, 3]);
         set_threads(0);
     }
@@ -614,7 +609,7 @@ mod tests {
         let _g = knob_guard();
         set_threads(4);
         for _ in 0..16 {
-            let err = run_ordered((0..16).collect::<Vec<usize>>(), |_, c| {
+            let err = run_ordered((0..16).collect::<Vec<usize>>(), Gov::none(), |_, c| {
                 if c >= 3 {
                     Err(RfvError::internal(format!("err {c}")))
                 } else {
@@ -632,7 +627,7 @@ mod tests {
         let _g = knob_guard();
         set_threads(1);
         let before = metrics().parallel_ops.get();
-        let out = run_ordered(vec![10usize, 20, 30], |i, c| Ok(i + c)).unwrap();
+        let out = run_ordered(vec![10usize, 20, 30], Gov::none(), |i, c| Ok(i + c)).unwrap();
         assert_eq!(out, vec![10, 21, 32]);
         assert_eq!(
             metrics().parallel_ops.get(),
@@ -642,12 +637,112 @@ mod tests {
         set_threads(0);
     }
 
+    /// The driver over `0..n` as one-column rows: every morsel passes its
+    /// rows through, bumps `calls` and notes the thread it ran on.
+    fn drive(
+        n: i64,
+        par: &mut ParStats,
+        gov: &Gov,
+        calls: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    ) -> Result<Vec<Row>> {
+        let rows: Vec<Row> = (0..n).map(|i| rfv_types::row![i]).collect();
+        morsels(calls, rows, par, gov, |calls, chunk, _| {
+            lock(calls).push(std::thread::current().id());
+            Ok(chunk)
+        })
+    }
+
+    #[test]
+    fn a_shut_gate_is_one_call_on_the_calling_thread() {
+        let _g = knob_guard();
+        let rows: Vec<Row> = (0..64).map(|i| rfv_types::row![i]).collect();
+        // Shut by the thread count, then by the row count.
+        for (threads, threshold) in [(1, 4), (4, 65)] {
+            set_threads(threads);
+            set_parallel_threshold(threshold);
+            let tasks = metrics().tasks.get();
+            let (calls, mut par) = (Arc::default(), ParStats::default());
+            let out = drive(64, &mut par, &Gov::none(), &calls).unwrap();
+            assert_eq!(out, rows);
+            assert_eq!(*lock(&calls), [std::thread::current().id()]);
+            assert_eq!(metrics().tasks.get(), tasks, "nothing was scheduled");
+            assert_eq!(par, ParStats::default());
+        }
+        set_parallel_threshold(usize::MAX);
+        set_threads(0);
+    }
+
+    #[test]
+    fn an_open_gate_concatenates_in_morsel_order_and_records_the_split() {
+        let _g = knob_guard();
+        set_threads(4);
+        set_parallel_threshold(4);
+        let tasks = metrics().tasks.get();
+        let (calls, mut par) = (Arc::default(), ParStats::default());
+        let out = drive(64, &mut par, &Gov::none(), &calls).unwrap();
+        assert_eq!(out, (0..64).map(|i| rfv_types::row![i]).collect::<Vec<_>>());
+        let morsels = morsel_ranges(64).len();
+        assert_eq!(lock(&calls).len(), morsels);
+        assert_eq!((par.morsels, par.workers), (morsels as u64, 4));
+        assert_eq!(metrics().tasks.get(), tasks + morsels as u64);
+        // Slot runs are cut at the same places, offset by where they start.
+        let cuts = (100, 164).split(&morsel_ranges(64));
+        assert_eq!(cuts.first().map(|c| c.0), Some(100));
+        assert_eq!(cuts.last().map(|c| c.1), Some(164));
+        assert!(cuts.windows(2).all(|w| w[0].1 == w[1].0));
+        set_parallel_threshold(usize::MAX);
+        set_threads(0);
+    }
+
+    #[test]
+    fn a_tripped_token_drains_queued_morsels_before_they_do_work() {
+        let _g = knob_guard();
+        set_threads(4);
+        set_parallel_threshold(4);
+        // Tripped before the split: no morsel does any work.
+        let token = Arc::new(rfv_types::CancelToken::new());
+        token.cancel();
+        let calls = Arc::default();
+        let gov = Gov::new(Some(token));
+        let err = drive(64, &mut ParStats::default(), &gov, &calls).unwrap_err();
+        assert!(matches!(err, RfvError::Cancelled(_)), "{err}");
+        assert!(lock(&calls).is_empty());
+        // Tripped by the first morsel while every other morsel that got
+        // past its check waits for exactly that: at most one morsel per
+        // worker did work, the queued rest drained.
+        let token = Arc::new(rfv_types::CancelToken::new());
+        let gov = Gov::new(Some(Arc::clone(&token)));
+        let worked = Arc::new(AtomicUsize::new(0));
+        let chunks: Vec<usize> = (0..64).collect();
+        let err = run_ordered(chunks, gov, {
+            let worked = Arc::clone(&worked);
+            move |i, _| {
+                worked.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    token.cancel();
+                }
+                while token.check().is_ok() {
+                    std::thread::yield_now();
+                }
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, RfvError::Cancelled(_)), "{err}");
+        assert!(
+            worked.load(Ordering::SeqCst) <= 4,
+            "{worked:?} of 64 worked"
+        );
+        set_parallel_threshold(usize::MAX);
+        set_threads(0);
+    }
+
     #[test]
     fn nested_run_ordered_executes_inline() {
         let _g = knob_guard();
         set_threads(2);
-        let out = run_ordered(vec![0usize, 1, 2, 3], |_, c| {
-            let inner = run_ordered(vec![c, c + 1], |_, x| Ok(x * 10))?;
+        let out = run_ordered(vec![0usize, 1, 2, 3], Gov::none(), |_, c| {
+            let inner = run_ordered(vec![c, c + 1], Gov::none(), |_, x| Ok(x * 10))?;
             Ok(inner.iter().sum::<usize>())
         })
         .unwrap();
@@ -660,14 +755,12 @@ mod tests {
         let _g = knob_guard();
         set_threads(4);
         set_parallel_threshold(100);
-        assert!(!should_parallelize(99, 8));
-        assert!(should_parallelize(100, 8));
-        assert!(!should_parallelize(100, 1), "one unit is never parallel");
+        assert!(!should_parallelize(99));
+        assert!(should_parallelize(100));
+        set_parallel_threshold(0);
+        assert!(!should_parallelize(1), "one row is never two morsels");
         set_threads(1);
-        assert!(
-            !should_parallelize(1 << 30, 8),
-            "one thread is never parallel"
-        );
+        assert!(!should_parallelize(1 << 30), "one thread is never parallel");
         set_parallel_threshold(usize::MAX);
         set_threads(0);
         assert_eq!(parallel_threshold(), DEFAULT_PARALLEL_THRESHOLD);
@@ -686,7 +779,7 @@ mod tests {
                 expect = hi;
             }
             assert_eq!(expect, len);
-            let chunks = split_morsels((0..len).collect::<Vec<_>>());
+            let chunks = (0..len).collect::<Vec<_>>().split(&ranges);
             let flat: Vec<usize> = chunks.into_iter().flatten().collect();
             assert_eq!(flat, (0..len).collect::<Vec<_>>());
         }
@@ -699,7 +792,7 @@ mod tests {
         set_threads(4);
         let before = metrics().tasks.get();
         // Plenty of uneven tasks: some worker will drain its deque first.
-        let out = run_ordered((0..256usize).collect::<Vec<_>>(), |_, c| {
+        let out = run_ordered((0..256usize).collect::<Vec<_>>(), Gov::none(), |_, c| {
             if c % 17 == 0 {
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
@@ -716,7 +809,7 @@ mod tests {
         let _g = knob_guard();
         set_threads(4);
         let before: u64 = worker_stats().iter().map(|w| w.tasks).sum();
-        let out = run_ordered((0..64usize).collect::<Vec<_>>(), |_, c| Ok(c)).unwrap();
+        let out = run_ordered((0..64usize).collect::<Vec<_>>(), Gov::none(), |_, c| Ok(c)).unwrap();
         assert_eq!(out.len(), 64);
         let stats = worker_stats();
         assert!(!stats.is_empty(), "pool spawned workers");
@@ -733,7 +826,6 @@ mod tests {
         let _g = knob_guard();
         set_threads(3);
         let mut p = ParStats::default();
-        assert!(!p.is_parallel());
         p.record(8);
         assert_eq!(
             p,

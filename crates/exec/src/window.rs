@@ -28,7 +28,7 @@ use rfv_types::{Gov, Result, RfvError, Row, Value};
 use crate::filter::{Column, KeyOrder};
 use crate::mem::values_bytes;
 use crate::physical::SortKey;
-use crate::sched::{self, ParStats};
+use crate::sched::ParStats;
 
 /// Largest accepted `ROWS BETWEEN n PRECEDING/FOLLOWING` offset (2⁴⁰ rows).
 /// Any frame wider than this behaves identically to UNBOUNDED on every
@@ -260,40 +260,19 @@ pub enum WindowMode {
     Pipelined,
 }
 
-/// Execute the window operator. See the module docs for semantics.
-pub fn execute_window(
-    rows: Vec<Row>,
-    partition_by: &[Expr],
-    order_by: &[SortKey],
-    window_exprs: &[WindowExprSpec],
-    mode: WindowMode,
-) -> Result<Vec<Row>> {
-    execute_window_par(
-        rows,
-        partition_by,
-        order_by,
-        window_exprs,
-        &[],
-        mode,
-        &mut ParStats::default(),
-        &Gov::none(),
-    )
-}
-
-/// [`execute_window`] with parallelism accounting and per-expression
-/// [`SequenceSource`]s (`sources[i]` answers `window_exprs[i]`). One pass
-/// over the input extracts the key columns and each distinct argument
-/// column (none for an expression a source answers); [`KeyOrder::of`] puts
-/// rows and columns in (partition keys, order keys) order — sorting only
-/// what the input's own order leaves to sort — and partitions and peer
-/// groups are read off the key columns by adjacent comparison. Partitions
-/// are independent, so contiguous groups of them run on the shared
-/// scheduler when the cost gate opens, each through the same
-/// [`Node::eval_group`] the serial path calls once; group outputs
-/// concatenate in partition order, so the result is byte-identical to
-/// serial evaluation at every thread count.
+/// Execute the window operator (see the module docs for semantics);
+/// `sources[i]`, where present, answers `window_exprs[i]`. One pass over the
+/// input extracts the key columns and each distinct argument column (none
+/// for an expression a source answers); [`KeyOrder::of`] puts rows and
+/// columns in (partition keys, order keys) order — sorting only what the
+/// input's own order leaves to sort, and saying what that was in
+/// `par.order` — and partitions and peer groups are read off the key
+/// columns by adjacent comparison. The kernels then walk the partitions in
+/// one pass per expression, on the calling thread at every thread count:
+/// the recurrence of §2.2 is three operations a position, less than
+/// handing a partition group to the pool costs.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_window_par(
+pub fn execute_window(
     rows: Vec<Row>,
     partition_by: &[Expr],
     order_by: &[SortKey],
@@ -355,63 +334,16 @@ pub fn execute_window_par(
     let sorted = ord.apply(rows);
     drop(ord);
 
-    // Partitions are independent; hand contiguous groups of them to the
-    // shared pool when the cost gate opens (threshold and thread count both
-    // live in the scheduler, overridable for tests).
-    if !sched::should_parallelize(n, ranges.len()) {
-        let node = Node {
-            specs: window_exprs,
-            sources,
-            args: &args,
-            arg_of: &arg_of,
-            peers: &peers,
-            mode,
-            gov,
-        };
-        return node.eval_group(0, sorted, &ranges);
-    }
-
-    // Carve the sorted rows into owned spans at group boundaries,
-    // back-to-front so split_off always leaves the prefix behind. Each
-    // task owns its rows outright — no shared borrows across threads.
-    let n_groups = sched::effective_threads()
-        .saturating_mul(4)
-        .min(ranges.len())
-        .max(1);
-    let per_group = ranges.len().div_ceil(n_groups);
-    par.record(ranges.len().div_ceil(per_group));
-
-    // One task: (base offset, owned row span, its ranges relative to base).
-    type GroupTask = (usize, Vec<Row>, Vec<(usize, usize)>);
-    let mut rows_rest = sorted;
-    let mut tasks: Vec<GroupTask> = Vec::with_capacity(n_groups);
-    for group in ranges.chunks(per_group).rev() {
-        let base = group[0].0;
-        let relative = group.iter().map(|&(lo, hi)| (lo - base, hi - base));
-        tasks.push((base, rows_rest.split_off(base), relative.collect()));
-    }
-    tasks.reverse();
-
-    let specs = window_exprs.to_vec();
-    let sources = sources.to_vec();
-    let task_gov = gov.clone();
-    let outs = sched::run_ordered_gov(tasks, gov.clone(), move |_, (base, span, group)| {
-        let node = Node {
-            specs: &specs,
-            sources: &sources,
-            args: &args,
-            arg_of: &arg_of,
-            peers: &peers,
-            mode,
-            gov: &task_gov,
-        };
-        node.eval_group(base, span, &group)
-    })?;
-    let mut out = Vec::with_capacity(n);
-    for chunk in outs {
-        out.extend(chunk);
-    }
-    Ok(out)
+    let node = Node {
+        specs: window_exprs,
+        sources,
+        args: &args,
+        arg_of: &arg_of,
+        peers: &peers,
+        mode,
+        gov,
+    };
+    node.eval(sorted, &ranges)
 }
 
 /// The source answering the `i`-th window expression, if it has one.
@@ -422,8 +354,8 @@ pub(crate) fn source_of(
     sources.get(i)?.as_deref()
 }
 
-/// What the groups of one window node share. `args` and `peers` cover the
-/// node's whole ordered input; `peers` is empty when nothing ranks.
+/// One window node over its ordered input, which `args` and `peers` cover;
+/// `peers` is empty when nothing ranks.
 struct Node<'a> {
     specs: &'a [WindowExprSpec],
     sources: &'a [Option<Arc<dyn SequenceSource>>],
@@ -437,20 +369,14 @@ struct Node<'a> {
 }
 
 impl Node<'_> {
-    /// Evaluate every window expression over a run of whole partitions —
-    /// `rows`, which start at `base` in the node's ordered input and which
-    /// `ranges` (relative to `base`, ascending) cover — and append the
+    /// Evaluate every window expression over `rows` — the node's ordered
+    /// input, whose partitions are `ranges`, ascending — and append the
     /// results to the rows, which are moved, not copied, into the output.
     /// The result columns are the materialized state, charged here.
-    fn eval_group(
-        &self,
-        base: usize,
-        mut rows: Vec<Row>,
-        ranges: &[(usize, usize)],
-    ) -> Result<Vec<Row>> {
+    fn eval(&self, mut rows: Vec<Row>, ranges: &[(usize, usize)]) -> Result<Vec<Row>> {
         let mut cols = Vec::with_capacity(self.specs.len());
         for i in 0..self.specs.len() {
-            let col = self.column(i, base, &rows, ranges)?;
+            let col = self.column(i, &rows, ranges)?;
             self.gov.reserve(values_bytes(&col))?;
             cols.push(col.into_iter());
         }
@@ -466,16 +392,10 @@ impl Node<'_> {
         Ok(rows)
     }
 
-    /// The `i`-th expression's column over the group: a partition's values
-    /// come from the expression's source where there is one and it
-    /// recognizes the partition, from the native kernel otherwise.
-    fn column(
-        &self,
-        i: usize,
-        base: usize,
-        rows: &[Row],
-        ranges: &[(usize, usize)],
-    ) -> Result<Vec<Value>> {
+    /// The `i`-th expression's column: a partition's values come from the
+    /// expression's source where there is one and it recognizes the
+    /// partition, from the native kernel otherwise.
+    fn column(&self, i: usize, rows: &[Row], ranges: &[(usize, usize)]) -> Result<Vec<Value>> {
         let (spec, gov) = (&self.specs[i], self.gov);
         let mut col: Vec<Value> = Vec::with_capacity(rows.len());
         // An argument that was not extracted up front — the expression has a
@@ -484,18 +404,18 @@ impl Node<'_> {
         let mut kernel = |ranges: &[(usize, usize)], col: &mut Vec<Value>| {
             let func = match spec.func {
                 WindowFuncKind::Agg(f) => f,
-                ranking => return eval_ranking(&self.peers[base..], ranking, ranges, col),
+                ranking => return eval_ranking(self.peers, ranking, ranges, col),
             };
             let args = match (self.arg_of[i], &mut own) {
-                (Some(at), _) => (&self.args[at], base),
-                (None, Some(own)) => (&*own, 0),
+                (Some(at), _) => &self.args[at],
+                (None, Some(own)) => &*own,
                 (None, own) => {
                     let args = match &spec.arg {
                         Some(e) => Column::eval(rows, &[e], gov)?.remove(0),
                         // COUNT(*) counts rows; feed a non-null dummy.
                         None => Column::Int(vec![1; rows.len()]),
                     };
-                    (&*own.insert(args), 0)
+                    &*own.insert(args)
                 }
             };
             self.run_kernel(func, &spec.frame, args, ranges, col)
@@ -520,23 +440,22 @@ impl Node<'_> {
         Ok(col)
     }
 
-    /// Append `func`'s values over the partitions `ranges` of a group whose
-    /// rows' arguments are `args[base..]`.
+    /// Append `func`'s values over the partitions `ranges` of the column
+    /// `args`, in whichever lane it is in.
     fn run_kernel(
         &self,
         func: AggFunc,
         frame: &WindowFrame,
-        (args, base): (&Column, usize),
+        args: &Column,
         ranges: &[(usize, usize)],
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        // Call `$kernel` on the group's part of the column, whichever lane it is in.
         macro_rules! on_lane {
             ($kernel:expr) => {
                 match args {
-                    Column::Float(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
-                    Column::Int(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
-                    Column::Values(lane) => $kernel(&lane[base..], frame, ranges, out, self.gov),
+                    Column::Float(lane) => $kernel(lane, frame, ranges, out, self.gov),
+                    Column::Int(lane) => $kernel(lane, frame, ranges, out, self.gov),
+                    Column::Values(lane) => $kernel(lane, frame, ranges, out, self.gov),
                 }
             };
         }
@@ -863,7 +782,10 @@ mod tests {
             partition,
             &[SortKey::asc(Expr::col(0))],
             &[spec],
+            &[],
             mode,
+            &mut ParStats::default(),
+            &Gov::none(),
         )
         .unwrap()
         .into_iter()
@@ -1012,7 +934,7 @@ mod tests {
         let sources: SequenceSources = vec![Some(Arc::new(Squares { rows: 3 }))];
         // Sorted by (parity, pos): evens 2,4 — two rows, the kernel's
         // running sum — then odds 1,3,5 — three rows, the source's column.
-        let out = execute_window_par(
+        let out = execute_window(
             seq_rows(&[1, 2, 3, 4, 5]),
             &[Expr::col(0).modulo(Expr::lit(2i64))],
             &[SortKey::asc(Expr::col(0))],
@@ -1171,8 +1093,7 @@ mod tests {
             gov: &Gov::none(),
         };
         let mut out = Vec::new();
-        node.run_kernel(func, frame, (col, 0), ranges, &mut out)
-            .unwrap();
+        node.run_kernel(func, frame, col, ranges, &mut out).unwrap();
         out
     }
 

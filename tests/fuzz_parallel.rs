@@ -8,6 +8,12 @@
 //! inputs split into morsels) and asserts the three result sets have the
 //! same `f64::to_bits` fingerprint row for row.
 //!
+//! What splits is each statement's scan, filter and projection, through
+//! the one morsel driver (`rfv_exec::sched::morsels`). `Sort`,
+//! `HashAggregate` and `Window` run one algorithm at every thread count;
+//! for them the matrix checks that the thread setting does not reach them
+//! and that the split operators below hand them the same rows.
+//!
 //! The thread count and threshold are process-wide knobs, so every test
 //! serializes on [`knob_guard`] and restores the defaults before
 //! releasing it.

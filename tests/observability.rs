@@ -156,9 +156,10 @@ fn explain_analyze_runs_as_a_statement() {
     );
 }
 
-/// EXPLAIN ANALYZE annotates operators that actually went parallel with
-/// their morsel and worker counts, and the serial format stays exactly
-/// as it was (so [`mask_times`] and historical goldens keep working).
+/// EXPLAIN ANALYZE annotates the operators that actually split into
+/// morsels with their morsel and worker counts — the `Sort` above them
+/// never does — and the serial format stays exactly as it was (so
+/// [`mask_times`] and historical goldens keep working).
 #[test]
 fn explain_analyze_annotates_parallel_morsels() {
     // Process-wide knobs; restore them even on panic.
@@ -176,21 +177,29 @@ fn explain_analyze_annotates_parallel_morsels() {
     let db = db_with_seq(64);
     let sql = "EXPLAIN ANALYZE SELECT pos, val FROM seq ORDER BY val";
     let masked = mask_times(&db.explain(sql).unwrap());
-    let sort_line = masked
-        .lines()
-        .find(|l| l.trim_start().starts_with("Sort"))
-        .unwrap_or_else(|| panic!("no Sort node:\n{masked}"));
+    let line_of = |operator: &str| {
+        masked
+            .lines()
+            .find(|l| l.trim_start().starts_with(operator))
+            .unwrap_or_else(|| panic!("no {operator} node:\n{masked}"))
+    };
+    let project_line = line_of("Project");
     assert!(
-        sort_line.contains("morsels=") && sort_line.contains("workers="),
-        "parallel sort must report its morsel split: {sort_line:?}"
+        project_line.contains("morsels=") && project_line.contains("workers="),
+        "a split projection must report its morsels: {project_line:?}"
     );
     assert!(
-        sort_line.contains("time=MASKED"),
-        "time masking survives the morsel annotation: {sort_line:?}"
+        project_line.contains("time=MASKED"),
+        "time masking survives the morsel annotation: {project_line:?}"
     );
     assert!(
-        sort_line.contains("[parallel: morsel sort + k-way merge]"),
-        "{sort_line:?}"
+        project_line.contains("[parallel: morsel project]"),
+        "{project_line:?}"
+    );
+    let sort_line = line_of("Sort");
+    assert!(
+        !sort_line.contains("morsels=") && !sort_line.contains("[parallel:"),
+        "Sort is one algorithm at every thread count: {sort_line:?}"
     );
 
     // At one thread the historical annotation format returns unchanged.
@@ -242,14 +251,12 @@ fn explain_analyze_says_what_the_ordering_found() {
          SUM(amount) OVER (PARTITION BY region, cust ORDER BY pos ROWS 2 PRECEDING) AS b, \
          SUM(amount) OVER (PARTITION BY region ORDER BY month, pos ROWS 2 PRECEDING) AS c \
          FROM ticks";
-    assert_eq!(
-        orders(three),
-        [
-            "Window order=runs(16) on 1 of 3 keys",
-            "Window order=runs(16) on 1 of 3 keys",
-            "Window order=full",
-        ]
-    );
+    let three_found = [
+        "Window order=runs(16) on 1 of 3 keys",
+        "Window order=runs(16) on 1 of 3 keys",
+        "Window order=full",
+    ];
+    assert_eq!(orders(three), three_found);
     // A window in scan order, and a Sort above a window that delivers it.
     assert_eq!(
         orders("SELECT pos, SUM(amount) OVER (ORDER BY pos ROWS 2 PRECEDING) AS s FROM ticks ORDER BY pos"),
@@ -261,6 +268,35 @@ fn explain_analyze_says_what_the_ordering_found() {
     );
     let plain = db.explain(&format!("EXPLAIN {three}")).unwrap();
     assert!(orders_in(&plain).is_empty(), "{plain}");
+
+    // What an ordering operator finds, and so how much it sorts, does not
+    // depend on the thread count — morsels split under it or not.
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            rfv_exec::sched::set_threads(0);
+            rfv_exec::sched::set_parallel_threshold(usize::MAX);
+        }
+    }
+    let _reset = Reset;
+    rfv_exec::sched::set_parallel_threshold(4);
+    // Ordered on `region` only: the `Sort` has runs to sort, not the whole.
+    let prefix = "SELECT region, pos FROM (SELECT region, pos, SUM(amount) OVER \
+         (PARTITION BY region ORDER BY month ROWS 2 PRECEDING) AS s FROM ticks) t \
+         ORDER BY region, pos";
+    let cases = [
+        (three, three_found.as_slice()),
+        (
+            prefix,
+            &["Sort order=runs(16) on 1 of 2 keys", "Window order=full"],
+        ),
+    ];
+    for (sql, found) in cases {
+        for threads in [1, 4] {
+            rfv_exec::sched::set_threads(threads);
+            assert_eq!(orders(sql), found, "threads={threads}: {sql}");
+        }
+    }
 }
 
 /// The shared pool's process-wide counters are mirrored into every
@@ -284,7 +320,7 @@ fn scheduler_counters_are_mirrored_into_metrics() {
         .unwrap();
     assert!(
         db.metrics().counter_value("sched.tasks") > 0,
-        "a forced-parallel sort must schedule pool tasks"
+        "forced-open morsel operators must schedule pool tasks"
     );
     assert!(db.metrics().counter_value("sched.parallel_ops") > 0);
     let parsed = Json::parse(&db.metrics_json()).unwrap();
