@@ -103,7 +103,7 @@ meta commands (.name and \\name are equivalent):
   \\record on|off|dump <path>|stats|clear
                         flight recorder; dump writes Chrome Trace Event
                         JSON (open in Perfetto or chrome://tracing)
-  \\threads [n]          show or cap the worker pool (0 = reset to
+  \\threads [n]          show or cap the thread count (0 = reset to
                         RFV_THREADS / hardware default)
   \\persist status|snapshot|compact
                         durable storage (RFV_DATA_DIR): WAL/recovery

@@ -275,9 +275,9 @@ struct EngineCounters {
 
 impl EngineCounters {
     fn new(metrics: &MetricsRegistry) -> Self {
-        // The scheduler's counters are process-wide (the worker pool is
-        // shared across engines); mirror the live handles into this
-        // engine's registry so `metrics_json` exports them.
+        // The scheduler's counters are process-wide (splits of every
+        // engine add to them); mirror the live handles into this engine's
+        // registry so `metrics_json` exports them.
         let sched = rfv_exec::sched::metrics();
         metrics.register_counter("sched.tasks", sched.tasks.clone());
         metrics.register_counter("sched.steals", sched.steals.clone());

@@ -1,5 +1,5 @@
 //! Administration: durability (WAL append, replay, snapshots), the
-//! flight recorder, statistics accessors, the worker pool, and the
+//! flight recorder, statistics accessors, the thread count, and the
 //! resource-governance setters.
 
 use std::path::{Path, PathBuf};
@@ -191,10 +191,10 @@ impl Database {
         self.stmt_stats.reset();
     }
 
-    /// Cap the shared worker pool at `n` threads (`0` resets to the
-    /// `RFV_THREADS` env var / hardware default). The pool is
-    /// process-wide, so this affects every engine in the process; results
-    /// are byte-identical at any setting — only speed changes.
+    /// Cap morsel splits at `n` threads (`0` resets to the `RFV_THREADS`
+    /// env var / hardware default). The setting is process-wide, so this
+    /// affects every engine in the process; results are byte-identical at
+    /// any setting — only speed changes.
     pub fn set_threads(&self, n: usize) {
         rfv_exec::sched::set_threads(n);
     }

@@ -199,11 +199,16 @@ impl Database {
         match simple.map(|v| (v.pos_column.clone(), v.val_column.clone())) {
             None => {
                 // One write lock for the whole statement, not one per row.
-                t.write().insert_many(rows)?;
                 // §6 partitioned reporting functions: positions are local
-                // to partitions, so any insert is accepted and the views
-                // are rematerialized — once per statement.
-                self.refresh_partitioned_views(table, &dependents)?;
+                // to partitions, so any insert that leaves every partition
+                // dense is accepted, and the views are rematerialized from
+                // the post-image before it is written — once per statement.
+                let mut guard = t.write();
+                let bodies = Self::partitioned_bodies(table, &guard, &dependents, || {
+                    guard.scan().map(|(_, r)| r).chain(&rows)
+                })?;
+                guard.insert_many(rows)?;
+                self.install_bodies(bodies)?;
             }
             Some((pos_column, val_column)) => {
                 // Base of materialized sequence views: plain INSERT can only
@@ -249,10 +254,11 @@ impl Database {
     }
 
     /// The shared body of UPDATE (`Some(assignments)`) and DELETE
-    /// (`None`): apply the change to every row matching `selection`
-    /// under one write lock, rematerialize partitioned views, and log
-    /// the statement text (assignments re-evaluate per row on replay,
-    /// deterministically — parsed expressions round-trip exactly).
+    /// (`None`): under one write lock, evaluate the change of every row
+    /// matching `selection`, rematerialize partitioned views from the
+    /// post-image, then write both; and log the statement text
+    /// (assignments re-evaluate per row on replay, deterministically —
+    /// parsed expressions round-trip exactly).
     fn modify_rows(
         &self,
         table: &str,
@@ -261,8 +267,8 @@ impl Database {
     ) -> Result<usize> {
         let apply = || {
             // Simple sequence views need the §2.3 positional rules (SQL
-            // row-level DML can't express them); partitioned views can
-            // be rematerialized afterwards.
+            // row-level DML can't express them); partitioned views are
+            // rematerialized.
             let partitioned = self.registry.views_for(table);
             if partitioned.iter().any(|v| !v.is_partitioned()) {
                 return Err(RfvError::execution(format!(
@@ -287,34 +293,47 @@ impl Database {
                 .map(|e| binder.bind_scalar(e, &schema))
                 .transpose()?;
             let mut guard = t.write();
-            let mut targets: Vec<(usize, Row)> = Vec::new();
+            // Each matching row's new image (`None`: deleted), in scan order.
+            let mut changes: Vec<(usize, Option<Row>)> = Vec::new();
             for (rid, row) in guard.scan() {
                 let keep = match &predicate {
                     None => true,
                     Some(p) => p.eval(row)?.as_bool()? == Some(true),
                 };
-                if keep {
-                    targets.push((rid, row.clone()));
+                if !keep {
+                    continue;
                 }
-            }
-            for (rid, row) in &targets {
-                match &bound_assignments {
+                let new_row = match &bound_assignments {
                     Some(bound) => {
                         let mut new_row = row.clone();
                         for (idx, expr) in bound {
                             let value = expr.eval(row)?;
                             new_row.set(*idx, stored(value, schema.field(*idx).data_type));
                         }
-                        guard.update(*rid, new_row)?;
+                        Some(new_row)
                     }
-                    None => {
-                        guard.delete(*rid)?;
-                    }
-                }
+                    None => None,
+                };
+                changes.push((rid, new_row));
             }
-            drop(guard);
-            self.refresh_partitioned_views(table, &partitioned)?;
-            Ok(targets.len())
+            let bodies = Self::partitioned_bodies(table, &guard, &partitioned, || {
+                let mut changed = changes.iter().peekable();
+                guard.scan().filter_map(move |(rid, row)| {
+                    match changed.next_if(|(at, _)| *at == rid) {
+                        Some((_, new_row)) => new_row.as_ref(),
+                        None => Some(row),
+                    }
+                })
+            })?;
+            let count = changes.len();
+            for (rid, new_row) in changes {
+                match new_row {
+                    Some(new_row) => guard.update(rid, new_row)?,
+                    None => guard.delete(rid)?,
+                };
+            }
+            self.install_bodies(bodies)?;
+            Ok(count)
         };
         self.logged(apply, || {
             let (table, selection) = (table.to_string(), selection.cloned());
@@ -371,13 +390,19 @@ impl Database {
         let first_simple = spec.partition.is_empty() && others.iter().all(|v| v.is_partitioned());
         let (partition_columns, partition_types): (Vec<String>, Vec<DataType>) =
             spec.partition.into_iter().unzip();
-        let data = self.materialize_view(
-            &spec.base_table,
-            &partition_columns,
-            (&spec.pos_column, &spec.val_column),
-            spec.func,
-            spec.window,
-        )?;
+        let data = {
+            let t = self.catalog.table(&base)?;
+            let guard = t.read();
+            Self::materialize_view(
+                &base,
+                guard.schema(),
+                guard.scan().map(|(_, r)| r),
+                &partition_columns,
+                (&spec.pos_column, &spec.val_column),
+                spec.func,
+                spec.window,
+            )?
+        };
         self.registry.register(
             &self.catalog,
             SequenceView {
@@ -399,13 +424,14 @@ impl Database {
         Ok(())
     }
 
-    /// Read a sequence table into raw value vectors, one per
+    /// Read the rows of a sequence table into raw value vectors, one per
     /// partition-key tuple in key order — a simple sequence is the single
     /// partition with the empty key (§6). Every partition must hold dense
     /// positions `1..=n_p` with non-null values.
-    fn read_sequences(
-        &self,
+    fn read_sequences<'r>(
         table: &str,
+        schema: &Schema,
+        rows: impl Iterator<Item = &'r Row>,
         part_columns: &[String],
         pos_column: &str,
         val_column: &str,
@@ -414,16 +440,14 @@ impl Database {
             [] => format!("`{table}`"),
             _ => format!("partition {part:?} of `{table}`"),
         };
-        let t = self.catalog.table(table)?;
-        let guard = t.read();
         let part_idxs: Vec<usize> = part_columns
             .iter()
-            .map(|c| guard.schema().index_of(None, c))
+            .map(|c| schema.index_of(None, c))
             .collect::<Result<_>>()?;
-        let pos_idx = guard.schema().index_of(None, pos_column)?;
-        let val_idx = guard.schema().index_of(None, val_column)?;
+        let pos_idx = schema.index_of(None, pos_column)?;
+        let val_idx = schema.index_of(None, val_column)?;
         let mut grouped: BTreeMap<Vec<Value>, Vec<(i64, f64)>> = BTreeMap::new();
-        for (_, r) in guard.scan() {
+        for r in rows {
             let part: Vec<Value> = part_idxs.iter().map(|&i| r.get(i).clone()).collect();
             if part.iter().any(Value::is_null) {
                 return Err(RfvError::derivation(format!(
@@ -462,18 +486,20 @@ impl Database {
             .collect()
     }
 
-    /// A view's body from the current contents of its base table: the
-    /// single sequence of an unpartitioned view, or one complete sequence
-    /// per partition-key tuple (§6).
-    fn materialize_view(
-        &self,
+    /// A view's body from `rows` of its base table `table`: the single
+    /// sequence of an unpartitioned view, or one complete sequence per
+    /// partition-key tuple (§6).
+    fn materialize_view<'r>(
         table: &str,
+        schema: &Schema,
+        rows: impl Iterator<Item = &'r Row>,
         part_columns: &[String],
         (pos_column, val_column): (&str, &str),
         func: AggFunc,
         window: WindowSpec,
     ) -> Result<ViewData> {
-        let mut sequences = self.read_sequences(table, part_columns, pos_column, val_column)?;
+        let mut sequences =
+            Self::read_sequences(table, schema, rows, part_columns, pos_column, val_column)?;
         if part_columns.is_empty() {
             let raw = sequences.remove([].as_slice()).unwrap_or_default();
             return materialize_simple(func, window, &raw);
@@ -489,6 +515,46 @@ impl Database {
             parts.insert(key, CompleteSequence::materialize(&raw, l, h)?);
         }
         Ok(ViewData::PartitionedSum(parts))
+    }
+
+    /// `view`'s body from `rows` of its base table, whose schema `base` has.
+    fn view_body<'r>(
+        table: &str,
+        base: &Table,
+        rows: impl Iterator<Item = &'r Row>,
+        view: &SequenceView,
+    ) -> Result<ViewData> {
+        Self::materialize_view(
+            table,
+            base.schema(),
+            rows,
+            &view.partition_columns,
+            (&view.pos_column, &view.val_column),
+            view.func,
+            view.window,
+        )
+    }
+
+    /// The bodies of the §6 partitioned views among `views`, materialized from
+    /// `post_image` — the rows `base` will hold once the statement's write is
+    /// applied — before anything is written: a write that would leave a
+    /// partition sparse errors with the table and its views unchanged. Their
+    /// positions are partition-local, so the simple-sequence §2.3 rules don't
+    /// apply. Without partitioned views `post_image` is never called.
+    fn partitioned_bodies<'r, I: Iterator<Item = &'r Row>>(
+        table: &str,
+        base: &Table,
+        views: &[Arc<SequenceView>],
+        post_image: impl Fn() -> I,
+    ) -> Result<Vec<(String, ViewData)>> {
+        (views.iter().filter(|v| v.is_partitioned()))
+            .map(|v| {
+                Ok((
+                    v.name.clone(),
+                    Self::view_body(table, base, post_image(), v)?,
+                ))
+            })
+            .collect()
     }
 
     // -- sequence edits (§2.3) --------------------------------------------------
@@ -713,7 +779,7 @@ impl Database {
         }
         drop(guard);
         // §6 views are rematerializations, and read the table themselves.
-        self.refresh_partitioned_views(table, &partitioned)?;
+        self.rematerialize(table, partitioned.iter())?;
         if let Some(start) = start {
             let detail = format!("{table}: {} ops", batch.len());
             rec.complete_since("maintenance.batch", "maintenance", start, Some(detail));
@@ -759,16 +825,14 @@ impl Database {
         table: &str,
         views: impl Iterator<Item = &'a Arc<SequenceView>>,
     ) -> Result<()> {
-        let before = self.catalog.table(table)?.read().generation();
+        let t = self.catalog.table(table)?;
+        let before = t.read().generation();
         let mut simple = false;
         for view in views {
-            let data = self.materialize_view(
-                table,
-                &view.partition_columns,
-                (&view.pos_column, &view.val_column),
-                view.func,
-                view.window,
-            )?;
+            let data = {
+                let guard = t.read();
+                Self::view_body(table, &guard, guard.scan().map(|(_, r)| r), view)?
+            };
             self.registry.refresh(&self.catalog, &view.name, data)?;
             simple |= !view.is_partitioned();
         }
@@ -778,11 +842,14 @@ impl Database {
         Ok(())
     }
 
-    /// Rematerialize the §6 partitioned views among `views`: their
-    /// positions are partition-local, so the simple-sequence §2.3 rules
-    /// don't apply.
-    fn refresh_partitioned_views(&self, table: &str, views: &[Arc<SequenceView>]) -> Result<()> {
-        self.rematerialize(table, views.iter().filter(|v| v.is_partitioned()))
+    /// Swap rematerialized view bodies in (with their mirrors). A write
+    /// calls this while it still holds its base table's write lock: base →
+    /// registry → mirror, the lock order of every write.
+    fn install_bodies(&self, bodies: Vec<(String, ViewData)>) -> Result<()> {
+        for (name, data) in bodies {
+            self.registry.refresh(&self.catalog, &name, data)?;
+        }
+        Ok(())
     }
 }
 

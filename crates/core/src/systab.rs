@@ -11,7 +11,7 @@
 //! | `rfv_stat_tables`     | real catalog table | [`Catalog`] + `TableStats`    |
 //! | `rfv_stat_views`      | materialized view  | [`ViewRegistry`]              |
 //! | `rfv_stat_cache`      | *(exactly one)*    | the two-level query cache     |
-//! | `rfv_stat_workers`    | pool worker thread | `rfv_exec::sched`             |
+//! | `rfv_stat_workers`    | fork-join slot     | `rfv_exec::sched`             |
 //! | `rfv_stat_wal`        | *(exactly one)*    | [`crate::durability`]         |
 //! | `rfv_stat_resources`  | governance metric  | [`Governor`] + counters       |
 //!
@@ -255,8 +255,9 @@ impl VirtualTable for StatCache {
     }
 }
 
-/// One row per worker thread of the process-wide scheduler pool, in
-/// worker-id order. Empty until the pool first spins up (it is lazy).
+/// One row per helper slot of the morsel fork-join ever used, in slot
+/// order: slot 0 is the thread that split, slot `i ≥ 1` its `i`-th helper
+/// (lifetime totals, summed over every split). Empty until the first split.
 pub struct StatWorkers;
 
 impl VirtualTable for StatWorkers {
@@ -268,7 +269,6 @@ impl VirtualTable for StatWorkers {
         Schema::new(vec![
             Field::not_null("worker", DataType::Int),
             Field::not_null("tasks", DataType::Int),
-            Field::not_null("steals", DataType::Int),
             Field::not_null("busy_ns", DataType::Int),
         ])
     }
@@ -276,14 +276,7 @@ impl VirtualTable for StatWorkers {
     fn rows(&self) -> Result<Vec<Row>> {
         Ok(rfv_exec::sched::worker_stats()
             .into_iter()
-            .map(|w| {
-                row![
-                    big(w.worker as u64),
-                    big(w.tasks),
-                    big(w.steals),
-                    big(w.busy_ns)
-                ]
-            })
+            .map(|w| row![big(w.worker as u64), big(w.tasks), big(w.busy_ns)])
             .collect())
     }
 }

@@ -80,7 +80,7 @@ pub struct OpMetrics {
     /// Morsels this operator split its input into (0 when it ran
     /// serially).
     pub morsels: u64,
-    /// Pool workers available to those morsels (0 when serial).
+    /// Threads that ran those morsels (0 when serial).
     pub workers: u64,
     /// What the operator found out about its input while running, as
     /// `key=value` — `order=runs(16) on 1 of 3 keys` on `Sort` and `Window`.

@@ -431,7 +431,7 @@ impl PhysicalPlan {
         }
     }
 
-    /// How this operator splits its input on the shared worker pool when
+    /// How this operator splits its input into a morsel fork-join when
     /// the scheduler's cost gate opens, or `None` for the operators that
     /// run one algorithm at every thread count — `Sort`, `HashAggregate`
     /// and `Window` among them. This is *eligibility*: inputs below the

@@ -15,7 +15,7 @@ use crate::sched::{self, ParStats};
 /// concurrent writers — each morsel sees the table as of its own read lock.
 pub fn table_scan(table: &TableRef, par: &mut ParStats, gov: &Gov) -> Result<Vec<Row>> {
     let slots = table.read().stats().slot_count;
-    sched::morsels(table, (0, slots), par, gov, move |table, (lo, hi), gov| {
+    sched::morsels(table, (0, slots), par, gov, |table, (lo, hi), gov| {
         let guard = table.read();
         // The last run reads to the table's end as of its own lock, not
         // as of the count above.

@@ -1,49 +1,41 @@
-//! The shared work-stealing scheduler and the one morsel driver on it.
+//! The one morsel driver: a scoped fork-join, called per operator.
 //!
-//! One fixed pool of worker threads serves the whole process. The three
-//! operators that were measured to gain from splitting — table scan,
-//! filter, projection — hand [`morsels`] a per-morsel closure; nothing else
-//! injects work. `Sort`, `HashAggregate` and `Window` run one algorithm at
-//! every thread count (see [`DEFAULT_PARALLEL_THRESHOLD`] for the
-//! measurement). Each worker owns a deque; an idle worker steals from the
-//! back of its peers' deques, so an uneven morsel (one selective filter
-//! chunk) never serializes the rest behind it.
+//! The three operators that were measured to gain from splitting — table
+//! scan, filter, projection — hand [`morsels`] a per-morsel closure; nothing
+//! else splits. `Sort`, `HashAggregate` and `Window` run one algorithm at
+//! every thread count. [`should_parallelize`] is the cost gate: at least
+//! [`DEFAULT_PARALLEL_THRESHOLD`] = 32 768 rows, the measured size where a
+//! split first wins ≥ 1.2 × at T = 2, and more than one effective thread
+//! (`RFV_THREADS`, overridden by [`set_threads`]).
 //!
-//! ## Determinism contract
+//! ## Fork-join
 //!
-//! [`run_ordered`] is the only way work enters the pool, and it returns
-//! results **in input order**, keyed by chunk index — never by completion
-//! order. [`morsels`] concatenates them in that order, so a split operator
-//! produces byte-identical output to the same closure called once on the
-//! whole input. Scheduling decides only *when* a chunk runs, never *what*
-//! the caller observes.
+//! A split is one function call, [`run_ordered`]: it reserves helpers,
+//! spawns them inside `std::thread::scope`, and the helpers and the
+//! calling thread claim chunks from one shared cursor until none is left.
+//! Claiming is dynamic, so one slow morsel never holds up the rest.
+//! Results are keyed by chunk index, never by completion order, so a split
+//! operator's output is byte-identical to one call on the whole input.
+//! Nothing outlives the call — no pool, no queues, no parked threads.
 //!
-//! ## Cost gate
+//! ## Helper budget
 //!
-//! Parallelism only pays above a row count (task injection, wake-ups, and
-//! result stitching are not free). [`should_parallelize`] is that decision,
-//! consulted in one place, by [`morsels`]: enough rows for two morsels, at
-//! least [`DEFAULT_PARALLEL_THRESHOLD`] rows ([`set_parallel_threshold`] is
-//! the tests' hook to force splitting on small inputs), and an effective
-//! thread count above one.
-//!
-//! ## Pool lifecycle
-//!
-//! Workers are spawned lazily on first parallel execution and live for the
-//! rest of the process (they park on a condvar when idle). The pool grows
-//! to the high-water effective thread count and never shrinks; threads are
-//! detached, so process exit reaps them. `RFV_THREADS` pins the effective
-//! count at startup; [`set_threads`] (surfaced as `Database::set_threads`
-//! and the shell's `\threads`) overrides it at runtime. An effective count
-//! of one bypasses the pool entirely — serial execution never pays for a
-//! thread, a lock, or a clock read.
+//! At most `effective_threads() − 1` helpers are alive across the whole
+//! process: every split reserves its helpers from one atomic count and
+//! returns them when it joins, so concurrent statements share the threads
+//! instead of multiplying them, and a split that gets none runs every
+//! morsel on the calling thread. A helper that cannot be spawned is one
+//! helper fewer, never an error. Slot 0 of a split is the calling thread,
+//! slot `i ≥ 1` its `i`-th helper: per-slot totals back [`worker_stats`],
+//! and each morsel's `task` span lands on recorder lane
+//! `WORKER_LANE_BASE + slot`.
 
-use std::borrow::Borrow;
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
+use rfv_obs::event::{self, Event, EventPh, WORKER_LANE_BASE};
 use rfv_obs::{Counter, Histogram};
 use rfv_types::{Gov, Result, RfvError, Row};
 
@@ -56,10 +48,12 @@ use rfv_types::{Gov, Result, RfvError, Row};
 /// at 32 768 (one cell of sixteen at 1.04) and 1.59–1.94 at 65 536. This
 /// is the smallest power of two at which the split is worth ≥ 1.2 ×, and
 /// it leaves the benchmark's 10 000-row window table and 22 000-row view
-/// bodies unsplit, where T = 2 must cost what T = 1 costs.
+/// bodies unsplit, where T = 2 must cost what T = 1 costs. Spawning the
+/// helpers per call instead of waking pooled ones is not visible at the
+/// gate (same section, "Scoped fork-join").
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 32_768;
 
-/// Hard cap on worker threads (sanity bound for `RFV_THREADS`).
+/// Hard cap on threads (sanity bound for `RFV_THREADS`).
 const MAX_THREADS: usize = 512;
 
 /// Runtime override of the effective thread count (0 = unset).
@@ -117,16 +111,14 @@ fn should_parallelize(rows: usize) -> bool {
 }
 
 /// Process-wide scheduler metrics, mirrored into each engine's
-/// [`rfv_obs::MetricsRegistry`] (the pool is shared, so the totals are
-/// shared too).
+/// [`rfv_obs::MetricsRegistry`] (splits of every engine add to them).
 #[derive(Debug)]
 pub struct SchedMetrics {
-    /// Tasks injected into the pool.
+    /// Morsels run by splits.
     pub tasks: Counter,
-    /// Tasks a worker obtained from another worker's deque.
+    /// Always 0; removed with ROADMAP item 1b.
     pub steals: Counter,
-    /// Parallel operator executions (one per [`run_ordered`] that actually
-    /// used the pool).
+    /// Splits: one per [`run_ordered`] call that forked.
     pub parallel_ops: Counter,
     /// Per-task busy time in nanoseconds.
     pub busy_ns: Histogram,
@@ -143,206 +135,48 @@ pub fn metrics() -> &'static SchedMetrics {
     })
 }
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// Per-slot lifetime `(tasks, busy_ns)`: slot 0 is a split's calling
+/// thread, slot `i ≥ 1` its `i`-th helper. The budget keeps helpers below
+/// [`MAX_THREADS`].
+static SLOTS: [(AtomicU64, AtomicU64); MAX_THREADS] =
+    [const { (AtomicU64::new(0), AtomicU64::new(0)) }; MAX_THREADS];
 
-/// Per-worker counters behind the process-wide totals in
-/// [`SchedMetrics`], surfaced through [`worker_stats`] (and from there
-/// the `rfv_stat_workers` system view).
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    tasks: AtomicU64,
-    steals: AtomicU64,
-    busy_ns: AtomicU64,
-}
-
-/// One worker's state: its own deque plus its counters.
-struct Worker {
-    deque: Mutex<VecDeque<Task>>,
-    counters: WorkerCounters,
-}
-
-/// A snapshot of one pool worker's lifetime totals.
+/// A snapshot of one fork-join slot's lifetime totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerStat {
-    /// Worker id (index into the pool, stable for the process lifetime).
+    /// Slot id: 0 for the thread that split, `i` for its `i`-th helper.
     pub worker: usize,
-    /// Tasks this worker executed (own deque or stolen).
+    /// Morsels run in this slot.
     pub tasks: u64,
-    /// Tasks this worker obtained by stealing from a peer's deque.
-    pub steals: u64,
-    /// Total busy (task execution) nanoseconds on this worker.
+    /// Total busy (morsel execution) nanoseconds in this slot.
     pub busy_ns: u64,
 }
 
-/// Per-worker totals for every pool worker spawned so far. Empty until
-/// the first parallel execution spawns the pool (serial processes never
-/// pay for workers, so they have none to report).
+/// Per-slot totals up to the highest slot that has run a morsel, in slot
+/// order. Empty until the first split (serial processes have none).
 pub fn worker_stats() -> Vec<WorkerStat> {
-    Pool::global()
-        .workers
-        .read()
+    let used = SLOTS
         .iter()
-        .enumerate()
-        .map(|(id, w)| WorkerStat {
-            worker: id,
-            tasks: w.counters.tasks.load(Ordering::Relaxed),
-            steals: w.counters.steals.load(Ordering::Relaxed),
-            busy_ns: w.counters.busy_ns.load(Ordering::Relaxed),
+        .rposition(|(tasks, _)| tasks.load(Ordering::Relaxed) > 0);
+    (SLOTS[..used.map_or(0, |last| last + 1)].iter().enumerate())
+        .map(|(worker, (tasks, busy_ns))| WorkerStat {
+            worker,
+            tasks: tasks.load(Ordering::Relaxed),
+            busy_ns: busy_ns.load(Ordering::Relaxed),
         })
         .collect()
 }
 
-struct Pool {
-    /// Grow-only worker list. Read-locked on every pop/steal; the vector
-    /// only ever appends, so contention is reads against rare growth.
-    workers: rfv_types::sync::RwLock<Vec<Arc<Worker>>>,
-    /// Injection epoch: bumped (under the lock) whenever tasks arrive, so
-    /// a parking worker that re-checked emptiness before the bump still
-    /// observes the change through the condvar.
-    epoch: Mutex<u64>,
-    idle: Condvar,
-    /// Round-robin injection cursor.
-    cursor: AtomicU64,
+/// Helpers reserved across the process: never above `effective_threads() − 1`.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on helper threads: a split nested inside a morsel runs inline.
+    static IN_HELPER: Cell<bool> = const { Cell::new(false) };
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-thread_local! {
-    /// The executing pool worker, for per-worker task attribution from
-    /// inside the `run_ordered` task wrapper; `None` on every other thread.
-    static CURRENT_WORKER: std::cell::RefCell<Option<Arc<Worker>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Whether this is a pool worker: a nested `run_ordered` call executes
-/// inline instead of deadlocking the pool on itself.
-fn in_worker() -> bool {
-    CURRENT_WORKER.with(|w| w.borrow().is_some())
-}
-
-/// Attribute one executed task to the current pool worker (no-op on
-/// non-worker threads, i.e. the inline fallback paths).
-fn credit_current_worker(busy_ns: u64) {
-    CURRENT_WORKER.with(|w| {
-        if let Some(worker) = w.borrow().as_ref() {
-            worker.counters.tasks.fetch_add(1, Ordering::Relaxed);
-            worker
-                .counters
-                .busy_ns
-                .fetch_add(busy_ns, Ordering::Relaxed);
-        }
-    });
-}
-
-impl Pool {
-    fn global() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool {
-            workers: rfv_types::sync::RwLock::new(Vec::new()),
-            epoch: Mutex::new(0),
-            idle: Condvar::new(),
-            cursor: AtomicU64::new(0),
-        })
-    }
-
-    /// Grow the pool to at least `n` workers.
-    fn ensure_workers(&'static self, n: usize) {
-        if self.workers.read().len() >= n {
-            return;
-        }
-        let mut workers = self.workers.write();
-        while workers.len() < n {
-            let worker = Arc::new(Worker {
-                deque: Mutex::new(VecDeque::new()),
-                counters: WorkerCounters::default(),
-            });
-            workers.push(worker.clone());
-            let id = workers.len() - 1;
-            let spawned = std::thread::Builder::new()
-                .name(format!("rfv-sched-{id}"))
-                .spawn(move || self.worker_loop(id, worker));
-            if spawned.is_err() {
-                // Could not spawn: drop the registered worker again and
-                // stop growing — the pool keeps whatever it has.
-                workers.pop();
-                break;
-            }
-        }
-    }
-
-    /// Push `tasks` round-robin across worker deques and wake the pool.
-    fn inject(&self, tasks: Vec<Task>) {
-        let workers = self.workers.read();
-        debug_assert!(!workers.is_empty());
-        let base = self.cursor.fetch_add(tasks.len() as u64, Ordering::Relaxed) as usize;
-        for (k, task) in tasks.into_iter().enumerate() {
-            let w = &workers[(base + k) % workers.len()];
-            lock(&w.deque).push_back(task);
-        }
-        drop(workers);
-        *lock(&self.epoch) += 1;
-        self.idle.notify_all();
-    }
-
-    /// Pop from the own deque, else steal from a peer (back of their
-    /// deque). Returns `None` when every deque is empty.
-    fn pop_or_steal(&self, id: usize, own: &Worker) -> Option<Task> {
-        if let Some(t) = lock(&own.deque).pop_front() {
-            return Some(t);
-        }
-        let workers = self.workers.read();
-        let n = workers.len();
-        for k in 1..n {
-            let peer = &workers[(id + k) % n];
-            if let Some(t) = lock(&peer.deque).pop_back() {
-                metrics().steals.incr();
-                own.counters.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&'static self, id: usize, own: Arc<Worker>) {
-        CURRENT_WORKER.with(|w| *w.borrow_mut() = Some(Arc::clone(&own)));
-        // Claim a flight-recorder lane so this worker's tasks show up as
-        // their own timeline row in the Perfetto export.
-        rfv_obs::event::set_thread_lane(
-            rfv_obs::event::WORKER_LANE_BASE + id as u32,
-            &format!("worker-{id}"),
-        );
-        loop {
-            if let Some(task) = self.pop_or_steal(id, &own) {
-                task();
-                continue;
-            }
-            // Park: re-check the epoch-guarded emptiness so an injection
-            // racing this park cannot be missed. A task surfaced by the
-            // re-check must actually run (outside the lock) — popping it
-            // and discarding it would strand its `run_ordered` caller.
-            let raced_in = {
-                let mut epoch = lock(&self.epoch);
-                match self.pop_or_steal(id, &own) {
-                    Some(task) => Some(task),
-                    None => {
-                        let seen = *epoch;
-                        while *epoch == seen {
-                            epoch = self
-                                .idle
-                                .wait(epoch)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                        None
-                    }
-                }
-            };
-            if let Some(task) = raced_in {
-                task();
-            }
-        }
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -354,97 +188,121 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("parallel worker panicked: {msg}")
 }
 
-/// Execute `f` over `chunks` on the shared pool, returning the results
-/// **in chunk order**. The panic-safe join converts a panicking chunk into
-/// an internal error (never a poisoned pool or a hung caller), and error
-/// reporting is deterministic: the error of the lowest-index failing chunk
-/// wins, exactly as a serial left-to-right fold would report it.
+/// Run one morsel in `slot`: a panic becomes an internal error, and its
+/// busy time is credited to the slot, the histogram and the recorder.
+fn task<U>(slot: usize, run: impl FnOnce() -> Result<U>) -> Result<U> {
+    // The recorder start stamp is guarded on enablement so a disabled
+    // recorder costs one relaxed load, no clock read.
+    let rec = event::recorder();
+    let rec_start = rec.is_enabled().then(event::now_ns);
+    let clock = rfv_obs::Stopwatch::start();
+    let out = panic::catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|p| Err(RfvError::internal(panic_message(p))));
+    let busy = clock.elapsed_ns();
+    metrics().busy_ns.record(busy);
+    SLOTS[slot].0.fetch_add(1, Ordering::Relaxed);
+    SLOTS[slot].1.fetch_add(busy, Ordering::Relaxed);
+    if let Some(ts_ns) = rec_start {
+        rec.record(Event {
+            name: "task",
+            cat: "sched",
+            ph: EventPh::Complete,
+            ts_ns,
+            dur_ns: busy,
+            lane: WORKER_LANE_BASE + slot as u32,
+            detail: None,
+        });
+    }
+    out
+}
+
+/// Execute `f` over `chunks` as one fork-join, returning the results **in
+/// chunk order**, and record the split in `par`. A panicking chunk becomes
+/// an internal error (never a hung caller), and error reporting is
+/// deterministic: the error of the lowest-index failing chunk wins, exactly
+/// as a serial left-to-right fold would report it.
 ///
-/// Every task polls `gov` *before* doing any work, so once a statement's
-/// token trips, its queued chunks drain from the pool in microseconds
-/// instead of running to completion. This is the scheduler-level
-/// cancellation point; operators add finer-grained checks inside their own
-/// loops.
+/// Every chunk polls `gov` *before* doing any work, so once a statement's
+/// token trips, its unclaimed chunks drain in microseconds instead of
+/// running to completion. This is the scheduler-level cancellation point;
+/// operators add finer-grained checks inside their own loops.
 ///
-/// Runs inline (in order, on the calling thread) when the pool would not
-/// help: fewer than two chunks, an effective thread count of one, or a
-/// call from inside a pool worker (nested parallelism).
-pub fn run_ordered<C, U, F>(chunks: Vec<C>, gov: Gov, f: F) -> Result<Vec<U>>
+/// Runs inline (in order, on the calling thread, unrecorded) when a split
+/// cannot help: fewer than two chunks, an effective thread count of one,
+/// or a call from inside a helper (nested parallelism).
+pub(crate) fn run_ordered<C, U, F>(
+    chunks: Vec<C>,
+    gov: &Gov,
+    par: &mut ParStats,
+    f: F,
+) -> Result<Vec<U>>
 where
-    C: Send + 'static,
-    U: Send + 'static,
-    F: Fn(usize, C) -> Result<U> + Send + Sync + 'static,
+    C: Send,
+    U: Send,
+    F: Fn(C) -> Result<U> + Sync,
 {
-    let f = move |i, chunk| {
+    let f = |chunk| {
         gov.check()?;
-        f(i, chunk)
+        f(chunk)
     };
     let n = chunks.len();
     let threads = effective_threads();
-    let pool = Pool::global();
-    let inline = n < 2 || threads == 1 || in_worker() || {
-        pool.ensure_workers(threads.min(n));
-        // Thread spawning unavailable: degrade to serial.
-        pool.workers.read().is_empty()
-    };
-    if inline {
-        return (chunks.into_iter().enumerate())
-            .map(|(i, c)| f(i, c))
-            .collect();
+    if n < 2 || threads == 1 || IN_HELPER.get() {
+        return chunks.into_iter().map(f).collect();
     }
 
     let m = metrics();
     m.parallel_ops.incr();
     m.tasks.add(n as u64);
 
-    // Every task sends its chunk's result home and drops its sender, so
-    // the receive loop ends when the last one has.
-    let (home, results) = mpsc::channel();
-    let f = Arc::new(f);
-    let tasks: Vec<Task> = chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, chunk)| {
-            let home = home.clone();
-            let f = Arc::clone(&f);
-            Box::new(move || {
-                // The recorder start stamp is guarded on enablement so a
-                // disabled recorder costs one relaxed load, no clock read.
-                let rec = rfv_obs::event::recorder();
-                let rec_start = rec.is_enabled().then(rfv_obs::event::now_ns);
-                let clock = rfv_obs::Stopwatch::start();
-                let out = panic::catch_unwind(AssertUnwindSafe(|| f(i, chunk)))
-                    .unwrap_or_else(|p| Err(RfvError::internal(panic_message(p))));
-                let busy = clock.elapsed_ns();
-                metrics().busy_ns.record(busy);
-                credit_current_worker(busy);
-                if let Some(start) = rec_start {
-                    rec.complete("task", "sched", start, busy, None);
-                }
-                // The caller is blocked on the other end until this is dropped.
-                let _ = home.send((i, out));
-            }) as Task
-        })
-        .collect();
-    drop(home);
-    pool.inject(tasks);
+    // As many helpers as the budget has left, up to one per chunk beyond
+    // the caller's own; returned when the scope has joined them.
+    let mut helpers = 0;
+    let _ = HELPERS.fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| {
+        helpers = (n - 1).min((threads - 1).saturating_sub(live));
+        Some(live + helpers)
+    });
+    let todo = Mutex::new(chunks.into_iter().enumerate());
+    let done = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
+    // Claim the next unclaimed chunk until none is left.
+    let claim = |slot: usize| loop {
+        let Some((i, chunk)) = lock(&todo).next() else {
+            return;
+        };
+        let out = task(slot, || f(chunk));
+        lock(&done)[i] = Some(out);
+    };
+    let spawned = std::thread::scope(|s| {
+        let mut spawned = 0;
+        for slot in 1..=helpers {
+            let helper = std::thread::Builder::new().name(format!("rfv-helper-{slot}"));
+            let run = move || {
+                IN_HELPER.set(true);
+                claim(slot);
+            };
+            if helper.spawn_scoped(s, run).is_err() {
+                break;
+            }
+            spawned += 1;
+        }
+        claim(0);
+        spawned
+    });
+    HELPERS.fetch_sub(helpers, Ordering::AcqRel);
+    par.morsels = n as u64;
+    par.workers = spawned as u64 + 1;
 
-    let mut slots: Vec<Option<Result<U>>> = (0..n).map(|_| None).collect();
-    for (i, out) in results {
-        slots[i] = Some(out);
-    }
     // In chunk order, so the first error is the lowest-index one.
-    let unfilled = || RfvError::internal("parallel task completed without filling its result slot");
-    (slots.into_iter())
-        .map(|slot| slot.unwrap_or_else(|| Err(unfilled())))
+    let done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (done.into_iter())
+        .map(|out| out.expect("every claimed chunk stores its result"))
         .collect()
 }
 
-/// Split `len` items into contiguous morsel ranges `[lo, hi)` sized for
-/// the current pool: roughly four morsels per effective thread, but never
-/// smaller than an eighth of the parallel threshold (so tiny overridden
-/// thresholds still produce multiple morsels for the tests that force
-/// parallelism on small inputs).
+/// Split `len` items into contiguous morsel ranges `[lo, hi)`: roughly
+/// four morsels per effective thread, but never smaller than an eighth of
+/// the parallel threshold (so tiny overridden thresholds still produce
+/// multiple morsels for the tests that force parallelism on small inputs).
 pub fn morsel_ranges(len: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
@@ -463,7 +321,7 @@ pub fn morsel_ranges(len: usize) -> Vec<(usize, usize)> {
 }
 
 /// An operator input [`morsels`] can cut into contiguous pieces.
-pub trait Morsels: Sized + Send + 'static {
+pub trait Morsels: Sized + Send {
     /// Rows (or table slots) in the input: what the cost gate weighs.
     fn rows(&self) -> usize;
     /// The input cut at `ranges` — those of [`morsel_ranges`]: contiguous,
@@ -471,7 +329,7 @@ pub trait Morsels: Sized + Send + 'static {
     fn split(self, ranges: &[(usize, usize)]) -> Vec<Self>;
 }
 
-impl<T: Send + 'static> Morsels for Vec<T> {
+impl<T: Send> Morsels for Vec<T> {
     fn rows(&self) -> usize {
         self.len()
     }
@@ -503,9 +361,9 @@ impl Morsels for (usize, usize) {
 
 /// The one entry every morsel operator goes through: `f(state, input, gov)`
 /// is the operator over any contiguous piece of its input. Below the cost
-/// gate it is called once, here, on the whole input — nothing is cloned,
-/// split or scheduled. Above it the input is cut into [`morsel_ranges`],
-/// `f` runs per morsel on the pool over an owned copy of `state` (the
+/// gate it is called once, here, on the whole input — nothing is split or
+/// spawned. Above it the input is cut into [`morsel_ranges`], `f` runs per
+/// morsel in one [`run_ordered`] fork-join over the borrowed `state` (the
 /// operator's expressions or table handle), the outputs concatenate in
 /// morsel order — byte-identical to the single call — and `par` records
 /// the split.
@@ -517,21 +375,16 @@ pub fn morsels<S, I, F>(
     f: F,
 ) -> Result<Vec<Row>>
 where
-    S: ToOwned + ?Sized,
-    S::Owned: Send + Sync + 'static,
+    S: Sync + ?Sized,
     I: Morsels,
-    F: Fn(&S, I, &Gov) -> Result<Vec<Row>> + Send + Sync + 'static,
+    F: Fn(&S, I, &Gov) -> Result<Vec<Row>> + Sync,
 {
     let len = input.rows();
     if !should_parallelize(len) {
         return f(state, input, gov);
     }
     let chunks = input.split(&morsel_ranges(len));
-    par.record(chunks.len());
-    let (state, task_gov) = (state.to_owned(), gov.clone());
-    let outs = run_ordered(chunks, gov.clone(), move |_, chunk| {
-        f(state.borrow(), chunk, &task_gov)
-    })?;
+    let outs = run_ordered(chunks, gov, par, |chunk| f(state, chunk, gov))?;
     let mut out = Vec::with_capacity(outs.iter().map(Vec::len).sum());
     for chunk in outs {
         out.extend(chunk);
@@ -539,23 +392,16 @@ where
     Ok(out)
 }
 
-/// How a parallel-capable operator actually executed: number of morsels
-/// (tasks) it injected and the worker budget they ran under. Default
-/// (zeroed) means the operator took its serial path.
+/// How a parallel-capable operator actually executed: the morsels it was
+/// split into and the threads that ran them — the helpers the split got
+/// plus the calling thread. Default (zeroed) means the operator took its
+/// serial path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParStats {
     pub morsels: u64,
     pub workers: u64,
     /// What an ordering operator (`Sort`, `Window`) found in its input.
     pub order: Option<crate::filter::OrderFound>,
-}
-
-impl ParStats {
-    /// Record a parallel execution over `morsels` tasks.
-    pub fn record(&mut self, morsels: usize) {
-        self.morsels = morsels as u64;
-        self.workers = effective_threads().min(morsels) as u64;
-    }
 }
 
 /// Serialize this crate's unit tests that mutate the process-wide knobs.
@@ -568,16 +414,22 @@ pub(crate) fn knob_guard() -> MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// [`run_ordered`] without a statement: no token, the split discarded.
+    fn run<C: Send, U: Send>(chunks: Vec<C>, f: impl Fn(C) -> Result<U> + Sync) -> Result<Vec<U>> {
+        run_ordered(chunks, &Gov::none(), &mut ParStats::default(), f)
+    }
 
     #[test]
     fn run_ordered_preserves_input_order() {
         let _g = knob_guard();
         set_threads(4);
         let chunks: Vec<usize> = (0..64).collect();
-        let out = run_ordered(chunks, Gov::none(), |i, c| {
-            assert_eq!(i, c);
+        let out = run(chunks, |c| {
             // Uneven work so completion order scrambles.
-            std::thread::sleep(std::time::Duration::from_micros(((c * 7) % 13) as u64));
+            std::thread::sleep(Duration::from_micros(((c * 7) % 13) as u64));
             Ok(c * 2)
         })
         .unwrap();
@@ -589,7 +441,7 @@ mod tests {
     fn panicking_chunk_becomes_internal_error() {
         let _g = knob_guard();
         set_threads(4);
-        let err = run_ordered((0..8).collect::<Vec<usize>>(), Gov::none(), |_, c| {
+        let err = run((0..8).collect::<Vec<usize>>(), |c| {
             if c == 5 {
                 panic!("boom in chunk {c}");
             }
@@ -598,9 +450,10 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("panicked"), "{err}");
         assert!(err.to_string().contains("boom in chunk 5"), "{err}");
-        // The pool survives a panicking task.
-        let ok = run_ordered(vec![1usize, 2, 3], Gov::none(), |_, c| Ok(c)).unwrap();
+        // The next split is unaffected by a panicking task.
+        let ok = run(vec![1usize, 2, 3], Ok).unwrap();
         assert_eq!(ok, vec![1, 2, 3]);
+        assert_eq!(HELPERS.load(Ordering::SeqCst), 0, "every helper returned");
         set_threads(0);
     }
 
@@ -609,7 +462,7 @@ mod tests {
         let _g = knob_guard();
         set_threads(4);
         for _ in 0..16 {
-            let err = run_ordered((0..16).collect::<Vec<usize>>(), Gov::none(), |_, c| {
+            let err = run((0..16).collect::<Vec<usize>>(), |c| {
                 if c >= 3 {
                     Err(RfvError::internal(format!("err {c}")))
                 } else {
@@ -627,13 +480,9 @@ mod tests {
         let _g = knob_guard();
         set_threads(1);
         let before = metrics().parallel_ops.get();
-        let out = run_ordered(vec![10usize, 20, 30], Gov::none(), |i, c| Ok(i + c)).unwrap();
-        assert_eq!(out, vec![10, 21, 32]);
-        assert_eq!(
-            metrics().parallel_ops.get(),
-            before,
-            "no pool use at 1 thread"
-        );
+        let out = run(vec![10usize, 20, 30], |c| Ok(c + 1)).unwrap();
+        assert_eq!(out, vec![11, 21, 31]);
+        assert_eq!(metrics().parallel_ops.get(), before, "no split at 1 thread");
         set_threads(0);
     }
 
@@ -643,7 +492,7 @@ mod tests {
         n: i64,
         par: &mut ParStats,
         gov: &Gov,
-        calls: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        calls: &Mutex<Vec<std::thread::ThreadId>>,
     ) -> Result<Vec<Row>> {
         let rows: Vec<Row> = (0..n).map(|i| rfv_types::row![i]).collect();
         morsels(calls, rows, par, gov, |calls, chunk, _| {
@@ -661,7 +510,7 @@ mod tests {
             set_threads(threads);
             set_parallel_threshold(threshold);
             let tasks = metrics().tasks.get();
-            let (calls, mut par) = (Arc::default(), ParStats::default());
+            let (calls, mut par) = (Mutex::default(), ParStats::default());
             let out = drive(64, &mut par, &Gov::none(), &calls).unwrap();
             assert_eq!(out, rows);
             assert_eq!(*lock(&calls), [std::thread::current().id()]);
@@ -678,7 +527,7 @@ mod tests {
         set_threads(4);
         set_parallel_threshold(4);
         let tasks = metrics().tasks.get();
-        let (calls, mut par) = (Arc::default(), ParStats::default());
+        let (calls, mut par) = (Mutex::default(), ParStats::default());
         let out = drive(64, &mut par, &Gov::none(), &calls).unwrap();
         assert_eq!(out, (0..64).map(|i| rfv_types::row![i]).collect::<Vec<_>>());
         let morsels = morsel_ranges(64).len();
@@ -702,30 +551,27 @@ mod tests {
         // Tripped before the split: no morsel does any work.
         let token = Arc::new(rfv_types::CancelToken::new());
         token.cancel();
-        let calls = Arc::default();
+        let calls = Mutex::default();
         let gov = Gov::new(Some(token));
         let err = drive(64, &mut ParStats::default(), &gov, &calls).unwrap_err();
         assert!(matches!(err, RfvError::Cancelled(_)), "{err}");
         assert!(lock(&calls).is_empty());
         // Tripped by the first morsel while every other morsel that got
         // past its check waits for exactly that: at most one morsel per
-        // worker did work, the queued rest drained.
+        // thread did work, the unclaimed rest drained.
         let token = Arc::new(rfv_types::CancelToken::new());
         let gov = Gov::new(Some(Arc::clone(&token)));
-        let worked = Arc::new(AtomicUsize::new(0));
+        let worked = AtomicUsize::new(0);
         let chunks: Vec<usize> = (0..64).collect();
-        let err = run_ordered(chunks, gov, {
-            let worked = Arc::clone(&worked);
-            move |i, _| {
-                worked.fetch_add(1, Ordering::SeqCst);
-                if i == 0 {
-                    token.cancel();
-                }
-                while token.check().is_ok() {
-                    std::thread::yield_now();
-                }
-                Ok(())
+        let err = run_ordered(chunks, &gov, &mut ParStats::default(), |i| {
+            worked.fetch_add(1, Ordering::SeqCst);
+            if i == 0 {
+                token.cancel();
             }
+            while token.check().is_ok() {
+                std::thread::yield_now();
+            }
+            Ok(())
         })
         .unwrap_err();
         assert!(matches!(err, RfvError::Cancelled(_)), "{err}");
@@ -741,8 +587,8 @@ mod tests {
     fn nested_run_ordered_executes_inline() {
         let _g = knob_guard();
         set_threads(2);
-        let out = run_ordered(vec![0usize, 1, 2, 3], Gov::none(), |_, c| {
-            let inner = run_ordered(vec![c, c + 1], Gov::none(), |_, x| Ok(x * 10))?;
+        let out = run(vec![0usize, 1, 2, 3], |c| {
+            let inner = run(vec![c, c + 1], |x| Ok(x * 10))?;
             Ok(inner.iter().sum::<usize>())
         })
         .unwrap();
@@ -786,21 +632,29 @@ mod tests {
         set_parallel_threshold(usize::MAX);
     }
 
+    /// Dynamic claiming balances load: while one thread runs a 20 ms
+    /// morsel, the other claims the fast ones.
     #[test]
     fn steals_happen_under_imbalance() {
         let _g = knob_guard();
-        set_threads(4);
-        let before = metrics().tasks.get();
-        // Plenty of uneven tasks: some worker will drain its deque first.
-        let out = run_ordered((0..256usize).collect::<Vec<_>>(), Gov::none(), |_, c| {
-            if c % 17 == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(200));
+        set_threads(2);
+        let ran: Vec<Mutex<Option<std::thread::ThreadId>>> =
+            (0..64).map(|_| Mutex::new(None)).collect();
+        run((0..64usize).collect::<Vec<_>>(), |i| {
+            if i == 0 {
+                std::thread::sleep(Duration::from_millis(20));
             }
-            Ok(1usize)
+            *lock(&ran[i]) = Some(std::thread::current().id());
+            Ok(())
         })
         .unwrap();
-        assert_eq!(out.len(), 256);
-        assert!(metrics().tasks.get() >= before + 256);
+        let ran: Vec<_> = ran.into_iter().map(|t| t.into_inner().unwrap()).collect();
+        let slow = ran[0];
+        let alongside = ran[1..].iter().filter(|&&t| t == slow).count();
+        assert!(
+            alongside <= 8,
+            "the slow morsel's thread also ran {alongside} of 63"
+        );
         set_threads(0);
     }
 
@@ -808,15 +662,23 @@ mod tests {
     fn worker_stats_account_for_executed_tasks() {
         let _g = knob_guard();
         set_threads(4);
-        let before: u64 = worker_stats().iter().map(|w| w.tasks).sum();
-        let out = run_ordered((0..64usize).collect::<Vec<_>>(), Gov::none(), |_, c| Ok(c)).unwrap();
+        let before = worker_stats();
+        let mut par = ParStats::default();
+        let chunks: Vec<usize> = (0..64).collect();
+        let out = run_ordered(chunks, &Gov::none(), &mut par, Ok).unwrap();
         assert_eq!(out.len(), 64);
-        let stats = worker_stats();
-        assert!(!stats.is_empty(), "pool spawned workers");
-        let after: u64 = stats.iter().map(|w| w.tasks).sum();
-        assert_eq!(after, before + 64, "every task credited to a worker");
-        for (i, w) in stats.iter().enumerate() {
+        let after = worker_stats();
+        let slots = par.workers as usize;
+        let tasks = |stats: &[WorkerStat], slot: usize| stats.get(slot).map_or(0, |w| w.tasks);
+        let credited: u64 = (0..slots)
+            .map(|s| tasks(&after, s) - tasks(&before, s))
+            .sum();
+        assert_eq!(credited, 64, "every task credited to a slot 0..{slots}");
+        for (i, w) in after.iter().enumerate() {
             assert_eq!(w.worker, i);
+            if i >= slots {
+                assert_eq!(w.tasks, tasks(&before, i), "slot {i} was not in the split");
+            }
         }
         set_threads(0);
     }
@@ -825,18 +687,85 @@ mod tests {
     fn par_stats_records_effective_workers() {
         let _g = knob_guard();
         set_threads(3);
+        set_parallel_threshold(2);
+        let calls = Mutex::default();
         let mut p = ParStats::default();
-        p.record(8);
+        drive(64, &mut p, &Gov::none(), &calls).unwrap();
+        let morsels = morsel_ranges(64).len() as u64;
         assert_eq!(
             p,
             ParStats {
-                morsels: 8,
+                morsels,
                 workers: 3,
                 order: None
             }
         );
-        p.record(2);
-        assert_eq!(p.workers, 2, "capped by morsel count");
+        drive(2, &mut p, &Gov::none(), &calls).unwrap();
+        assert_eq!((p.morsels, p.workers), (2, 2), "capped by morsel count");
+        set_parallel_threshold(usize::MAX);
+        set_threads(0);
+    }
+
+    #[test]
+    fn a_split_borrows_its_state_and_never_clones_it() {
+        struct Counted(AtomicUsize);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                Counted(AtomicUsize::new(self.0.fetch_add(1, Ordering::SeqCst) + 1))
+            }
+        }
+        let _g = knob_guard();
+        set_threads(4);
+        set_parallel_threshold(4);
+        let state = Counted(AtomicUsize::new(0));
+        let rows: Vec<Row> = (0..64).map(|i| rfv_types::row![i]).collect();
+        let mut par = ParStats::default();
+        let out = morsels(
+            &state,
+            rows.clone(),
+            &mut par,
+            &Gov::none(),
+            |_, chunk, _| Ok(chunk),
+        )
+        .unwrap();
+        assert_eq!(out, rows);
+        assert!(par.morsels > 1, "the input was split");
+        assert_eq!(state.0.load(Ordering::SeqCst), 0, "no clone per split");
+        set_parallel_threshold(usize::MAX);
+        set_threads(0);
+    }
+
+    #[test]
+    fn concurrent_splits_share_one_helper_budget() {
+        let _g = knob_guard();
+        set_threads(3);
+        set_parallel_threshold(4);
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        let rows: Vec<Row> = (0..64).map(|i| rfv_types::row![i]).collect();
+                        let mut par = ParStats::default();
+                        morsels(&(), rows, &mut par, &Gov::none(), |_, chunk, _| {
+                            assert!(HELPERS.load(Ordering::SeqCst) <= 2);
+                            let helper = usize::from(IN_HELPER.get());
+                            let now = running.fetch_add(helper, Ordering::SeqCst) + helper;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            std::thread::sleep(Duration::from_micros(200));
+                            running.fetch_sub(helper, Ordering::SeqCst);
+                            Ok(chunk)
+                        })
+                        .unwrap();
+                        assert!((1..=3).contains(&par.workers), "{par:?}");
+                    }
+                });
+            }
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "{peak} helpers ran at once");
+        assert_eq!(HELPERS.load(Ordering::SeqCst), 0, "every helper returned");
+        set_parallel_threshold(usize::MAX);
         set_threads(0);
     }
 }

@@ -270,7 +270,7 @@ pub enum WindowMode {
 /// columns by adjacent comparison. The kernels then walk the partitions in
 /// one pass per expression, on the calling thread at every thread count:
 /// the recurrence of §2.2 is three operations a position, less than
-/// handing a partition group to the pool costs.
+/// handing a partition group to another thread costs.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_window(
     rows: Vec<Row>,

@@ -18,12 +18,12 @@
 //!    events survive; older ones are overwritten silently. That bounds
 //!    memory for arbitrarily long recording sessions.
 //!
-//! The recorder is process-global (like the PR-5 scheduler pool it
-//! traces): one shared monotonic time origin means events from every
-//! engine, client thread, and pool worker land on a single timeline.
-//! Lanes (`tid` in the trace) are per-thread: scheduler workers claim
-//! `WORKER_LANE_BASE + id` via [`set_thread_lane`], every other thread
-//! is lazily assigned a small `client-N` lane on first use.
+//! The recorder is process-global: one shared monotonic time origin means
+//! events from every engine, client thread, and morsel split land on a
+//! single timeline. Lanes (`tid` in the trace) are per-thread — every
+//! thread is lazily assigned a small `client-N` lane on first use — except
+//! the scheduler's `task` spans, which land on `WORKER_LANE_BASE + slot` of
+//! the split that ran them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -35,8 +35,9 @@ use crate::json::Json;
 /// Default ring capacity (events), override with `RFV_RECORDER_CAP`.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Scheduler workers record on lanes `WORKER_LANE_BASE + worker_id`;
-/// client threads get lazily assigned lanes `1, 2, …` well below it.
+/// Scheduler `task` spans land on lanes `WORKER_LANE_BASE + slot`
+/// (exported as `worker-<slot>`); client threads get lazily assigned
+/// lanes `1, 2, …` well below it.
 pub const WORKER_LANE_BASE: u32 = 1_000_000;
 
 /// Chrome trace phase of an event.
@@ -262,10 +263,12 @@ impl Recorder {
             ),
         ]));
         for lane in &used {
-            let name = lane_names
-                .get(lane)
-                .cloned()
-                .unwrap_or_else(|| format!("lane-{lane}"));
+            let name = lane_names.get(lane).cloned().unwrap_or_else(|| {
+                match lane.checked_sub(WORKER_LANE_BASE) {
+                    Some(slot) => format!("worker-{slot}"),
+                    None => format!("lane-{lane}"),
+                }
+            });
             arr.push(Json::Obj(vec![
                 ("name".into(), Json::Str("thread_name".into())),
                 ("ph".into(), Json::Str("M".into())),
@@ -338,17 +341,8 @@ thread_local! {
 
 static CLIENT_LANES: AtomicU32 = AtomicU32::new(1);
 
-/// Pin the calling thread to a specific trace lane with a display name.
-/// The PR-5 scheduler calls this from each worker thread with
-/// `WORKER_LANE_BASE + id` / `worker-<id>`.
-pub fn set_thread_lane(lane: u32, name: &str) {
-    LANE.with(|l| l.set(lane));
-    recorder().register_lane(lane, name);
-}
-
-/// The calling thread's trace lane. Threads that never called
-/// [`set_thread_lane`] are lazily assigned `client-1`, `client-2`, … in
-/// first-use order.
+/// The calling thread's trace lane: `client-1`, `client-2`, … assigned
+/// lazily in first-use order.
 pub fn thread_lane() -> u32 {
     LANE.with(|l| {
         let cur = l.get();

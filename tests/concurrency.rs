@@ -2,11 +2,11 @@
 //!
 //! One writer thread applies a stream of maintenance batches to a viewed
 //! sequence table while several reader threads hammer the SQL surface
-//! with window, aggregate, and sort queries — all parallel operators
-//! forced on (tiny cost-gate threshold) so the shared worker pool is
-//! under contention from multiple front-end threads at once.
+//! with window, aggregate, and sort queries — morsel splits of scan,
+//! filter and projection forced on (tiny cost-gate threshold) so the
+//! process-wide helper budget is contended by several front-end threads.
 //!
-//! The storm must finish (no pool self-deadlock, no lock-order inversion
+//! The storm must finish (no self-deadlock, no lock-order inversion
 //! between the catalog, the view registry, and the scheduler), no query
 //! or batch may fail, and afterwards:
 //!
@@ -105,8 +105,8 @@ fn batch(b: usize) -> MaintBatch {
 fn reader_storm_races_batched_maintenance() {
     let _guard = knob_guard();
     let _reset = KnobReset;
-    // Force every operator through the pool, with more front-end threads
-    // than workers so injection contention is real.
+    // Force every scan, filter and projection to split, with more
+    // front-end threads than helpers so the budget is contended.
     sched::set_parallel_threshold(4);
     sched::set_threads(4);
 
@@ -139,8 +139,8 @@ fn reader_storm_races_batched_maintenance() {
             let reader_db = &db;
             s.spawn(move || {
                 for q in 0..QUERIES_PER_READER {
-                    // A mix of shapes: every parallel operator (scan,
-                    // filter, sort, aggregate, window) plus the
+                    // A mix of shapes: the split operators (scan, filter,
+                    // project) under sort, aggregate and window, plus the
                     // view-rewrite path (mv_sum answers the first shape).
                     let sql = match q % 4 {
                         0 => "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS \
@@ -220,8 +220,8 @@ fn reader_storm_races_batched_maintenance() {
         db.metrics().counter_value("maintenance.batch_rows") - batch_rows_before,
         (BATCHES * OPS_PER_BATCH) as u64
     );
-    // The pool actually ran work (tiny threshold + 4 threads): the
-    // process-wide scheduler counters are mirrored into this registry.
+    // Splits actually ran (tiny threshold + 4 threads): the process-wide
+    // scheduler counters are mirrored into this registry.
     assert!(
         db.metrics().counter_value("sched.tasks") > 0,
         "storm at threshold 4 must have scheduled pool tasks"
@@ -248,8 +248,8 @@ fn reader_storm_races_batched_maintenance() {
 }
 
 /// Concurrent readers alone, all forcing parallel plans from different
-/// front-end threads: the pool must multiplex them without deadlock and
-/// every result must be byte-identical to the serial answer.
+/// front-end threads: their splits must share the helper budget without
+/// deadlock and every result must be byte-identical to the serial answer.
 #[test]
 fn parallel_queries_from_many_threads_match_serial() {
     let _guard = knob_guard();

@@ -71,7 +71,7 @@ fn demo_db(rows: usize) -> Database {
 fn exported_trace_is_valid_chrome_json_with_worker_lanes_and_lifecycle_events() {
     let _g = knob_guard();
     let _reset = RecorderReset;
-    // Force the worker pool on even for tiny inputs, so scheduler task
+    // Force morsel splits on even for tiny inputs, so scheduler task
     // events land on worker lanes.
     sched::set_threads(2);
     sched::set_parallel_threshold(1);
@@ -85,8 +85,8 @@ fn exported_trace_is_valid_chrome_json_with_worker_lanes_and_lifecycle_events() 
     db.execute(WINDOW_QUERY).unwrap();
     db.execute(WINDOW_QUERY).unwrap();
     // A bulk append drives the batched-maintenance path: with two
-    // simple views registered, the per-view recompute jobs run on the
-    // shared pool (>= 2 chunks), recording `task` events per worker.
+    // simple views registered, each is patched in place on the calling
+    // thread, recording one `maintenance.batch` span.
     db.sequence_append_bulk("seq", &[1.0, 2.0, 3.0, 4.0])
         .unwrap();
 
@@ -348,7 +348,7 @@ fn system_table_scans_are_never_cached_and_observe_fresh_telemetry() {
     let cache = db.execute("SELECT * FROM rfv_stat_cache").unwrap();
     assert_eq!(cache.rows().len(), 1);
     let workers = db.execute("SELECT * FROM rfv_stat_workers").unwrap();
-    // The pool is lazy: zero rows before it spins up is legal.
+    // Zero rows before the first split is legal.
     for r in workers.rows() {
         assert!(r.get(1).as_f64().unwrap().unwrap() >= 0.0);
     }

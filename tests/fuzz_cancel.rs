@@ -10,7 +10,7 @@
 //! process-global injector in `rfv_types::governance`, runs one random
 //! query, and then proves the recovery property at threads 1 and 8 (the
 //! 8-thread leg doubles as a deadlock check: a cancelled morsel must not
-//! strand the work-stealing scheduler).
+//! strand the split that forked it).
 //!
 //! The injector, thread count, and parallel threshold are process-wide
 //! knobs, so every test serializes on [`knob_guard`] and restores all

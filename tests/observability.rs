@@ -299,7 +299,7 @@ fn explain_analyze_says_what_the_ordering_found() {
     }
 }
 
-/// The shared pool's process-wide counters are mirrored into every
+/// The scheduler's process-wide counters are mirrored into every
 /// engine's registry, so `\metrics` / `metrics_json` expose scheduler
 /// activity without a side channel.
 #[test]
