@@ -98,8 +98,6 @@ pub(crate) struct PlanDep {
 pub(crate) struct PlanEntry {
     pub logical: LogicalPlan,
     pub physical: PhysicalPlan,
-    /// Whether the physical plan came from the view rewriter.
-    pub from_view: bool,
     pub outcome: PlanOutcome,
     pub report: Arc<RewriteReport>,
     pub deps: Vec<PlanDep>,

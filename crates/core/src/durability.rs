@@ -21,9 +21,10 @@
 //!   WAL order equal apply order, and the recovery/snapshot bookkeeping
 //!   surfaced by `rfv_stat_wal` and `\persist status`.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rfv_expr::AggFunc;
 use rfv_storage::codec::{self, Reader};
@@ -111,6 +112,22 @@ fn read_op_body(r: &mut Reader<'_>, tag: u8) -> Result<BatchOp> {
         2 => BatchOp::Delete { k: r.i64()? },
         t => return Err(bad(&format!("unknown batch op tag {t}"))),
     })
+}
+
+impl fmt::Display for WalRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WalRecord::Sql(text) => write!(f, "`{text}`"),
+            WalRecord::InsertRows { table, rows } => {
+                write!(f, "an INSERT of {} row(s) into `{table}`", rows.len())
+            }
+            WalRecord::SeqOp { table, op } => write!(f, "sequence op {op:?} on `{table}`"),
+            WalRecord::Batch { table, ops } => {
+                write!(f, "a batch of {} sequence op(s) on `{table}`", ops.len())
+            }
+            WalRecord::Refresh { table } => write!(f, "a view refresh of `{table}`"),
+        }
+    }
 }
 
 impl WalRecord {
@@ -473,6 +490,10 @@ pub(crate) struct Persistence {
     snapshot_loaded: AtomicBool,
     replayed: AtomicU64,
     truncated_bytes: AtomicU64,
+    /// The error of the first failed append or fsync. Once set, every
+    /// statement is refused with it until the directory is reopened: the
+    /// failed record's effect is live but not (known to be) durable.
+    stopped: OnceLock<RfvError>,
 }
 
 impl Persistence {
@@ -493,6 +514,7 @@ impl Persistence {
             snapshot_loaded: AtomicBool::new(false),
             replayed: AtomicU64::new(0),
             truncated_bytes: AtomicU64::new(0),
+            stopped: OnceLock::new(),
         })
     }
 
@@ -539,6 +561,7 @@ impl Persistence {
             snapshot_loaded: AtomicBool::new(snap.is_some()),
             replayed: AtomicU64::new(tail.len() as u64),
             truncated_bytes: AtomicU64::new(truncated),
+            stopped: OnceLock::new(),
         };
         Ok(Recovered {
             persistence,
@@ -557,11 +580,23 @@ impl Persistence {
         self.commit.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append one logical record; returns `(lsn, payload_bytes)`.
+    /// Append one logical record; returns `(lsn, payload_bytes)`. A failed
+    /// append or fsync stops the engine (see [`Self::running`]).
     pub fn log(&self, rec: &WalRecord) -> Result<(u64, u64)> {
         let payload = rec.encode();
-        let lsn = self.wal.read().append(&payload)?;
+        let lsn = self.wal.read().append(&payload).map_err(|e| {
+            let stop = RfvError::execution(format!(
+                "engine stopped: the WAL write of {rec} failed ({e}); \
+                 reopen the database to recover its committed state"
+            ));
+            self.stopped.get_or_init(|| stop).clone()
+        })?;
         Ok((lsn, payload.len() as u64))
+    }
+
+    /// `Ok` until a WAL write fails, then the error that stopped the engine.
+    pub fn running(&self) -> Result<()> {
+        self.stopped.get().map_or(Ok(()), |e| Err(e.clone()))
     }
 
     /// Write a snapshot covering everything logged so far. The caller

@@ -32,10 +32,17 @@ impl Database {
         Ok(())
     }
 
+    /// Refuse the statement if a failed WAL write has stopped the engine.
+    pub(super) fn running(&self) -> Result<()> {
+        self.persist.get().map_or(Ok(()), |p| p.running())
+    }
+
     /// Run one logged mutation: `apply` under the commit lock, then
     /// append `record()` — apply → log, so the WAL replays in apply
-    /// order and a failed mutation logs nothing. In-memory engines skip
-    /// the lock and never build the record.
+    /// order and a failed mutation logs nothing. A failed append stops
+    /// the engine, so the applied-but-unlogged change is never read or
+    /// overtaken by a logged one. In-memory engines skip the lock and
+    /// never build the record.
     pub(super) fn logged<T>(
         &self,
         apply: impl FnOnce() -> Result<T>,
@@ -43,6 +50,7 @@ impl Database {
     ) -> Result<T> {
         let persist = self.persistence();
         let _commit = persist.as_ref().map(|p| p.commit_lock());
+        self.running()?;
         let out = apply()?;
         if let Some(p) = &persist {
             self.wal_log(p, record())?;
@@ -106,6 +114,8 @@ impl Database {
             RfvError::execution("engine is not durable — set RFV_DATA_DIR or use Database::open")
         })?;
         let _commit = p.commit_lock();
+        // A stopped engine's memory holds a change the WAL does not.
+        self.running()?;
         let (images, extension) = self.snapshot_images()?;
         let out = write(&p, &images, &extension)?;
         self.metrics.counter("snapshot.written").incr();

@@ -1,6 +1,9 @@
-//! Planning: bind → optimize → view rewrite → physical plan, through the
-//! plan cache, with one accounting point ([`Database::note_plan`]) that
-//! fresh and cached plans share.
+//! Planning: bind → optimize → physical plan, through the plan cache, with
+//! one accounting point ([`Database::note_plan`]) that fresh and cached
+//! plans share. View rewriting is no pass of its own: the [`Rewriter`] is
+//! the physical planner's window rule, asked at every `Window` node in the
+//! tree for a view source per expression; an expression no view derives
+//! runs natively in the same node.
 
 use std::sync::Arc;
 
@@ -77,10 +80,10 @@ impl Database {
         Ok((entry, key))
     }
 
-    /// One full planning pass: bind, optimize, attempt the view rewrite,
-    /// fall back to the direct physical planner, and capture the data
-    /// generation of every table the plan reads. Pure — accounting is
-    /// [`note_plan`](Self::note_plan)'s.
+    /// One full planning pass: bind, optimize, lower through the one
+    /// physical planner — with the view rewriter as its window rule unless
+    /// rewriting is off — and capture the data generation of every table
+    /// the plan reads. Pure — accounting is [`note_plan`](Self::note_plan)'s.
     fn plan_fresh(
         &self,
         q: &ast::Query,
@@ -90,25 +93,20 @@ impl Database {
         let binder = Binder::new(&self.catalog).with_window_mode(config.window_mode);
         let bound = collector.time("bind", || binder.bind_query(q))?;
         let logical = collector.time("optimize", || optimize(bound));
-        let (rewritten, outcome, report) = if config.view_rewrite {
+        let (physical, outcome, report) = if config.view_rewrite {
             let rewriter = Rewriter::new(&self.catalog, &self.registry);
-            let (planned, report) =
-                collector.time("rewrite", || rewriter.plan_with_views_traced(&logical))?;
+            let (physical, report) = rewriter.plan(&logical, collector)?;
             let outcome = if report.rewritten {
                 PlanOutcome::Rewritten
             } else {
                 PlanOutcome::Fallback
             };
-            (planned, outcome, report)
+            (physical, outcome, report)
         } else {
-            (None, PlanOutcome::Disabled, RewriteReport::disabled())
-        };
-        let from_view = rewritten.is_some();
-        let physical = match rewritten {
-            Some(physical) => physical,
-            None => collector.time("physical-plan", || {
+            let physical = collector.time("physical-plan", || {
                 PhysicalPlanner::new(&self.catalog).plan(&logical)
-            })?,
+            })?;
+            (physical, PlanOutcome::Disabled, RewriteReport::disabled())
         };
         // The cache's invalidation dependency set.
         let deps = physical
@@ -122,7 +120,6 @@ impl Database {
         Ok(PlanEntry {
             logical,
             physical,
-            from_view,
             outcome,
             report: Arc::new(report),
             deps,

@@ -15,7 +15,7 @@ use rfv_storage::IndexKind;
 use rfv_types::{DataType, Field, Result, RfvError, Row, Schema, SchemaRef, Value};
 
 use super::{Database, QueryResult};
-use crate::cache::{PlanEntry, ResultKey};
+use crate::cache::{PlanEntry, PlanOutcome, ResultKey};
 use crate::durability::WalRecord;
 use crate::trace::QueryTrace;
 
@@ -87,6 +87,7 @@ impl Database {
     /// chosen (including whether a view rewrite fired). Accepts either a
     /// bare query or an `EXPLAIN [ANALYZE]` statement.
     pub fn explain(&self, sql: &str) -> Result<String> {
+        self.running()?;
         match parse_statement(sql)? {
             ast::Statement::Query(q) => self.explain_query(&q, false),
             ast::Statement::Explain { analyze, query } => self.explain_query(&query, analyze),
@@ -109,6 +110,7 @@ impl Database {
         stmt: &ast::Statement,
         collector: &Collector,
     ) -> Result<QueryResult> {
+        self.running()?;
         match stmt {
             ast::Statement::Query(q) => self.run_query(q, false, collector).map(|(rows, _)| rows),
             ast::Statement::Explain { analyze, query } => {
@@ -209,7 +211,7 @@ impl Database {
     /// phase-span timeline, and the rewrite report.
     fn explain_query(&self, q: &ast::Query, analyze: bool) -> Result<String> {
         let how = |entry: &PlanEntry| {
-            if entry.from_view {
+            if entry.outcome == PlanOutcome::Rewritten {
                 "view rewrite"
             } else {
                 "direct"
@@ -432,7 +434,9 @@ impl Database {
                 sql: done.sql.to_string(),
                 spans: done.collector.take(),
                 total_ns: done.collector.elapsed_ns(),
-                rewritten: done.entry.is_some_and(|e| e.from_view),
+                rewritten: done
+                    .entry
+                    .is_some_and(|e| e.outcome == PlanOutcome::Rewritten),
                 rewrite: done.entry.map(|e| Arc::clone(&e.report)),
             });
             *self.last_trace.write() = Some(Arc::clone(&trace));

@@ -261,7 +261,7 @@ fn a_source_that_lost_its_sequence_hands_over_to_the_native_kernel() {
         panic!("not a query");
     };
     let entry = db.plan_query(&query).unwrap();
-    assert!(entry.from_view);
+    assert_eq!(entry.outcome, crate::cache::PlanOutcome::Rewritten);
     let fallbacks = || db.metrics().counter_value("rewrite.derive_native_fallback");
     assert_eq!(entry.physical.execute().unwrap().len(), 20);
     assert_eq!(fallbacks(), 0);

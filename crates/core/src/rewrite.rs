@@ -2,21 +2,21 @@
 //!
 //! The paper's framing (§1, §3): a warehouse holds materialized reporting
 //! function views; incoming reporting-function queries should be answered
-//! *from the views* "directly after parsing the query". This module
-//! implements that hook for the `rfv` engine: given the bound logical plan
-//! of a query, it recognizes the reporting-function shape
+//! *from the views* "directly after parsing the query". The [`Rewriter`]
+//! is the physical planner's window rule ([`WindowSources`]): wherever the
+//! plan holds the reporting-function shape
 //!
 //! ```text
-//! Project( [Sort(] Window( Scan(base) ) [)] )
-//!   with PARTITION BY ∅, ORDER BY pos ASC, frame ROWS …
+//! Window( Scan(base) )  with PARTITION BY ∅, ORDER BY pos ASC, frame ROWS …
 //! ```
 //!
-//! and, when a registered [`SequenceView`] over the same base/columns can
-//! derive each window expression, emits the statement's own `Window` node
-//! with one sequence source (`crate::source`) per expression. The
-//! rewriter only *selects* — view and strategy, in a fixed order of
-//! preference — and checks preconditions; the source derives the column
-//! from the live view when the statement executes:
+//! — at the top of a statement or under a filter, aggregate or join — each
+//! window expression a registered [`SequenceView`] over the same
+//! base/columns can derive gets a sequence source (`crate::source`), and
+//! the others run the native kernel in the same node. The rewriter only
+//! *selects* — view and strategy, in a fixed order of preference — and
+//! checks preconditions; the source derives the column from the live view
+//! when the statement executes:
 //!
 //! * SUM: exact window match (the view body) > cumulative view (two-point
 //!   difference, §3.1) > widest sliding view (**MinOA**, §5, as two lookups
@@ -28,8 +28,7 @@
 //! * §6: per-partition derivation under the same partitioning scheme,
 //!   partitioning reduction when the query orders by a suffix of it.
 //!
-//! Anything else falls back to the native window operator. Every planning
-//! pass also produces a [`RewriteReport`]: per window expression, which
+//! Every planning pass also produces a [`RewriteReport`]: per window expression, which
 //! view matched, which strategy fired and which candidates were passed
 //! over — or the precise reason the rewriter stepped aside.
 //! `Database::explain` prints it and `Database::last_rewrite_report`
@@ -39,14 +38,16 @@
 //! The relational operator patterns of Figs. 10/13 ([`crate::patterns`])
 //! reproduce the paper's Table 2; no query runs them.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
 use rfv_exec::{
-    FrameBound, PhysicalPlan, SequenceSources, SortKey, WindowExprSpec, WindowFuncKind, WindowMode,
+    FrameBound, PhysicalPlan, SequenceSources, SortKey, WindowExprSpec, WindowFuncKind,
 };
 use rfv_expr::{AggFunc, Expr};
-use rfv_plan::LogicalPlan;
+use rfv_obs::Collector;
+use rfv_plan::{LogicalPlan, PhysicalPlanner, WindowSources};
 use rfv_storage::Catalog;
 use rfv_types::{DataType, Field, Result, RfvError, SchemaRef, Value};
 
@@ -193,13 +194,12 @@ pub struct RewriteDecision {
 /// The rewriter's full account of one planning pass.
 #[derive(Debug, Clone, Default)]
 pub struct RewriteReport {
-    /// Base table of the window query, when one was identified.
-    pub base_table: Option<String>,
     /// One decision per window expression examined, in SELECT order.
     pub decisions: Vec<RewriteDecision>,
-    /// Whether the whole query was answered from views.
+    /// Whether at least one window expression is answered from a view.
     pub rewritten: bool,
-    /// Query-level reason when `rewritten` is false.
+    /// The first reason a window node or expression is not answered from
+    /// a view, or why the statement has no window over a table scan.
     pub fallback: Option<String>,
 }
 
@@ -263,41 +263,23 @@ struct Choice {
 /// A selection attempt: a choice, or the reason there is none.
 type Attempt = std::result::Result<Choice, String>;
 
-/// Record a query-shape fallback reason and decline the rewrite.
-fn fall_back(
-    report: &mut RewriteReport,
-    reason: impl Into<String>,
-) -> Result<Option<PhysicalPlan>> {
-    report.fallback = Some(reason.into());
-    Ok(None)
-}
-
-/// Record a per-expression miss (decision + query-level reason) and
-/// decline the rewrite.
-fn miss(
-    report: &mut RewriteReport,
-    expr: String,
-    reason: impl Into<String>,
-) -> Result<Option<PhysicalPlan>> {
-    let reason = reason.into();
-    report.fallback = Some(format!("`{expr}` not derivable: {reason}"));
-    report.decisions.push(RewriteDecision {
-        expr,
-        outcome: RewriteOutcome::Fallback { reason },
-        passed_over: Vec::new(),
-    });
-    Ok(None)
-}
-
-/// Rewrites reporting-function queries against materialized sequence views.
+/// Rewrites reporting-function queries against materialized sequence views:
+/// the [`WindowSources`] rule of the one physical planner. Each window node
+/// the planner lowers is offered to [`WindowSources::sources`], which
+/// records its decisions in the report `plan` returns.
 pub struct Rewriter<'a> {
     catalog: &'a Catalog,
     registry: &'a ViewRegistry,
+    report: RefCell<RewriteReport>,
 }
 
 impl<'a> Rewriter<'a> {
     pub fn new(catalog: &'a Catalog, registry: &'a ViewRegistry) -> Self {
-        Rewriter { catalog, registry }
+        Rewriter {
+            catalog,
+            registry,
+            report: RefCell::default(),
+        }
     }
 
     /// Does nothing: no join pattern is on the query path, so there is no
@@ -307,106 +289,72 @@ impl<'a> Rewriter<'a> {
         self
     }
 
-    /// Try to plan `logical` using materialized views. `Ok(None)` means
-    /// "no rewrite applies — plan normally".
-    pub fn plan_with_views(&self, logical: &LogicalPlan) -> Result<Option<PhysicalPlan>> {
-        Ok(self.plan_with_views_traced(logical)?.0)
+    /// Lower `logical` through the physical planner with this rewriter as
+    /// its window rule, timing the lowering as `physical-plan` and each
+    /// window node's view selection inside it as `rewrite`. Returns the plan
+    /// and the report of every decision taken; `rewritten` holds when at
+    /// least one expression has a view source.
+    pub(crate) fn plan(
+        &self,
+        logical: &LogicalPlan,
+        collector: &Collector,
+    ) -> Result<(PhysicalPlan, RewriteReport)> {
+        let timed = Timed(self, collector);
+        let planner = PhysicalPlanner::new(self.catalog).with_window_sources(&timed);
+        let physical = collector.time("physical-plan", || planner.plan(logical));
+        // Taken before `?`: the next plan starts from an empty report.
+        let mut report = self.report.take();
+        let physical = physical?;
+        report.rewritten =
+            (report.decisions.iter()).any(|d| matches!(d.outcome, RewriteOutcome::FromView { .. }));
+        if !report.rewritten && report.fallback.is_none() {
+            report.fallback = Some("the statement has no window function".into());
+        }
+        Ok((physical, report))
     }
 
-    /// Like [`plan_with_views`](Self::plan_with_views), but also returns
-    /// the [`RewriteReport`] describing every decision taken.
+    /// `plan`, untimed, with the plan returned only when the
+    /// report says rewritten. Kept because the frozen benchmark (`rfvbench`)
+    /// calls it; goes in the next benchmark-only change.
     pub fn plan_with_views_traced(
         &self,
         logical: &LogicalPlan,
     ) -> Result<(Option<PhysicalPlan>, RewriteReport)> {
-        let mut report = RewriteReport::default();
-        let plan = self.plan_rec(logical, &mut report)?;
-        report.rewritten = plan.is_some();
-        if plan.is_none() && report.fallback.is_none() {
-            report.fallback =
-                Some("query is not a reporting-function query over a single base table".into());
-        }
-        Ok((plan, report))
+        let (physical, report) = self.plan(logical, &Collector::disabled())?;
+        Ok((report.rewritten.then_some(physical), report))
     }
 
-    fn plan_rec(
-        &self,
-        logical: &LogicalPlan,
-        report: &mut RewriteReport,
-    ) -> Result<Option<PhysicalPlan>> {
-        match logical {
-            LogicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => Ok(self
-                .plan_rec(input, report)?
-                .map(|inner| PhysicalPlan::Project {
-                    input: Box::new(inner),
-                    exprs: exprs.clone(),
-                    schema: schema.clone(),
-                })),
-            LogicalPlan::Sort { input, keys } => {
-                Ok(self
-                    .plan_rec(input, report)?
-                    .map(|inner| PhysicalPlan::Sort {
-                        input: Box::new(inner),
-                        keys: keys.clone(),
-                    }))
-            }
-            LogicalPlan::Limit { input, n } => {
-                Ok(self
-                    .plan_rec(input, report)?
-                    .map(|inner| PhysicalPlan::Limit {
-                        input: Box::new(inner),
-                        n: *n,
-                    }))
-            }
-            LogicalPlan::Window {
-                input,
-                partition_by,
-                order_by,
-                window_exprs,
-                mode,
-                schema,
-            } => self.rewrite_window(
-                input,
-                partition_by,
-                order_by,
-                window_exprs,
-                *mode,
-                schema,
-                report,
-            ),
-            _ => Ok(None),
-        }
+    /// Record a node-level reason no expression of a window node is
+    /// derived (the first such reason stands for the statement).
+    fn fall_back(&self, reason: impl Into<String>) -> Result<SequenceSources> {
+        self.report
+            .borrow_mut()
+            .fallback
+            .get_or_insert_with(|| reason.into());
+        Ok(Vec::new())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn rewrite_window(
+impl WindowSources for Rewriter<'_> {
+    fn sources(
         &self,
         input: &LogicalPlan,
         partition_by: &[Expr],
         order_by: &[SortKey],
         window_exprs: &[WindowExprSpec],
-        mode: WindowMode,
-        out_schema: &SchemaRef,
-        report: &mut RewriteReport,
-    ) -> Result<Option<PhysicalPlan>> {
+    ) -> Result<SequenceSources> {
         let LogicalPlan::Scan {
             table: base,
             schema: base_schema,
         } = input
         else {
-            return fall_back(report, "window input is not a plain table scan");
+            return self.fall_back("window input is not a plain table scan");
         };
-        report.base_table = Some(base.clone());
         let views = self.registry.views_for(base);
         if views.is_empty() {
-            return fall_back(
-                report,
-                format!("no materialized sequence views registered over `{base}`"),
-            );
+            return self.fall_back(format!(
+                "no materialized sequence views registered over `{base}`"
+            ));
         }
         // Checked positional access — binder-produced indices are expected
         // to be valid, but the query path must degrade to an error, never
@@ -431,47 +379,38 @@ impl<'a> Rewriter<'a> {
         let mut q_parts: Vec<usize> = Vec::new();
         for p in partition_by {
             let Expr::Column(i) = p else {
-                return fall_back(report, "PARTITION BY uses a computed expression");
+                return self.fall_back("PARTITION BY uses a computed expression");
             };
             q_parts.push(*i);
         }
         let mut order_idxs: Vec<usize> = Vec::new();
         for k in order_by {
             if k.desc {
-                return fall_back(report, "window ORDER BY is descending");
+                return self.fall_back("window ORDER BY is descending");
             }
             let Expr::Column(i) = &k.expr else {
-                return fall_back(report, "window ORDER BY uses a computed expression");
+                return self.fall_back("window ORDER BY uses a computed expression");
             };
             order_idxs.push(*i);
         }
         let Some((&pos_idx, dropped_parts)) = order_idxs.split_last() else {
-            return fall_back(report, "window has no ORDER BY position column");
+            return self.fall_back("window has no ORDER BY position column");
         };
         let is_simple = q_parts.is_empty() && dropped_parts.is_empty();
-        let mut sources: SequenceSources = Vec::with_capacity(window_exprs.len());
-        for spec in window_exprs {
-            let expr_str = display_spec(spec, base_schema);
+        // One expression's view and source, or the reason it has none.
+        let select = |spec: &WindowExprSpec| -> Result<std::result::Result<_, String>> {
             let WindowFuncKind::Agg(agg) = spec.func else {
-                return miss(
-                    report,
-                    expr_str,
-                    format!(
-                        "{} is a ranking function — not derivable from reporting-function views",
-                        spec.func
-                    ),
-                );
+                return Ok(Err(format!(
+                    "{} is a ranking function — not derivable from reporting-function views",
+                    spec.func
+                )));
             };
             let Some(target) = frame_to_window(spec) else {
-                return miss(
-                    report,
-                    expr_str,
-                    format!(
-                        "frame `{}` is outside the paper's window model \
-                         (cumulative or l PRECEDING / h FOLLOWING)",
-                        spec.frame
-                    ),
-                );
+                return Ok(Err(format!(
+                    "frame `{}` is outside the paper's window model \
+                     (cumulative or l PRECEDING / h FOLLOWING)",
+                    spec.frame
+                )));
             };
             // COUNT over the dense position structure needs no value
             // column: its result is the closed-form window cardinality,
@@ -480,23 +419,17 @@ impl<'a> Rewriter<'a> {
             let val_field = match spec.arg.as_ref() {
                 Some(Expr::Column(i)) => Some(field_at(*i)?),
                 None if count_like => None,
-                _ => {
-                    return miss(report, expr_str, "aggregate argument is not a plain column");
-                }
+                _ => return Ok(Err("aggregate argument is not a plain column".into())),
             };
             // COUNT(expr) over a nullable column counts non-nulls — the
             // closed form only holds for NOT NULL columns.
             if let (AggFunc::Count, Some(f)) = (agg, val_field) {
                 if f.nullable {
-                    return miss(
-                        report,
-                        expr_str,
-                        format!(
-                            "COUNT over nullable column `{}` counts non-nulls; \
-                             the closed form needs NOT NULL",
-                            f.name
-                        ),
-                    );
+                    return Ok(Err(format!(
+                        "COUNT over nullable column `{}` counts non-nulls; \
+                         the closed form needs NOT NULL",
+                        f.name
+                    )));
                 }
             }
             let pos_name = &field_at(pos_idx)?.name;
@@ -539,42 +472,69 @@ impl<'a> Rewriter<'a> {
                     spec.func
                 ))
             };
-            let choice = match attempt {
-                Ok(choice) => choice,
-                Err(reason) => return miss(report, expr_str, reason),
-            };
             // COUNT(*) has no argument, and COUNT's type depends on none.
             let input_type = val_field.map_or(DataType::Int, |f| f.data_type);
-            sources.push(Some(Arc::new(ViewSource {
-                registry: self.registry.clone(),
-                view: choice.view.clone(),
-                strategy: choice.strategy.clone(),
-                agg,
-                target,
-                result_type: spec.func.result_type(input_type),
-                keys: KeyColumns {
-                    partition: q_parts.clone(),
-                    reduced: dropped_parts.to_vec(),
-                    pos: pos_idx,
-                },
-            })));
-            report.record_hit(expr_str, choice);
+            Ok(attempt.map(|choice| {
+                let source = ViewSource {
+                    registry: self.registry.clone(),
+                    view: choice.view.clone(),
+                    strategy: choice.strategy.clone(),
+                    agg,
+                    target,
+                    result_type: spec.func.result_type(input_type),
+                    keys: KeyColumns {
+                        partition: q_parts.clone(),
+                        reduced: dropped_parts.to_vec(),
+                        pos: pos_idx,
+                    },
+                };
+                (choice, source)
+            }))
+        };
+        let mut sources: SequenceSources = Vec::with_capacity(window_exprs.len());
+        for spec in window_exprs {
+            let expr = display_spec(spec, base_schema);
+            let mut report = self.report.borrow_mut();
+            match select(spec)? {
+                Ok((choice, source)) => {
+                    report.record_hit(expr, choice);
+                    sources.push(Some(Arc::new(source)));
+                }
+                // The native kernel runs this expression.
+                Err(reason) => {
+                    let why = format!("`{expr}` not derivable: {reason}");
+                    report.fallback.get_or_insert(why);
+                    report.decisions.push(RewriteDecision {
+                        expr,
+                        outcome: RewriteOutcome::Fallback { reason },
+                        passed_over: Vec::new(),
+                    });
+                    sources.push(None);
+                }
+            }
         }
+        if sources.iter().all(Option::is_none) {
+            sources.clear();
+        }
+        Ok(sources)
+    }
+}
 
-        // The statement's own window node over the base scan: same rows,
-        // same order, each column supplied by its source.
-        Ok(Some(PhysicalPlan::Window {
-            input: Box::new(PhysicalPlan::TableScan {
-                table: self.catalog.table(base)?,
-                schema: base_schema.clone(),
-            }),
-            partition_by: partition_by.to_vec(),
-            order_by: order_by.to_vec(),
-            window_exprs: window_exprs.to_vec(),
-            mode,
-            schema: out_schema.clone(),
-            sources,
-        }))
+/// The rewriter's rule with each window node's selection timed as a
+/// `rewrite` span.
+struct Timed<'r, 'a>(&'r Rewriter<'a>, &'r Collector);
+
+impl WindowSources for Timed<'_, '_> {
+    fn sources(
+        &self,
+        input: &LogicalPlan,
+        partition_by: &[Expr],
+        order_by: &[SortKey],
+        window_exprs: &[WindowExprSpec],
+    ) -> Result<SequenceSources> {
+        (self.1).time("rewrite", || {
+            (self.0).sources(input, partition_by, order_by, window_exprs)
+        })
     }
 }
 

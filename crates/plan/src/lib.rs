@@ -10,4 +10,4 @@ mod physical_planner;
 pub use binder::Binder;
 pub use logical::LogicalPlan;
 pub use optimizer::optimize;
-pub use physical_planner::{plan_physical, PhysicalPlanner};
+pub use physical_planner::{plan_physical, PhysicalPlanner, WindowSources};

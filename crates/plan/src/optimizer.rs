@@ -1,10 +1,10 @@
 //! Logical rewrite rules.
 //!
-//! Deliberately small: constant folding, filter merging, and pushing filter
-//! conjuncts into joins. The last rule is what turns the paper's
-//! `FROM c_transactions, l_locations WHERE c_locid = l_locid AND …` comma
-//! joins into proper equi-joins the physical planner can hash or probe
-//! through an index.
+//! Deliberately small: constant folding, filter merging, projection
+//! merging, and pushing filter conjuncts into joins. The last rule is what
+//! turns the paper's `FROM c_transactions, l_locations WHERE c_locid =
+//! l_locid AND …` comma joins into proper equi-joins the physical planner
+//! can hash or probe through an index.
 
 use rfv_expr::{fold_constants, BinaryOp, Expr};
 
@@ -87,6 +87,7 @@ fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     };
     // Then apply the structural rules at this node.
     let plan = merge_filters(plan);
+    let plan = merge_projections(plan);
     push_filter_into_join(plan)
 }
 
@@ -136,6 +137,42 @@ fn merge_filters(plan: LogicalPlan) -> LogicalPlan {
         return LogicalPlan::Filter { input, predicate };
     }
     plan
+}
+
+/// `Project(Project(x))`, the outer one only picking columns → one
+/// projection over `x` with the outer schema: each pick becomes the inner
+/// expression it names. A derived table plans one projection, not two.
+fn merge_projections(plan: LogicalPlan) -> LogicalPlan {
+    let LogicalPlan::Project {
+        input,
+        exprs,
+        schema,
+    } = plan
+    else {
+        return plan;
+    };
+    let picked: Option<Vec<Expr>> = match input.as_ref() {
+        LogicalPlan::Project { exprs: inner, .. } => exprs
+            .iter()
+            .map(|e| match e {
+                Expr::Column(i) => inner.get(*i).cloned(),
+                _ => None,
+            })
+            .collect(),
+        _ => None,
+    };
+    match (picked, *input) {
+        (Some(exprs), LogicalPlan::Project { input, .. }) => LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        },
+        (_, input) => LogicalPlan::Project {
+            input: Box::new(input),
+            exprs,
+            schema,
+        },
+    }
 }
 
 /// Classify a conjunct relative to a join with `left_width` left columns.
@@ -358,6 +395,48 @@ mod tests {
             panic!()
         };
         assert!(matches!(*input, LogicalPlan::Scan { .. }));
+    }
+
+    #[test]
+    fn stacked_column_projections_merge() {
+        let inner = LogicalPlan::Project {
+            input: Box::new(scan("a", &["x", "y"])),
+            exprs: vec![Expr::col(1).add(Expr::lit(1i64)), Expr::col(0)],
+            schema: SchemaRef::new(Schema::new(vec![
+                Field::new("y1", DataType::Int),
+                Field::new("x", DataType::Int),
+            ])),
+        };
+        let outer_schema = SchemaRef::new(Schema::new(vec![
+            Field::new("x", DataType::Int).with_qualifier("t"),
+            Field::new("y1", DataType::Int).with_qualifier("t"),
+        ]));
+        let outer = LogicalPlan::Project {
+            input: Box::new(inner.clone()),
+            exprs: vec![Expr::col(1), Expr::col(0)],
+            schema: outer_schema.clone(),
+        };
+        let LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } = optimize(outer)
+        else {
+            panic!()
+        };
+        assert!(matches!(*input, LogicalPlan::Scan { .. }));
+        assert_eq!(exprs, vec![Expr::col(0), Expr::col(1).add(Expr::lit(1i64))]);
+        assert_eq!(schema, outer_schema, "the outer schema is kept");
+        // An outer projection that computes stays on top of the inner one.
+        let computing = LogicalPlan::Project {
+            input: Box::new(inner),
+            exprs: vec![Expr::col(1).add(Expr::col(0))],
+            schema: outer_schema,
+        };
+        let LogicalPlan::Project { input, .. } = optimize(computing) else {
+            panic!()
+        };
+        assert!(matches!(*input, LogicalPlan::Project { .. }));
     }
 
     #[test]

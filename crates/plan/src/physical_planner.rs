@@ -16,11 +16,12 @@
 //! The same index serves reads: constant bounds on an indexed column
 //! become an [`PhysicalPlan::IndexRangeScan`] (one- or two-sided, strict
 //! or inclusive), and `ORDER BY` that column needs no sort when the index
-//! already delivers its order.
+//! already delivers its order. A [`WindowSources`] rule, when attached,
+//! answers window expressions from data outside the plan (views).
 
 use std::ops::Bound;
 
-use rfv_exec::{JoinType, PhysicalPlan, SortKey};
+use rfv_exec::{JoinType, PhysicalPlan, SequenceSources, SortKey, WindowExprSpec};
 use rfv_expr::{BinaryOp, Expr};
 use rfv_storage::{Catalog, IndexKind, TableRef};
 use rfv_types::{DataType, Result, SchemaRef, Value};
@@ -33,14 +34,39 @@ pub fn plan_physical(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPl
     PhysicalPlanner::new(catalog).plan(plan)
 }
 
-/// Stateful planner (currently only carries the catalog handle).
+/// Chooses, per expression of a window node, a source that answers it
+/// instead of the native kernel. The node's input is lowered as it would
+/// be without the rule, so a source sees exactly the rows of `input`.
+pub trait WindowSources {
+    /// One entry per `window_exprs` element (`None`: the native kernel
+    /// runs it), or an empty list when no expression has a source.
+    fn sources(
+        &self,
+        input: &LogicalPlan,
+        partition_by: &[Expr],
+        order_by: &[SortKey],
+        window_exprs: &[WindowExprSpec],
+    ) -> Result<SequenceSources>;
+}
+
+/// Stateful planner: the catalog handle and the optional window rule.
 pub struct PhysicalPlanner<'a> {
     catalog: &'a Catalog,
+    window_sources: Option<&'a dyn WindowSources>,
 }
 
 impl<'a> PhysicalPlanner<'a> {
     pub fn new(catalog: &'a Catalog) -> Self {
-        PhysicalPlanner { catalog }
+        PhysicalPlanner {
+            catalog,
+            window_sources: None,
+        }
+    }
+
+    /// Ask `rule` for the sources of every window node lowered.
+    pub fn with_window_sources(mut self, rule: &'a dyn WindowSources) -> Self {
+        self.window_sources = Some(rule);
+        self
     }
 
     /// Translate one logical node (recursively).
@@ -104,12 +130,15 @@ impl<'a> PhysicalPlanner<'a> {
                 schema,
             } => Ok(PhysicalPlan::Window {
                 input: Box::new(self.plan(input)?),
+                sources: match self.window_sources {
+                    Some(rule) => rule.sources(input, partition_by, order_by, window_exprs)?,
+                    None => Vec::new(),
+                },
                 partition_by: partition_by.clone(),
                 order_by: order_by.clone(),
                 window_exprs: window_exprs.clone(),
                 mode: *mode,
                 schema: schema.clone(),
-                sources: Vec::new(),
             }),
             LogicalPlan::Sort { input, keys } => {
                 let mut input = self.plan(input)?;

@@ -458,3 +458,156 @@ fn no_statement_panics_with_cache_enabled() {
         },
     );
 }
+
+/// One window expression of a nested-shape query: `(kind, frame)`. Kind
+/// selects SUM / COUNT(*) / COUNT(val) / MIN / MAX / RANK() / ROW_NUMBER();
+/// the ranking functions take no frame.
+type NestedExpr = (u8, Frame);
+
+/// `(values, views, window expressions, shape, constant)`: shape 0 puts
+/// the windows at the top of the statement, 1 in a derived table under a
+/// filter (`pos > constant`), 2 under an aggregate, 3 in a join with the
+/// base table shifted by `constant` positions.
+type NestedScenario = (Vec<i64>, Vec<ViewSpec>, Vec<NestedExpr>, u8, i64);
+
+fn nested_expr_sql((kind, frame): &NestedExpr) -> String {
+    let func = match kind % 7 {
+        0 => "SUM(val)",
+        1 => "COUNT(*)",
+        2 => "COUNT(val)",
+        3 => "MIN(val)",
+        4 => "MAX(val)",
+        5 => return "RANK() OVER (ORDER BY pos)".into(),
+        _ => return "ROW_NUMBER() OVER (ORDER BY pos)".into(),
+    };
+    format!("{func} OVER (ORDER BY pos {})", frame.sql())
+}
+
+/// The statement of a nested scenario and its column count.
+fn nested_sql(exprs: &[NestedExpr], shape: u8, k: i64) -> (String, usize) {
+    let inner = format!(
+        "SELECT pos, {} FROM seq",
+        (exprs.iter().enumerate())
+            .map(|(i, e)| format!("{} AS a{i}", nested_expr_sql(e)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let cols: Vec<String> = (0..exprs.len()).map(|i| format!("a{i}")).collect();
+    match shape % 4 {
+        0 => (format!("{inner} ORDER BY pos"), exprs.len() + 1),
+        1 => (
+            format!("SELECT * FROM ({inner}) x WHERE pos > {k} ORDER BY pos"),
+            exprs.len() + 1,
+        ),
+        2 => {
+            let aggs: Vec<String> = (cols.iter().enumerate())
+                .map(|(i, c)| format!("SUM({c}) AS t{i}, MAX({c}) AS m{i}"))
+                .collect();
+            (
+                format!("SELECT COUNT(*) AS n, {} FROM ({inner}) x", aggs.join(", ")),
+                2 * exprs.len() + 1,
+            )
+        }
+        _ => (
+            format!(
+                "SELECT x.pos, {}, t.val FROM ({inner}) x JOIN seq t ON t.pos = x.pos + {k} \
+                 ORDER BY x.pos",
+                (cols.iter().map(|c| format!("x.{c}")))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+            exprs.len() + 2,
+        ),
+    }
+}
+
+/// Windows anywhere in the plan — inside a derived table under a filter,
+/// an aggregate or a join — and derivable aggregates beside RANK /
+/// ROW_NUMBER in one SELECT list. Views-on ≡ views-off, bit-exact: the
+/// value column is BIGINT and every result column is an integer. And the
+/// sources EXPLAIN prints are exactly the expressions the strategy
+/// counters account as derived.
+#[test]
+fn windows_anywhere_in_the_plan_agree_with_and_without_views() {
+    check(
+        "views-on ≡ views-off for windows under filters, aggregates and joins",
+        |rng| {
+            let vals = gen::vec_of(gen::i64_in(-50, 50), 1, 30)(rng);
+            let views = gen::vec_of(
+                |rng: &mut Rng| (rng.u64_below(4) as u8, rng.i64_in(0, 3), rng.i64_in(0, 3)),
+                0,
+                3,
+            )(rng);
+            let exprs = gen::vec_of(
+                |rng: &mut Rng| (rng.u64_below(7) as u8, gen::frame(3)(rng)),
+                1,
+                3,
+            )(rng);
+            let shape = rng.u64_below(4) as u8;
+            let k = rng.i64_in(0, 5);
+            (vals, views, exprs, shape, k)
+        },
+        |(vals, views, exprs, shape, k): &NestedScenario| {
+            if exprs.is_empty() {
+                return;
+            }
+            let db = Database::new();
+            db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val BIGINT NOT NULL)")
+                .unwrap();
+            let rows: Vec<String> = (vals.iter().enumerate())
+                .map(|(i, v)| format!("({}, {v})", i + 1))
+                .collect();
+            db.execute(&format!("INSERT INTO seq VALUES {}", rows.join(", ")))
+                .unwrap();
+            for (i, (kind, l, h)) in views.iter().enumerate() {
+                let sliding = format!("ROWS BETWEEN {l} PRECEDING AND {h} FOLLOWING");
+                let (func, frame) = match kind % 4 {
+                    0 => ("SUM", sliding),
+                    1 => ("SUM", "ROWS UNBOUNDED PRECEDING".to_string()),
+                    2 => ("MIN", sliding),
+                    _ => ("MAX", sliding),
+                };
+                db.execute(&format!(
+                    "CREATE MATERIALIZED VIEW v{i} AS SELECT pos, {func}(val) OVER \
+                     (ORDER BY pos {frame}) AS s FROM seq"
+                ))
+                .unwrap_or_else(|e| panic!("view v{i} creation failed: {e}"));
+            }
+            let (sql, ncols) = nested_sql(exprs, *shape, *k);
+            let on = run_query(&db, &sql, true, ncols);
+            let off = run_query(&db, &sql, false, ncols);
+            assert_eq!(on.len(), off.len(), "row count differs\nsql: {sql}");
+            for (r, (a, b)) in on.iter().zip(&off).enumerate() {
+                for (c, (x, y)) in a.iter().zip(b).enumerate() {
+                    assert!(
+                        matches!((x, y), (Value::Int(p), Value::Int(q)) if p == q),
+                        "row {r} col {c}: views-on {x:?} vs views-off {y:?}\nsql: {sql}"
+                    );
+                }
+            }
+            assert_counter_invariants(&db, &sql);
+
+            db.set_view_rewrite(true);
+            let derived = || -> u64 {
+                let snapshot = db.metrics().counters_snapshot();
+                (snapshot.iter())
+                    .filter(|(k, _)| k.starts_with("rewrite.strategy."))
+                    .map(|(_, v)| *v)
+                    .sum()
+            };
+            let before = derived();
+            let explain = db.explain(&sql).unwrap();
+            let sources = explain
+                .lines()
+                .skip_while(|l| !l.starts_with("== physical"))
+                .take_while(|l| !l.starts_with("== rewrite"))
+                .map(|l| l.matches(" <- ").count() as u64)
+                .sum::<u64>();
+            assert_eq!(
+                derived() - before,
+                sources,
+                "strategy counters vs EXPLAIN sources\nsql: {sql}\n{explain}"
+            );
+        },
+    );
+}

@@ -373,3 +373,137 @@ fn engine_explain_shows_rewrite_decision() {
     assert!(explain.contains("(direct)"), "{explain}");
     assert!(!explain.contains("<- mv"), "{explain}");
 }
+
+// ---------------------------------------------------------------------------
+// View sources anywhere in the plan: the rewriter is the physical planner's
+// window rule, so a window inside a derived table under a filter, an
+// aggregate or a join is answered from a view, and an expression no view
+// derives (RANK) runs natively in the same node. Each plan below is pinned
+// byte for byte (parallel marks stripped) and carries one source, on SUM.
+
+const SUM_OVER: &str = "SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)";
+
+/// `seq(pos, val)` with eight rows and the SUM (1,1) view `mv`.
+fn db_with_sum_view() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE seq (pos BIGINT PRIMARY KEY, val BIGINT NOT NULL)")
+        .unwrap();
+    db.execute("INSERT INTO seq VALUES (1,5),(2,3),(3,8),(4,1),(5,9),(6,2),(7,7),(8,4)")
+        .unwrap();
+    db.execute(&format!(
+        "CREATE MATERIALIZED VIEW mv AS SELECT pos, {SUM_OVER} AS s FROM seq"
+    ))
+    .unwrap();
+    db
+}
+
+/// The physical section of `sql`'s EXPLAIN, checked to be a view rewrite
+/// whose only source answers the SUM, and to return the rows the
+/// statement returns with views off.
+fn derived_physical(db: &Database, sql: &str) -> String {
+    let explain = db.explain(sql).unwrap();
+    let physical: String = explain
+        .lines()
+        .skip_while(|l| !l.starts_with("== physical"))
+        .take_while(|l| !l.starts_with("== rewrite"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        physical.starts_with("== physical (view rewrite) ==\n"),
+        "{explain}"
+    );
+    assert_eq!(physical.matches(" <- ").count(), 1, "{explain}");
+    assert!(
+        physical.contains("1 FOLLOWING <- mv via exact_match"),
+        "{explain}"
+    );
+    let derived = db.execute(sql).unwrap();
+    db.set_view_rewrite(false);
+    let native = db.execute(sql).unwrap();
+    db.set_view_rewrite(true);
+    assert_eq!(derived.rows(), native.rows(), "views-on ≡ views-off: {sql}");
+    strip_parallel_annotations(&physical)
+}
+
+#[test]
+fn derived_window_under_a_filter_plan() {
+    let db = db_with_sum_view();
+    let sql = format!("SELECT * FROM (SELECT pos, {SUM_OVER} AS s FROM seq) x WHERE pos > 4");
+    assert_eq!(
+        derived_physical(&db, &sql),
+        "== physical (view rewrite) ==\n\
+         Project: #0 AS pos, #1 AS s\n\
+         \x20 Filter: (#0 > 4)\n\
+         \x20   Project: #0 AS pos, #2 AS s\n\
+         \x20     Window(Pipelined): partition=[] order=[#0] exprs=[SUM(#1) ROWS BETWEEN 1 \
+         PRECEDING AND 1 FOLLOWING <- mv via exact_match]\n\
+         \x20       TableScan: seq\n"
+    );
+}
+
+#[test]
+fn derived_window_under_an_aggregate_plan() {
+    let db = db_with_sum_view();
+    let sql = format!("SELECT MAX(s) FROM (SELECT pos, {SUM_OVER} AS s FROM seq) x");
+    assert_eq!(
+        derived_physical(&db, &sql),
+        "== physical (view rewrite) ==\n\
+         Project: #0 AS col0\n\
+         \x20 HashAggregate: group=[] aggs=[MAX(#1)]\n\
+         \x20   Project: #0 AS pos, #2 AS s\n\
+         \x20     Window(Pipelined): partition=[] order=[#0] exprs=[SUM(#1) ROWS BETWEEN 1 \
+         PRECEDING AND 1 FOLLOWING <- mv via exact_match]\n\
+         \x20       TableScan: seq\n"
+    );
+}
+
+#[test]
+fn derived_window_in_a_join_plan() {
+    let db = db_with_sum_view();
+    let sql = format!(
+        "SELECT x.pos, x.s, t.val FROM (SELECT pos, {SUM_OVER} AS s FROM seq) x \
+         JOIN seq t ON x.pos = t.pos"
+    );
+    assert_eq!(
+        derived_physical(&db, &sql),
+        "== physical (view rewrite) ==\n\
+         Project: #0 AS pos, #1 AS s, #3 AS val\n\
+         \x20 IndexNestedLoopJoin(Inner): seq key in [#0 .. #0]\n\
+         \x20   Project: #0 AS pos, #2 AS s\n\
+         \x20     Window(Pipelined): partition=[] order=[#0] exprs=[SUM(#1) ROWS BETWEEN 1 \
+         PRECEDING AND 1 FOLLOWING <- mv via exact_match]\n\
+         \x20       TableScan: seq\n"
+    );
+}
+
+#[test]
+fn derived_sum_beside_native_rank_plan() {
+    let db = db_with_sum_view();
+    let sql = format!("SELECT pos, {SUM_OVER} AS s, RANK() OVER (ORDER BY pos) AS r FROM seq");
+    let counter = |name: &str| db.metrics().counter_value(name);
+    let before = [
+        "rewrite.rewritten",
+        "rewrite.strategy.exact_match",
+        "rewrite.fallback",
+    ]
+    .map(counter);
+    assert_eq!(
+        derived_physical(&db, &sql),
+        "== physical (view rewrite) ==\n\
+         Project: #0 AS pos, #2 AS s, #3 AS r\n\
+         \x20 Window(Pipelined): partition=[] order=[#0] exprs=[SUM(#1) ROWS BETWEEN 1 \
+         PRECEDING AND 1 FOLLOWING <- mv via exact_match, RANK()]\n\
+         \x20   TableScan: seq\n"
+    );
+    // One views-on EXPLAIN and one views-on execution planned it; the
+    // views-off execution counts as `rewrite.disabled`.
+    let after = [
+        "rewrite.rewritten",
+        "rewrite.strategy.exact_match",
+        "rewrite.fallback",
+    ]
+    .map(counter);
+    assert_eq!(after[0] - before[0], 2, "rewritten");
+    assert_eq!(after[1] - before[1], 2, "exact_match");
+    assert_eq!(after[2], before[2], "not a fallback");
+}

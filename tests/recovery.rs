@@ -599,3 +599,58 @@ fn refused_partitioned_writes_change_nothing() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A failed WAL append stops the engine. The errored INSERT's row is live
+/// in memory but not in the log, so no later statement may run: not a
+/// read, which would see the row, nor a write, which would be logged after
+/// it and survive a reopen that loses it. Every statement is refused with
+/// an error naming the failed record and carrying the failure's own text,
+/// and a reopen recovers exactly the acknowledged prefix.
+#[test]
+fn failed_wal_append_stops_the_engine_until_reopen() {
+    let _g = lock();
+    fault::reset();
+    let dir = case_dir("wal-error-stops");
+    let ids = |db: &Database| -> Vec<i64> {
+        let rows = db.execute("SELECT id FROM t ORDER BY id").unwrap();
+        (rows.rows().iter())
+            .map(|r| r.get(0).as_int().unwrap().unwrap())
+            .collect()
+    };
+    let db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT NOT NULL)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+    let acked = ids(&db);
+
+    fault::arm("wal.append", 1, 0);
+    let err = db.execute("INSERT INTO t VALUES (2, 20)").unwrap_err();
+    assert!(is_crash(&err), "{err}");
+    // The transient fault is gone; the engine stays stopped.
+    fault::reset();
+    let refused = [
+        db.execute("SELECT id FROM t ORDER BY id").map(|_| ()),
+        db.execute("INSERT INTO t VALUES (3, 30)").map(|_| ()),
+        db.execute("CREATE TABLE u (x BIGINT)").map(|_| ()),
+        db.explain("SELECT id FROM t").map(|_| ()),
+        db.refresh_views("t"),
+        // A snapshot would make the unlogged row durable.
+        db.persist_snapshot().map(|_| ()),
+    ];
+    for outcome in refused {
+        let e = outcome.expect_err("a stopped engine refuses every statement");
+        assert!(is_crash(&e), "keeps the failure's text: {e}");
+        assert!(e.to_string().contains("INSERT of 1 row(s) into `t`"), "{e}");
+    }
+    drop(db);
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(ids(&db), acked, "reopen ≡ the acknowledged prefix");
+    db.execute("INSERT INTO t VALUES (3, 30)").unwrap();
+    assert_eq!(ids(&db), vec![1, 3]);
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(ids(&db), vec![1, 3], "writes after the reopen are durable");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
