@@ -17,9 +17,13 @@
 //! * a **result cache** — plan key + the generation vector of every
 //!   table the plan reads → the finished [`QueryResult`]. Any DML,
 //!   batched maintenance, or view refresh bumps a referenced generation,
-//!   which changes the key: stale entries become *unreachable* instantly
-//!   and are evicted lazily by the LRU — there is no scan-and-purge, so
-//!   there is nothing to race with writers.
+//!   which changes the key: stale entries become *unreachable* instantly.
+//!   They are dropped at the next insert that carries a newer generation
+//!   of one of their tables, so a cache under a write trickle holds the
+//!   results of the current data, not every result since the last
+//!   eviction. The purge compares generations the inserting statement
+//!   already read — it takes no table lock — and removing an entry can
+//!   only cost a miss, never serve a wrong answer.
 //!
 //! Insertion uses a validate-after protocol: the engine captures the
 //! generation vector *before* executing, re-reads it *after*, and only
@@ -104,11 +108,12 @@ pub(crate) struct PlanEntry {
 }
 
 impl PlanEntry {
-    /// The *current* generation of every dep table, in dep order.
-    pub fn dep_generations(&self) -> Vec<u64> {
+    /// Every dep table's identity (the address of its handle) with its
+    /// *current* generation, in dep order.
+    pub fn dep_generations(&self) -> Vec<(usize, u64)> {
         self.deps
             .iter()
-            .map(|d| d.table.read().generation())
+            .map(|d| (Arc::as_ptr(&d.table) as usize, d.table.read().generation()))
             .collect()
     }
 
@@ -130,12 +135,13 @@ impl PlanEntry {
     }
 }
 
-/// Key of one cached result: the plan key plus the dep-generation
-/// vector captured (and re-validated) around execution.
+/// Key of one cached result: the plan key plus the dep tables'
+/// `(identity, generation)` vector captured (and re-validated) around
+/// execution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ResultKey {
     pub plan: PlanKey,
-    pub gens: Vec<u64>,
+    pub gens: Vec<(usize, u64)>,
 }
 
 /// Pre-resolved cache counter handles (`cache.*` in every registry).
@@ -229,6 +235,21 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         }
     }
 
+    /// Drop every entry whose key `keep` rejects. Returns how many.
+    fn retain(&mut self, keep: impl Fn(&K) -> bool) -> u64 {
+        let before = self.map.len();
+        let (order, bytes) = (&mut self.order, &mut self.bytes);
+        self.map.retain(|key, slot| {
+            let kept = keep(key);
+            if !kept {
+                order.remove(&slot.tick);
+                *bytes -= slot.bytes;
+            }
+            kept
+        });
+        (before - self.map.len()) as u64
+    }
+
     /// Evict least-recently-used entries until the byte total fits
     /// `cap`. Returns how many entries were evicted.
     fn evict_to(&mut self, cap: usize) -> u64 {
@@ -279,6 +300,10 @@ struct CacheState {
     cap_bytes: usize,
     plan: Lru<PlanKey, Arc<PlanEntry>>,
     result: Lru<ResultKey, QueryResult>,
+    /// The generation of each table as of the last result inserted that
+    /// read it: an entry holding another one can no longer be hit (it is
+    /// older, barring a race between two inserts, which costs a miss).
+    generations: HashMap<usize, u64>,
 }
 
 /// The engine's two-level cache. One write lock guards both levels —
@@ -296,6 +321,7 @@ impl QueryCache {
                 cap_bytes,
                 plan: Lru::new(),
                 result: Lru::new(),
+                generations: HashMap::new(),
             }),
             counters,
         }
@@ -314,6 +340,7 @@ impl QueryCache {
         if bytes == 0 {
             s.plan.clear();
             s.result.clear();
+            s.generations.clear();
         } else {
             let evicted = s.result.evict_to(bytes);
             self.counters.evictions.add(evicted);
@@ -361,16 +388,30 @@ impl QueryCache {
 
     /// Insert a finished result. The caller has already re-validated the
     /// generation vector (validate-after); oversized results that could
-    /// never fit are dropped rather than flushing the whole cache.
+    /// never fit are dropped rather than flushing the whole cache. When
+    /// the key carries a table generation other than the one last seen,
+    /// the entries holding the old one are dropped first: no lookup can
+    /// produce their keys again.
     pub fn result_put(&self, key: ResultKey, value: QueryResult) {
         let bytes = approx_entry_bytes(&key, &value);
-        let mut s = self.state.write();
+        let mut guard = self.state.write();
+        let s = &mut *guard;
         if s.cap_bytes == 0 || bytes > s.cap_bytes {
             return;
         }
+        let mut moved = false;
+        for &(table, gen) in &key.gens {
+            moved |= s.generations.insert(table, gen) != Some(gen);
+        }
+        let mut evicted = 0;
+        if moved {
+            let seen = &s.generations;
+            evicted += s
+                .result
+                .retain(|k| k.gens.iter().all(|(t, g)| seen.get(t) == Some(g)));
+        }
         s.result.insert(key, value, bytes);
-        let cap = s.cap_bytes;
-        let evicted = s.result.evict_to(cap);
+        evicted += s.result.evict_to(s.cap_bytes);
         self.counters.inserts.incr();
         self.counters.evictions.add(evicted);
         self.counters.bytes.set(s.result.bytes as u64);
@@ -397,7 +438,7 @@ impl QueryCache {
 /// Approximate resident size of one result-cache entry: key text +
 /// generation vector + per-row/value payload (string heap included).
 fn approx_entry_bytes(key: &ResultKey, value: &QueryResult) -> usize {
-    let mut bytes = 96 + key.plan.sql.len() + 8 * key.gens.len();
+    let mut bytes = 96 + key.plan.sql.len() + 16 * key.gens.len();
     for row in value.rows() {
         bytes += 32;
         for v in row.values() {
@@ -422,7 +463,7 @@ mod tests {
                 catalog_gen: 0,
                 registry_gen: 0,
             },
-            gens: vec![gen],
+            gens: vec![(1, gen)],
         }
     }
 
@@ -470,10 +511,36 @@ mod tests {
         let cache = QueryCache::new(1 << 20, CacheCounters::new(&metrics));
         cache.result_put(key("q", 1), QueryResult::empty());
         assert!(cache.result_get(&key("q", 1)).is_some());
-        // Same query, newer generation: different key, no hit — the old
-        // entry lingers until the LRU evicts it, which is fine because
-        // no lookup can ever produce its key again.
+        // Same query, newer generation: different key, no hit.
         assert!(cache.result_get(&key("q", 2)).is_none());
+    }
+
+    #[test]
+    fn an_insert_at_a_newer_generation_drops_the_older_entries() {
+        let metrics = MetricsRegistry::new();
+        let cache = QueryCache::new(1 << 20, CacheCounters::new(&metrics));
+        let on = |sql: &str, gens: Vec<(usize, u64)>| ResultKey {
+            gens,
+            ..key(sql, 0)
+        };
+        let a = on("a", vec![(1, 5)]);
+        let b = on("b", vec![(1, 5), (2, 3)]);
+        let c = on("c", vec![(2, 3)]);
+        for k in [&a, &b, &c] {
+            cache.result_put(k.clone(), QueryResult::empty());
+        }
+        assert_eq!(cache.stats().result_entries, 3);
+        // Table 1 moved on: the entries that read it at 5 go, `c` stays.
+        let d = on("d", vec![(1, 6)]);
+        cache.result_put(d.clone(), QueryResult::empty());
+        assert!(!cache.result_contains(&a) && !cache.result_contains(&b));
+        assert!(cache.result_contains(&c) && cache.result_contains(&d));
+        let stats = cache.stats();
+        assert_eq!((stats.result_entries, stats.evictions), (2, 2));
+        assert_eq!(
+            metrics.counter_value("cache.bytes") as usize,
+            stats.resident_bytes
+        );
     }
 
     #[test]

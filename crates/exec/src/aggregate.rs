@@ -7,9 +7,6 @@ use rfv_types::{Gov, Result, Row, Value};
 
 use crate::mem::values_bytes;
 
-/// One group: its key values plus one accumulator per aggregate.
-type GroupState = (Vec<Value>, Vec<Box<dyn Accumulator>>);
-
 /// Hash aggregate: group rows by `group_exprs`, fold `aggregates`.
 ///
 /// Output rows consist of the group values followed by the aggregate
@@ -17,7 +14,8 @@ type GroupState = (Vec<Value>, Vec<Box<dyn Accumulator>>);
 /// deterministic. With an empty `group_exprs`, exactly one row is produced
 /// even for empty input (SQL global aggregate semantics). One accumulator
 /// chain per group, fed in input order at every thread count: a group's
-/// float sum cannot be split without reassociating it.
+/// float sum cannot be split without reassociating it. Each row's key is
+/// evaluated into one reused buffer; only a new group's key is kept.
 pub fn hash_aggregate(
     rows: Vec<Row>,
     group_exprs: &[Expr],
@@ -28,37 +26,38 @@ pub fn hash_aggregate(
         aggregates.iter().map(|(f, _)| f.accumulator()).collect()
     };
 
-    // group key -> index into `states`
+    // group key -> index into `groups`, one accumulator set per group in
+    // first-seen order
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut states: Vec<GroupState> = Vec::new();
+    let mut groups: Vec<Vec<Box<dyn Accumulator>>> = Vec::new();
 
     if group_exprs.is_empty() {
-        states.push((Vec::new(), make_accs()));
+        groups.push(make_accs());
         index.insert(Vec::new(), 0);
     }
 
     let mut pending = 0u64;
+    let mut key: Vec<Value> = Vec::with_capacity(group_exprs.len());
     for (i, row) in rows.iter().enumerate() {
         if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
             gov.charge(&mut pending)?;
         }
-        let key: Vec<Value> = group_exprs
-            .iter()
-            .map(|e| e.eval(row))
-            .collect::<Result<_>>()?;
-        let slot = match index.get(&key) {
-            Some(&i) => i,
+        key.clear();
+        for e in group_exprs {
+            key.push(e.eval(row)?);
+        }
+        let slot = match index.get(key.as_slice()) {
+            Some(&slot) => slot,
             None => {
                 // A new group's key is resident in the hash table (plus
                 // one accumulator set) until the aggregate finishes.
                 pending += 48 + values_bytes(&key);
-                states.push((key.clone(), make_accs()));
-                index.insert(key, states.len() - 1);
-                states.len() - 1
+                groups.push(make_accs());
+                index.insert(key.clone(), groups.len() - 1);
+                groups.len() - 1
             }
         };
-        let accs = &mut states[slot].1;
-        for ((_, arg), acc) in aggregates.iter().zip(accs.iter_mut()) {
+        for ((_, arg), acc) in aggregates.iter().zip(groups[slot].iter_mut()) {
             let v = match arg {
                 Some(e) => e.eval(row)?,
                 // COUNT(*): the value is irrelevant, any non-null works;
@@ -70,8 +69,12 @@ pub fn hash_aggregate(
     }
     gov.charge(&mut pending)?;
 
-    states
-        .into_iter()
+    let mut keys = vec![Vec::new(); groups.len()];
+    for (key, slot) in index {
+        keys[slot] = key;
+    }
+    keys.into_iter()
+        .zip(groups)
         .map(|(mut key, accs)| {
             for acc in &accs {
                 key.push(acc.finish()?);
@@ -168,6 +171,53 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1, "NULLs group together in GROUP BY");
         assert_eq!(out[0].get(1), &Value::Int(3));
+    }
+
+    #[test]
+    fn two_key_groups_keep_first_seen_order_and_null_keys_group() {
+        let null = Value::Null;
+        let rows = vec![
+            Row::new(vec![null.clone(), Value::Int(1), Value::Int(1)]),
+            Row::new(vec![Value::str("a"), null.clone(), Value::Int(2)]),
+            Row::new(vec![null.clone(), Value::Int(1), Value::Int(3)]),
+            Row::new(vec![Value::str("b"), Value::Int(2), Value::Int(4)]),
+            Row::new(vec![Value::str("a"), null.clone(), Value::Int(5)]),
+            Row::new(vec![null.clone(), null.clone(), Value::Int(6)]),
+        ];
+        let out = hash_aggregate(
+            rows,
+            &[Expr::col(0), Expr::col(1)],
+            &[
+                (AggFunc::Sum, Some(Expr::col(2))),
+                (AggFunc::CountStar, None),
+            ],
+            &Gov::none(),
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            vec![
+                Row::new(vec![
+                    null.clone(),
+                    Value::Int(1),
+                    Value::Int(4),
+                    Value::Int(2)
+                ]),
+                Row::new(vec![
+                    Value::str("a"),
+                    null.clone(),
+                    Value::Int(7),
+                    Value::Int(2)
+                ]),
+                Row::new(vec![
+                    Value::str("b"),
+                    Value::Int(2),
+                    Value::Int(4),
+                    Value::Int(1)
+                ]),
+                Row::new(vec![null.clone(), null, Value::Int(6), Value::Int(1)]),
+            ]
+        );
     }
 
     #[test]

@@ -121,7 +121,12 @@ pub fn index_nested_loop_join(
 }
 
 /// Hash join on equi-keys; keys containing NULL never match. `residual`
-/// is evaluated over `left ++ right` after the key match.
+/// is evaluated over `left ++ right` after the key match. The build side
+/// (right) is one index: key → its first and last row, with `next`
+/// chaining each row to the next one with its key, so a key's matches come
+/// out in build order. Keys are evaluated into one buffer reused across
+/// rows, and only a key new to the index is copied into it; a single-key
+/// join keeps bare values, so it allocates per distinct key at most.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     left: Vec<Row>,
@@ -134,24 +139,36 @@ pub fn hash_join(
     gov: &Gov,
 ) -> Result<Vec<Row>> {
     debug_assert_eq!(left_keys.len(), right_keys.len());
-    // Build side: right. The key table is the join's resident memory;
-    // charge each key as it is built.
-    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-    let mut pending = 0u64;
-    'rows: for (i, r) in right.iter().enumerate() {
+    if right.len() >= END as usize {
+        return Err(RfvError::execution(format!(
+            "hash join build side of {} rows exceeds {END} rows",
+            right.len()
+        )));
+    }
+    // Build side: right. The index and its chains are the join's resident
+    // memory; charge them as they are built.
+    let mut index = BuildIndex::new(right_keys.len());
+    let mut next = vec![END; right.len()];
+    let mut pending = 4 * right.len() as u64;
+    let mut key = Vec::with_capacity(right_keys.len());
+    for (i, r) in right.iter().enumerate() {
         if i & (rfv_types::governance::CHECK_STRIDE - 1) == 0 {
             gov.charge(&mut pending)?;
         }
-        let mut key = Vec::with_capacity(right_keys.len());
-        for e in right_keys {
-            let v = e.eval(r)?;
-            if v.is_null() {
-                continue 'rows;
-            }
-            key.push(v);
+        if !eval_key(right_keys, r, &mut key)? {
+            continue;
         }
-        pending += 24 + values_bytes(&key);
-        table.entry(key).or_default().push(r);
+        let row = i as u32;
+        match index.ends_mut(&key) {
+            Some((_, last)) => {
+                next[*last as usize] = row;
+                *last = row;
+            }
+            None => {
+                pending += 24 + values_bytes(&key);
+                index.insert(&key, row);
+            }
+        }
     }
     gov.charge(&mut pending)?;
     let mut out = Vec::new();
@@ -160,31 +177,22 @@ pub fn hash_join(
             gov.charge(&mut pending)?;
         }
         let mut matched = false;
-        let mut key = Some(Vec::with_capacity(left_keys.len()));
-        for e in left_keys {
-            let v = e.eval(l)?;
-            if v.is_null() {
-                key = None;
-                break;
-            }
-            if let Some(k) = key.as_mut() {
-                k.push(v);
-            }
-        }
-        if let Some(key) = key {
-            if let Some(candidates) = table.get(&key) {
-                for r in candidates {
-                    let combined = l.concat(r);
-                    let keep = match residual {
-                        None => true,
-                        Some(p) => p.eval(&combined)?.as_bool()? == Some(true),
-                    };
-                    if keep {
-                        matched = true;
-                        pending += row_bytes(&combined);
-                        out.push(combined);
-                    }
-                }
+        let mut at = if eval_key(left_keys, l, &mut key)? {
+            index.first(&key)
+        } else {
+            END
+        };
+        while at != END {
+            let combined = l.concat(&right[at as usize]);
+            at = next[at as usize];
+            let keep = match residual {
+                None => true,
+                Some(p) => p.eval(&combined)?.as_bool()? == Some(true),
+            };
+            if keep {
+                matched = true;
+                pending += row_bytes(&combined);
+                out.push(combined);
             }
         }
         if !matched && join_type == JoinType::LeftOuter {
@@ -193,6 +201,63 @@ pub fn hash_join(
     }
     gov.charge(&mut pending)?;
     Ok(out)
+}
+
+/// End of a build-row chain (and the bound on build rows).
+const END: u32 = u32::MAX;
+
+/// Evaluate `exprs` over `row` into `key`, replacing what it held; `false`
+/// when a value is NULL, which no key matches.
+fn eval_key(exprs: &[Expr], row: &Row, key: &mut Vec<Value>) -> Result<bool> {
+    key.clear();
+    for e in exprs {
+        let v = e.eval(row)?;
+        if v.is_null() {
+            return Ok(false);
+        }
+        key.push(v);
+    }
+    Ok(true)
+}
+
+/// A hash join's build-side index: each key's first and last build row.
+/// One key is stored as a bare value, several as a vector.
+enum BuildIndex {
+    One(HashMap<Value, (u32, u32)>),
+    Many(HashMap<Vec<Value>, (u32, u32)>),
+}
+
+impl BuildIndex {
+    fn new(keys: usize) -> Self {
+        match keys {
+            1 => BuildIndex::One(HashMap::new()),
+            _ => BuildIndex::Many(HashMap::new()),
+        }
+    }
+
+    fn ends_mut(&mut self, key: &[Value]) -> Option<&mut (u32, u32)> {
+        match self {
+            BuildIndex::One(map) => map.get_mut(&key[0]),
+            BuildIndex::Many(map) => map.get_mut(key),
+        }
+    }
+
+    /// Index `key`, which must be new, at build row `row`.
+    fn insert(&mut self, key: &[Value], row: u32) {
+        match self {
+            BuildIndex::One(map) => map.insert(key[0].clone(), (row, row)),
+            BuildIndex::Many(map) => map.insert(key.to_vec(), (row, row)),
+        };
+    }
+
+    /// The first build row with `key`, or [`END`].
+    fn first(&self, key: &[Value]) -> u32 {
+        let ends = match self {
+            BuildIndex::One(map) => map.get(&key[0]),
+            BuildIndex::Many(map) => map.get(key),
+        };
+        ends.map_or(END, |&(first, _)| first)
+    }
 }
 
 #[cfg(test)]
@@ -308,6 +373,70 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(3), &Value::Float(33.0));
+    }
+
+    /// The right column of each output row, as integers.
+    fn tags(out: &[Row], col: usize) -> Vec<i64> {
+        (out.iter())
+            .map(|r| match r.get(col) {
+                Value::Int(i) => *i,
+                v => panic!("not an integer: {v}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_join_emits_duplicate_build_keys_in_build_order() {
+        // One key: three build rows share key 1, interleaved with key 2
+        // and a NULL key that matches nothing.
+        let right = vec![
+            row![1i64, 10i64],
+            row![2i64, 20i64],
+            row![1i64, 11i64],
+            Row::new(vec![Value::Null, Value::Int(99)]),
+            row![1i64, 12i64],
+            row![2i64, 21i64],
+        ];
+        let left = vec![row![2i64], row![1i64], row![3i64]];
+        let on = [Expr::col(0)];
+        let out = hash_join(
+            left,
+            right,
+            &on,
+            &on,
+            None,
+            JoinType::Inner,
+            2,
+            &Gov::none(),
+        );
+        assert_eq!(tags(&out.unwrap(), 2), vec![20, 21, 10, 11, 12]);
+
+        // Two keys: `(1, 1)` has three build rows, `(1, 2)` one between them.
+        let right = vec![
+            row![1i64, 1i64, 10i64],
+            row![1i64, 2i64, 11i64],
+            row![1i64, 1i64, 12i64],
+            row![2i64, 1i64, 13i64],
+            row![1i64, 1i64, 14i64],
+        ];
+        let left = vec![row![1i64, 1i64], row![1i64, 2i64], row![2i64, 2i64]];
+        let on = [Expr::col(0), Expr::col(1)];
+        let out = hash_join(
+            left,
+            right,
+            &on,
+            &on,
+            None,
+            JoinType::LeftOuter,
+            3,
+            &Gov::none(),
+        );
+        let out = out.unwrap();
+        assert_eq!(tags(&out[..4], 4), vec![10, 12, 14, 11]);
+        assert_eq!(
+            out[4],
+            row![2i64, 2i64, Value::Null, Value::Null, Value::Null]
+        );
     }
 
     #[test]

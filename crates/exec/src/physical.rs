@@ -235,7 +235,9 @@ impl PhysicalPlan {
             Ok(rows)
         };
         let out = match self {
-            PhysicalPlan::TableScan { table, .. } => scan::table_scan(table, &mut par, &gov)?,
+            PhysicalPlan::TableScan { table, .. } => {
+                scan::table_scan(table, None, &mut par, &gov)?.0
+            }
             PhysicalPlan::IndexRangeScan {
                 table,
                 column,
@@ -244,9 +246,38 @@ impl PhysicalPlan {
                 ..
             } => scan::index_range_scan(table, *column, lo.as_ref(), hi.as_ref(), &gov)?,
             PhysicalPlan::Values { rows, .. } => rows.clone(),
-            PhysicalPlan::Filter { input, predicate } => {
-                filter::filter(run(input)?, predicate, &mut par, &gov)?
-            }
+            // A filter over a table scan runs inside the scan's loop, so
+            // only the rows it keeps are copied out of storage. The scan
+            // node still reports what it read, with the loop's time and
+            // split; the filter node reports those rows in.
+            PhysicalPlan::Filter { input, predicate } => match &**input {
+                PhysicalPlan::TableScan { table, .. } => {
+                    let timer = probe.trace.then(rfv_obs::Stopwatch::start);
+                    let mut scan_par = ParStats::default();
+                    let (rows, read) =
+                        scan::table_scan(table, Some(predicate), &mut scan_par, &gov)?;
+                    if let Some(counters) = &probe.counters {
+                        counters.rows_scanned.add(read);
+                    }
+                    rows_in += read;
+                    batches += 1;
+                    if let Some(sw) = timer {
+                        kids.push(OpMetrics {
+                            name: input.metric_label(),
+                            rows_in: 0,
+                            rows_out: read,
+                            batches: 1,
+                            elapsed_ns: sw.elapsed_ns(),
+                            morsels: scan_par.morsels,
+                            workers: scan_par.workers,
+                            note: None,
+                            children: Vec::new(),
+                        });
+                    }
+                    rows
+                }
+                _ => filter::filter(run(input)?, predicate, &mut par, &gov)?,
+            },
             PhysicalPlan::Project { input, exprs, .. } => {
                 filter::project(run(input)?, exprs, &mut par, &gov)?
             }
@@ -626,6 +657,90 @@ impl PhysicalPlan {
             PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. } => vec![left, right],
             PhysicalPlan::UnionAll { inputs } => inputs.iter().collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::opmetrics::ExecCounters;
+    use rfv_storage::Catalog;
+    use rfv_types::{row, DataType, Field, Schema};
+
+    /// `Filter: amount > 89.5` over `TableScan: t` on 100 rows; 10 pass.
+    fn filtered_scan() -> PhysicalPlan {
+        let schema = Schema::new(vec![
+            Field::not_null("pos", DataType::Int),
+            Field::not_null("amount", DataType::Float),
+        ]);
+        let table = Catalog::new().create_table("t", schema.clone()).unwrap();
+        {
+            let mut g = table.write();
+            for i in 0..100i64 {
+                g.insert(row![i, i as f64]).unwrap();
+            }
+        }
+        PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::TableScan {
+                table,
+                schema: SchemaRef::new(schema),
+            }),
+            predicate: Expr::col(1).gt(Expr::lit(89.5f64)),
+        }
+    }
+
+    fn traced() -> ExecProbe {
+        ExecProbe {
+            counters: Some(ExecCounters::default()),
+            ..ExecProbe::traced()
+        }
+    }
+
+    #[test]
+    fn explain_analyze_of_a_filtered_scan_reports_rows_read_and_kept() {
+        let plan = filtered_scan();
+        let probe = traced();
+        let (rows, metrics) = plan.execute_probed(&probe).unwrap();
+        let metrics = metrics.unwrap();
+        assert_eq!(rows.len(), 10);
+        assert_eq!(probe.counters.unwrap().rows_scanned.get(), 100);
+        assert_eq!(metrics.rows_scanned(), 100);
+        let text = plan.explain_analyzed(&metrics);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].starts_with("Filter: "), "{text}");
+        assert!(
+            lines[0].contains("(actual rows=10 in=100 batches=1 "),
+            "{text}"
+        );
+        assert!(lines[1].starts_with("  TableScan: t"), "{text}");
+        assert!(
+            lines[1].contains("(actual rows=100 in=0 batches=1 "),
+            "{text}"
+        );
+        // Plain EXPLAIN is the plan's text, fused or not.
+        assert_eq!(plan.explain().lines().count(), 2);
+    }
+
+    /// The fused loop's time is the scan's, inside the filter's, so the
+    /// per-operator span tree still nests; a split shows on the scan.
+    #[test]
+    fn the_fused_scan_nests_inside_its_filter_and_carries_the_split() {
+        let _g = sched::knob_guard();
+        let plan = filtered_scan();
+        let serial = plan.execute().unwrap();
+        for threads in [1, 4] {
+            sched::set_threads(threads);
+            sched::set_parallel_threshold(4);
+            let (rows, metrics) = plan.execute_probed(&traced()).unwrap();
+            sched::set_threads(0);
+            sched::set_parallel_threshold(usize::MAX);
+            let filter = metrics.unwrap();
+            let scan = &filter.children[0];
+            assert_eq!(rows, serial, "threads={threads}");
+            assert!(scan.elapsed_ns <= filter.elapsed_ns, "{filter:?}");
+            assert_eq!((filter.morsels, filter.workers), (0, 0));
+            assert_eq!(scan.morsels > 1, threads > 1, "{scan:?}");
         }
     }
 }

@@ -297,3 +297,34 @@ fn low_budget_trips_clean_resource_exhausted_and_engine_recovers() {
     assert_eq!(r.rows().len(), 1);
     assert_eq!(r.rows()[0].get(0), &Value::Float(16.0));
 }
+
+/// The CI low-budget leg, on a scan: a table whose full copy is more than
+/// twice a 4 MiB budget (160 000 `(pos, val)` rows, 56 B each as the
+/// executor prices them) cannot be read whole under it, but a `WHERE`
+/// that keeps 1 % of it can — the scan evaluates the predicate on the
+/// stored rows and copies, and charges, only the rows it keeps.
+#[test]
+fn low_budget_filtered_scan_charges_only_what_it_keeps() {
+    let _guard = knob_guard();
+    let _reset = KnobReset;
+
+    let db = Database::new();
+    db.execute("CREATE TABLE big (pos BIGINT PRIMARY KEY, val DOUBLE NOT NULL)")
+        .unwrap();
+    let vals: Vec<f64> = (0..160_000).map(|i| f64::from(i % 100)).collect();
+    db.sequence_append_bulk("big", &vals).unwrap();
+    if std::env::var("RFV_MEM_BUDGET").is_err() {
+        db.set_mem_budget(Some(4 << 20));
+    }
+
+    let err = db.execute("SELECT pos, val FROM big").unwrap_err();
+    assert!(
+        matches!(err, RfvError::ResourceExhausted(_)),
+        "a 160k-row scan under a 4 MiB budget must exhaust, got: {err}"
+    );
+    let r = db
+        .execute("SELECT pos, val FROM big WHERE val < 1")
+        .unwrap();
+    assert_eq!(r.rows().len(), 1_600);
+    assert_eq!(r.rows()[1].get(0), &Value::Int(101));
+}

@@ -55,6 +55,8 @@ impl Drop for KnobReset {
 /// `grp` a low-cardinality partition key, `val` the payload.
 fn db_with(rows: &[(i64, i64, f64)]) -> Database {
     let db = Database::new();
+    // Every thread count must execute the statement, not read a cached result.
+    db.set_result_cache(0);
     db.execute("CREATE TABLE t (pos BIGINT PRIMARY KEY, grp BIGINT NOT NULL, val DOUBLE NOT NULL)")
         .unwrap();
     if rows.is_empty() {
@@ -72,10 +74,13 @@ fn db_with(rows: &[(i64, i64, f64)]) -> Database {
 /// An exact fingerprint of a result set: every value rendered to bits
 /// (floats via `to_bits`, so `-0.0` vs `0.0` or a ULP of drift fails).
 fn fingerprint(db: &Database, sql: &str, context: &str) -> Vec<Vec<String>> {
-    let result = db
-        .execute(sql)
-        .unwrap_or_else(|e| panic!("{context}: `{sql}` failed: {e}"));
-    result
+    outcome(db, sql).unwrap_or_else(|e| panic!("{context}: `{sql}` failed: {e}"))
+}
+
+/// [`fingerprint`] of a statement that may fail: its error as text.
+fn outcome(db: &Database, sql: &str) -> Result<Vec<Vec<String>>, String> {
+    let result = db.execute(sql).map_err(|e| e.to_string())?;
+    Ok(result
         .rows()
         .iter()
         .map(|r| {
@@ -88,7 +93,7 @@ fn fingerprint(db: &Database, sql: &str, context: &str) -> Vec<Vec<String>> {
                 })
                 .collect()
         })
-        .collect()
+        .collect())
 }
 
 /// Run `sql` across the thread matrix and assert all fingerprints equal
@@ -292,4 +297,177 @@ fn degenerate_inputs_survive_every_thread_count() {
             assert_thread_matrix_identical(&db, sql, &format!("degenerate n={rows}"));
         }
     }
+}
+
+/// A fact table `f (pos, grp, sub, val)` and a dimension table
+/// `d (id, grp, sub, tag)` with no index, so joins on them hash. `sub` is
+/// NULL where the generator drew 0; `d.id` is its insertion order.
+fn fact_and_dim(fact: &[(i64, i64, f64)], dim: &[(i64, i64, i64)]) -> Database {
+    let db = Database::new();
+    // Every thread count must execute the statement, not read a cached result.
+    db.set_result_cache(0);
+    db.execute(
+        "CREATE TABLE f (pos BIGINT PRIMARY KEY, grp BIGINT NOT NULL, sub BIGINT, \
+         val DOUBLE NOT NULL)",
+    )
+    .unwrap();
+    db.execute(
+        "CREATE TABLE d (id BIGINT NOT NULL, grp BIGINT NOT NULL, sub BIGINT, tag BIGINT NOT NULL)",
+    )
+    .unwrap();
+    let sub = |s: i64| {
+        if s == 0 {
+            "NULL".to_string()
+        } else {
+            s.to_string()
+        }
+    };
+    let facts: Vec<String> = (fact.iter().enumerate())
+        .map(|(i, (g, s, v))| format!("({}, {g}, {}, {v:?})", i + 1, sub(*s)))
+        .collect();
+    let dims: Vec<String> = (dim.iter().enumerate())
+        .map(|(i, (g, s, t))| format!("({}, {g}, {}, {t})", i + 1, sub(*s)))
+        .collect();
+    for (table, tuples) in [("f", facts), ("d", dims)] {
+        if !tuples.is_empty() {
+            let sql = format!("INSERT INTO {table} VALUES {}", tuples.join(", "));
+            db.execute(&sql).unwrap();
+        }
+    }
+    db
+}
+
+/// The filtered-scan paths, where the filter runs inside the scan's morsel
+/// loop and the hash join and aggregate read what it keeps: the benchmark's
+/// three report shapes (filtered hash join + GROUP BY, 2-key GROUP BY,
+/// top-k), a 2-key join, a LEFT OUTER join over NULL and duplicate keys
+/// (checked against a nested-loop oracle, so matches come out in build
+/// order), and a predicate that fails at a random row — division by zero
+/// at `pos = k1`, `+` overflow from `pos = k2` — whose error must be the
+/// serial one, the first failing row's, at every thread count.
+#[test]
+fn fused_scan_join_and_aggregate_byte_identical_across_thread_matrix() {
+    let _guard = knob_guard();
+    let _reset = KnobReset;
+    sched::set_parallel_threshold(TINY_THRESHOLD);
+    check_config(
+        60,
+        "fused scan shapes: thread matrix {1,2,8} ≡ serial, errors included",
+        |rng| {
+            let n = rng.i64_in(0, 64) as usize;
+            let fact: Vec<(i64, i64, f64)> = (0..n)
+                .map(|_| {
+                    (
+                        rng.i64_in(0, 3),
+                        rng.i64_in(0, 3),
+                        rng.i64_in(-99, 99) as f64,
+                    )
+                })
+                .collect();
+            let m = rng.i64_in(0, 12) as usize;
+            let dim: Vec<(i64, i64, i64)> = (0..m)
+                .map(|_| (rng.i64_in(0, 4), rng.i64_in(0, 3), rng.i64_in(0, 2)))
+                .collect();
+            let cut = rng.i64_in(-100, 100);
+            let (k1, k2) = (rng.i64_in(1, n as i64 + 2), rng.i64_in(1, n as i64 + 2));
+            (fact, dim, (cut, k1, k2))
+        },
+        |(fact, dim, (cut, k1, k2))| {
+            let db = fact_and_dim(fact, dim);
+            let overflow_at_k2 = i64::MAX - k2 + 1;
+            let fails = format!("10 / (f.pos - {k1}) + (f.pos + {overflow_at_k2}) > 0");
+            let joins = [
+                format!(
+                    "SELECT d.tag, COUNT(*) AS c, SUM(f.val) AS s FROM f JOIN d \
+                     ON f.grp = d.grp WHERE f.val > {cut} GROUP BY d.tag ORDER BY d.tag"
+                ),
+                format!(
+                    "SELECT f.pos, d.id, d.tag FROM f JOIN d \
+                     ON f.grp = d.grp AND f.sub = d.sub WHERE f.val > {cut}"
+                ),
+                format!(
+                    "SELECT f.pos, d.id FROM f LEFT JOIN d ON f.sub = d.sub WHERE f.val > {cut}"
+                ),
+                format!(
+                    "SELECT d.tag, COUNT(*) AS c FROM f JOIN d ON f.grp = d.grp \
+                     WHERE {fails} GROUP BY d.tag"
+                ),
+            ];
+            for sql in &joins {
+                let plan = db.explain(sql).unwrap();
+                assert!(plan.contains("HashJoin"), "`{sql}` must hash: {plan}");
+            }
+            let scans = [
+                format!(
+                    "SELECT grp, sub, COUNT(*) AS c, SUM(val) AS s, MIN(val) AS lo, \
+                     MAX(val) AS hi FROM f WHERE val > {cut} GROUP BY grp, sub"
+                ),
+                format!(
+                    "SELECT pos, grp, val FROM f WHERE val > {cut} \
+                     ORDER BY val DESC, pos LIMIT 7"
+                ),
+                format!("SELECT f.pos FROM f WHERE {fails}"),
+            ];
+            let splits = sched::metrics().parallel_ops.get();
+            for sql in joins.iter().chain(&scans) {
+                let mut serial = None;
+                for &threads in &THREAD_MATRIX {
+                    sched::set_threads(threads);
+                    let got = outcome(&db, sql);
+                    match &serial {
+                        None => serial = Some(got),
+                        Some(serial) => assert_eq!(
+                            serial, &got,
+                            "`{sql}` diverged at threads={threads} from serial"
+                        ),
+                    }
+                }
+            }
+            if fact.len() >= TINY_THRESHOLD {
+                assert!(
+                    sched::metrics().parallel_ops.get() > splits,
+                    "nothing split"
+                );
+            }
+
+            // The LEFT OUTER join against its oracle: left rows in slot
+            // order, each one's matches in build (`d.id`) order, a NULL key
+            // matching nothing.
+            let mut expected = Vec::new();
+            for (pos, (_, s, v)) in (1..).zip(fact) {
+                if *v <= *cut as f64 {
+                    continue;
+                }
+                let ids: Vec<i64> = (1..)
+                    .zip(dim)
+                    .filter(|(_, (_, ds, _))| *s != 0 && ds == s)
+                    .map(|(id, _)| id)
+                    .collect();
+                if ids.is_empty() {
+                    expected.push(format!("{pos} NULL"));
+                }
+                expected.extend(ids.iter().map(|id| format!("{pos} {id}")));
+            }
+            let got: Vec<String> = (db.execute(&joins[2]).unwrap().rows().iter())
+                .map(|r| format!("{} {}", r.get(0), r.get(1)))
+                .collect();
+            assert_eq!(got, expected, "LEFT OUTER join order");
+
+            // The error is the first failing row's, at every thread count.
+            let n = fact.len() as i64;
+            let err = outcome(&db, &scans[2]).err();
+            let want = if *k1 <= n && k1 <= k2 {
+                Some("division by zero")
+            } else if *k2 <= n {
+                Some("overflow")
+            } else {
+                None
+            };
+            match (want, &err) {
+                (None, None) => {}
+                (Some(w), Some(e)) => assert!(e.contains(w), "want {w}, got {e}"),
+                _ => panic!("want {want:?}, got {err:?}"),
+            }
+        },
+    );
 }

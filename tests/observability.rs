@@ -2,8 +2,27 @@
 //! metrics-counter invariants, trace spans, and the zero-overhead
 //! contract (tracing off ⇒ identical results, no spans recorded).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use rfv_core::Database;
 use rfv_obs::Json;
+
+/// Serializes the tests that set the scheduler's process-wide thread count
+/// and parallel threshold, and those whose output depends on them.
+fn knob_guard() -> MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Restores the scheduler knobs on drop, even when a test panics.
+struct KnobReset;
+
+impl Drop for KnobReset {
+    fn drop(&mut self) {
+        rfv_exec::sched::set_threads(0);
+        rfv_exec::sched::set_parallel_threshold(usize::MAX);
+    }
+}
 
 fn db_with_seq(n: i64) -> Database {
     let db = Database::new();
@@ -86,6 +105,8 @@ fn explain_analyze_masks_to_golden_shape() {
 /// and no row is scanned.
 #[test]
 fn explain_of_a_derived_plan_evaluates_nothing() {
+    // The plan text carries `[parallel: …]` marks at more than one thread.
+    let _guard = knob_guard();
     let sql = "SELECT pos, \
                SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS s, \
                COUNT(*) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS c \
@@ -162,15 +183,8 @@ fn explain_analyze_runs_as_a_statement() {
 /// [`mask_times`] and historical goldens keep working).
 #[test]
 fn explain_analyze_annotates_parallel_morsels() {
-    // Process-wide knobs; restore them even on panic.
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            rfv_exec::sched::set_threads(0);
-            rfv_exec::sched::set_parallel_threshold(usize::MAX);
-        }
-    }
-    let _reset = Reset;
+    let _guard = knob_guard();
+    let _reset = KnobReset;
     rfv_exec::sched::set_parallel_threshold(4);
     rfv_exec::sched::set_threads(4);
 
@@ -215,6 +229,7 @@ fn explain_analyze_annotates_parallel_morsels() {
 /// full sort. Plain `EXPLAIN` evaluates nothing and says nothing.
 #[test]
 fn explain_analyze_says_what_the_ordering_found() {
+    let _guard = knob_guard();
     let db = Database::new();
     db.execute(
         "CREATE TABLE ticks (pos BIGINT PRIMARY KEY, region BIGINT NOT NULL, \
@@ -271,14 +286,7 @@ fn explain_analyze_says_what_the_ordering_found() {
 
     // What an ordering operator finds, and so how much it sorts, does not
     // depend on the thread count — morsels split under it or not.
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            rfv_exec::sched::set_threads(0);
-            rfv_exec::sched::set_parallel_threshold(usize::MAX);
-        }
-    }
-    let _reset = Reset;
+    let _reset = KnobReset;
     rfv_exec::sched::set_parallel_threshold(4);
     // Ordered on `region` only: the `Sort` has runs to sort, not the whole.
     let prefix = "SELECT region, pos FROM (SELECT region, pos, SUM(amount) OVER \
@@ -304,14 +312,8 @@ fn explain_analyze_says_what_the_ordering_found() {
 /// activity without a side channel.
 #[test]
 fn scheduler_counters_are_mirrored_into_metrics() {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            rfv_exec::sched::set_threads(0);
-            rfv_exec::sched::set_parallel_threshold(usize::MAX);
-        }
-    }
-    let _reset = Reset;
+    let _guard = knob_guard();
+    let _reset = KnobReset;
     rfv_exec::sched::set_parallel_threshold(4);
     rfv_exec::sched::set_threads(4);
 
