@@ -9,12 +9,12 @@
 //!
 //! Both are implemented here for SUM (the paper's focus; COUNT is trivial
 //! and AVG = SUM/COUNT) and validated against each other. MIN/MAX — the
-//! paper's *semi-algebraic* aggregates — only admit the explicit form (or
-//! the monotonic-deque operator in `rfv-exec`).
+//! paper's *semi-algebraic* aggregates — have no such recursion: they run
+//! through the sliding-extremum kernel (`rfv_expr::agg::sliding_extremum`).
 
 use rfv_types::{Result, RfvError};
 
-use crate::sequence::{window_sum, WindowSpec};
+use crate::sequence::{window_sum, CompleteSequence, CumulativeSequence, WindowSpec};
 
 /// Explicit form: recompute each window from raw data. `O(n · W)`.
 pub fn compute_explicit(raw: &[f64], window: WindowSpec) -> Vec<f64> {
@@ -28,67 +28,20 @@ pub fn compute_explicit(raw: &[f64], window: WindowSpec) -> Vec<f64> {
 }
 
 /// Pipelined form (§2.2): `O(n)` with a constant number of operations per
-/// position. Matches [`compute_explicit`] exactly for integral input and to
-/// floating-point accumulation error otherwise.
+/// position — the body of the materialized sequence, computed by the same
+/// recurrence. Matches [`compute_explicit`] exactly for integral input and
+/// to floating-point accumulation error otherwise.
 pub fn compute_pipelined(raw: &[f64], window: WindowSpec) -> Vec<f64> {
-    let n = raw.len() as i64;
-    let get = |p: i64| -> f64 {
-        if (1..=n).contains(&p) {
-            raw[(p - 1) as usize]
-        } else {
-            0.0
-        }
-    };
     match window {
-        WindowSpec::Cumulative => {
-            let mut out = Vec::with_capacity(raw.len());
-            let mut sum = 0.0;
-            for k in 1..=n {
-                sum += get(k);
-                out.push(sum);
-            }
-            out
-        }
+        WindowSpec::Cumulative => CumulativeSequence::materialize(raw).body().to_vec(),
+        // Offsets beyond `n` reach only the zeros outside `1..=n`.
         WindowSpec::Sliding { l, h } => {
-            let mut out = Vec::with_capacity(raw.len());
-            if n == 0 {
-                return out;
-            }
-            // Seed x̃_1 explicitly, then roll.
-            let mut sum = window_sum(raw, 1 - l, 1 + h);
-            out.push(sum);
-            for k in 2..=n {
-                sum += get(k + h) - get(k - l - 1);
-                out.push(sum);
-            }
-            out
+            let n = raw.len() as i64;
+            CompleteSequence::materialize(raw, l.min(n), h.min(n))
+                .expect("a sliding window has non-negative offsets")
+                .body()
         }
     }
-}
-
-/// Explicit MIN/MAX computation (semi-algebraic — no pipelined form).
-/// Returns `None` at positions whose clipped window is empty (cannot occur
-/// for `1 ≤ k ≤ n` with `l, h ≥ 0`, but callers may ask for header/trailer
-/// positions).
-pub fn compute_minmax_at(raw: &[f64], window: WindowSpec, k: i64, max: bool) -> Option<f64> {
-    let n = raw.len() as i64;
-    let (lo, hi) = window.bounds(k);
-    let lo = lo.max(1);
-    let hi = hi.min(n);
-    if lo > hi {
-        return None;
-    }
-    minmax_of(
-        raw[(lo - 1) as usize..=(hi - 1) as usize].iter().copied(),
-        max,
-    )
-}
-
-/// MAX (`max`) or MIN of `vals`; `None` when there are none. The one
-/// MIN/MAX kernel: materialization and §2.3 maintenance both select with
-/// it, so a maintained cell holds the bits a rematerialized one would.
-pub(crate) fn minmax_of(vals: impl Iterator<Item = f64>, max: bool) -> Option<f64> {
-    vals.reduce(|a, b| if (b > a) == max { b } else { a })
 }
 
 /// The §2.2 cache-size claim: the pipelined evaluator needs a cache of
@@ -107,6 +60,7 @@ pub fn pipelined_cache_size(window: WindowSpec) -> Result<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::CompleteMinMaxSequence;
     use rfv_testkit::{check, gen, oracle};
 
     #[test]
@@ -141,11 +95,12 @@ mod tests {
     #[test]
     fn minmax_explicit() {
         let raw = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let w = WindowSpec::sliding(1, 1).unwrap();
-        assert_eq!(compute_minmax_at(&raw, w, 2, false), Some(1.0));
-        assert_eq!(compute_minmax_at(&raw, w, 2, true), Some(4.0));
+        let min = CompleteMinMaxSequence::materialize(&raw, 1, 1, false).unwrap();
+        let max = CompleteMinMaxSequence::materialize(&raw, 1, 1, true).unwrap();
+        assert_eq!(min.get(2), Some(1.0));
+        assert_eq!(max.get(2), Some(4.0));
         // Header position: window [-2, 0] clipped to empty.
-        assert_eq!(compute_minmax_at(&raw, w, -1, true), None);
+        assert_eq!(max.get(-1), None);
     }
 
     #[test]
@@ -191,8 +146,9 @@ mod tests {
         );
     }
 
-    /// MIN/MAX point computation agrees with the oracle, including on
-    /// adversarial tie-heavy data.
+    /// The materialized MIN/MAX sequence agrees with the oracle at every
+    /// position, header and trailer included, on adversarial tie-heavy
+    /// data.
     #[test]
     fn minmax_at_matches_oracle() {
         check(
@@ -202,11 +158,11 @@ mod tests {
                 (gen::tie_values(0, 40)(rng), l, h)
             },
             |(raw, l, h)| {
-                let w = WindowSpec::sliding(*l, *h).unwrap();
                 for max in [false, true] {
+                    let seq = CompleteMinMaxSequence::materialize(raw, *l, *h, max).unwrap();
                     for k in (1 - h - 2)..=(raw.len() as i64 + l + 2) {
                         assert_eq!(
-                            compute_minmax_at(raw, w, k, max),
+                            seq.get(k),
                             oracle::brute_minmax_at(raw, k - l, k + h, max),
                             "k={k} max={max}"
                         );

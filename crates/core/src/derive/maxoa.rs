@@ -30,7 +30,7 @@
 
 use rfv_types::{Result, RfvError};
 
-use crate::sequence::{CompleteMinMaxSequence, CompleteSequence};
+use crate::sequence::{better, CompleteMinMaxSequence, CompleteSequence};
 
 /// Coverage (`Δl`, `Δh`) and overlap (`Δp`, `Δq`) factors for a derivation,
 /// per the paper's definitions in §4.
@@ -159,12 +159,10 @@ pub fn derive_sum_recursive(view: &CompleteSequence, ly: i64, hy: i64) -> Result
 pub fn derive_minmax(view: &CompleteMinMaxSequence, ly: i64, hy: i64) -> Result<Vec<Option<f64>>> {
     let f = factors(view.l(), view.h(), ly, hy)?;
     let max = view.is_max();
-    let combine = |a: Option<f64>, b: Option<f64>| -> Option<f64> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(if (y > x) == max { y } else { x }),
-            (x, None) => x,
-            (None, y) => y,
-        }
+    let combine = |a: Option<f64>, b: Option<f64>| match (a, b) {
+        (Some(x), Some(y)) if better(y, x, max) => Some(y),
+        (None, y) => y,
+        (x, _) => x,
     };
     Ok((1..=view.n())
         .map(|k| {
@@ -183,9 +181,7 @@ pub fn derive_minmax(view: &CompleteMinMaxSequence, ly: i64, hy: i64) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::compute_minmax_at;
     use crate::derive::brute_force_sum;
-    use crate::sequence::WindowSpec;
     use rfv_testkit::{check, gen, oracle};
 
     fn assert_close(a: &[f64], b: &[f64]) {
@@ -269,10 +265,10 @@ mod tests {
         for max in [false, true] {
             let view = CompleteMinMaxSequence::materialize(&raw, 2, 1, max).unwrap();
             let derived = derive_minmax(&view, 3, 2).unwrap();
-            let spec = WindowSpec::sliding(3, 2).unwrap();
             for (i, d) in derived.iter().enumerate() {
-                let expected = compute_minmax_at(&raw, spec, i as i64 + 1, max);
-                assert_eq!(*d, expected, "pos {} max={max}", i + 1);
+                let k = i as i64 + 1;
+                let expected = oracle::brute_minmax_at(&raw, k - 3, k + 2, max);
+                assert_eq!(*d, expected, "pos {k} max={max}");
             }
         }
     }
@@ -330,11 +326,10 @@ mod tests {
                 let (ly, hy) = (lx + dl, hx + dh);
                 let view = CompleteMinMaxSequence::materialize(raw, lx, hx, max).unwrap();
                 let derived = derive_minmax(&view, ly, hy).unwrap();
-                let spec = WindowSpec::sliding(ly, hy).unwrap();
+                let direct = CompleteMinMaxSequence::materialize(raw, ly, hy, max).unwrap();
                 for (i, d) in derived.iter().enumerate() {
                     let k = i as i64 + 1;
-                    let expected = compute_minmax_at(raw, spec, k, max);
-                    assert_eq!(*d, expected, "pos {k} max={max} (engine)");
+                    assert_eq!(*d, direct.get(k), "pos {k} max={max} (engine)");
                     assert_eq!(
                         *d,
                         oracle::brute_minmax_at(raw, k - ly, k + hy, max),

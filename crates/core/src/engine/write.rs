@@ -24,7 +24,9 @@ use rfv_types::{DataType, Result, RfvError, Row, Schema, Value};
 use super::Database;
 use crate::durability::WalRecord;
 use crate::maintenance::{self, BatchOp, MaintBatch, MaintenanceStats, RawWindow};
-use crate::sequence::{CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, WindowSpec};
+use crate::sequence::{
+    check_extent, CompleteMinMaxSequence, CompleteSequence, CumulativeSequence, WindowSpec,
+};
 use crate::view::{SequenceView, ViewData};
 
 /// The body of a simple (unpartitioned) sequence view over `raw`.
@@ -720,7 +722,7 @@ impl Database {
         let peak = batch.validate(n)?;
         for window in windows() {
             if let WindowSpec::Sliding { l, h } = window {
-                maintenance::check_extent(peak, l, h)?;
+                check_extent(peak, l, h)?;
             }
         }
         if rows.is_none() && has_values && !val_type.admits(&Value::Float(0.0)) {

@@ -80,6 +80,6 @@ pub use engine::{Database, QueryResult};
 pub use maintenance::{BatchOp, MaintBatch, MaintenanceStats};
 pub use rewrite::{RewriteDecision, RewriteOutcome, RewriteReport, RewriteStrategy, Rewriter};
 pub use rfv_obs::MetricsRegistry;
-pub use sequence::{CompleteSequence, SequenceSpec, WindowSpec};
+pub use sequence::{CompleteSequence, WindowSpec};
 pub use stats::{StatementStat, StatementStats};
 pub use trace::QueryTrace;

@@ -25,8 +25,7 @@ use std::ops::Range;
 
 use rfv_types::{Result, RfvError};
 
-use crate::compute::minmax_of;
-use crate::sequence::CompleteSequence;
+use crate::sequence::{check_extent, roll_extrema, roll_sums, CompleteSequence};
 use crate::view::ViewData;
 
 /// How much work a maintenance operation performed.
@@ -133,13 +132,14 @@ pub(crate) type Patch = (Vec<(i64, i64)>, MaintenanceStats);
 pub(crate) fn patch_view(data: &mut ViewData, raw: &RawWindow, edit: &Edit) -> Patch {
     match data {
         ViewData::Sum(seq) => patch_sum(seq, raw, edit),
+        // The raw values the interval's windows reach, gathered once.
         ViewData::MinMax(seq) => {
             let (l, h, max) = (seq.l(), seq.h(), seq.is_max());
             patch_sliding((l, h), seq.parts_mut(), edit, |cells, lo| {
-                for (cell, i) in cells.iter_mut().zip(lo..) {
-                    let window = (i - l).max(1)..=(i + h).min(edit.n);
-                    *cell = minmax_of(window.map(|p| raw.at(p)), max);
-                }
+                let first = (lo - l).max(1);
+                let last = (lo + cells.len() as i64 - 1 + h).min(edit.n);
+                let vals: Vec<f64> = (first..=last).map(|p| raw.at(p)).collect();
+                roll_extrema(cells, lo, (l, h), (first, &vals), max);
             })
         }
         // Every `c̃_i` from the first changed position on holds a changed
@@ -210,27 +210,8 @@ fn patch_sliding<T: Clone + Default>(
 fn patch_sum(seq: &mut CompleteSequence, raw: &RawWindow, edit: &Edit) -> Patch {
     let (l, h) = (seq.l(), seq.h());
     patch_sliding((l, h), seq.parts_mut(), edit, |cells, lo| {
-        let mut sum: f64 = (lo - l..=lo + h).map(|p| raw.at(p)).sum();
-        for (cell, i) in cells.iter_mut().zip(lo..) {
-            *cell = sum;
-            // x̃_{i+1} = x̃_i + x_{i+1+h} − x_{i−l}
-            sum += raw.at(i + 1 + h) - raw.at(i - l);
-        }
+        roll_sums(cells, lo, (l, h), |p| raw.at(p))
     })
-}
-
-/// A complete `(l, h)` sequence over `n` raw values must stay within
-/// [`MAX_MATERIALIZED_EXTENT`](crate::sequence::MAX_MATERIALIZED_EXTENT)
-/// stored positions — checked before an edit that grows it is applied.
-pub(crate) fn check_extent(n: i64, l: i64, h: i64) -> Result<()> {
-    let max = crate::sequence::MAX_MATERIALIZED_EXTENT;
-    let extent = n.saturating_add(l).saturating_add(h);
-    if extent > max {
-        return Err(RfvError::derivation(format!(
-            "the edit would grow the ({l},{h}) sequence to {extent} stored positions (max {max})"
-        )));
-    }
-    Ok(())
 }
 
 fn check_pos(what: &str, k: i64, max: i64) -> Result<()> {

@@ -14,6 +14,9 @@
 //! still contribute. Completeness is the prerequisite for every derivation
 //! algorithm in [`crate::derive`].
 
+use std::convert::Infallible;
+
+use rfv_expr::agg::sliding_extremum;
 use rfv_types::{Result, RfvError};
 
 /// Hard ceiling on the number of stored positions (`n + l + h`) a complete
@@ -23,6 +26,67 @@ use rfv_types::{Result, RfvError};
 /// any sensible reporting window and a safe place to fail with an error
 /// instead of an OOM abort.
 pub const MAX_MATERIALIZED_EXTENT: i64 = 1 << 28;
+
+/// A complete `(l, h)` sequence over `n` raw values must stay within
+/// [`MAX_MATERIALIZED_EXTENT`] stored positions: checked before one is
+/// materialized, and before an edit that grows one is applied.
+pub(crate) fn check_extent(n: i64, l: i64, h: i64) -> Result<()> {
+    let extent = n.saturating_add(l).saturating_add(h);
+    if extent > MAX_MATERIALIZED_EXTENT {
+        return Err(RfvError::derivation(format!(
+            "a complete ({l},{h}) sequence over n={n} would store {extent} positions \
+             (max {MAX_MATERIALIZED_EXTENT})"
+        )));
+    }
+    Ok(())
+}
+
+/// The §2.2 SUM recurrence: fills `cells` with the `(l, h)` window sums at
+/// positions `lo, lo + 1, …` of the raw sequence `x` — the window at `lo`
+/// summed, then rolled by `x̃_{k+1} = x̃_k + x_{k+1+h} − x_{k−l}`.
+pub(crate) fn roll_sums(cells: &mut [f64], lo: i64, (l, h): (i64, i64), x: impl Fn(i64) -> f64) {
+    let mut sum: f64 = (lo - l..=lo + h).map(&x).sum();
+    for (cell, k) in cells.iter_mut().zip(lo..) {
+        *cell = sum;
+        sum += x(k + 1 + h) - x(k - l);
+    }
+}
+
+/// Whether `a` is a strictly better MAX (`max`) or MIN than `b` — the
+/// window operator's rule: unordered values (NaN) are equal, and an equal
+/// value never displaces the one already chosen.
+pub(crate) fn better(a: f64, b: f64, max: bool) -> bool {
+    (max && a > b) || (!max && a < b)
+}
+
+/// The sliding extremum of §2.2's semi-algebraic case: fills `cells` with
+/// the `(l, h)` window MAX (`max`) or MIN at positions `lo, lo + 1, …`,
+/// `None` where the window holds no raw value. `vals` are the raw values at
+/// positions `first ..`, and must cover every window's part in `1..=n`.
+pub(crate) fn roll_extrema(
+    cells: &mut [Option<f64>],
+    lo: i64,
+    (l, h): (i64, i64),
+    (first, vals): (i64, &[f64]),
+    max: bool,
+) {
+    let len = vals.len() as i64;
+    let windows = (lo..).take(cells.len()).map(|k| {
+        let start = (k - l - first).clamp(0, len);
+        let end = (k + h + 1 - first).clamp(start, len);
+        (start as usize, end as usize)
+    });
+    let mut cells = cells.iter_mut();
+    let Ok(()) = sliding_extremum::<Infallible>(
+        windows,
+        |_| false,
+        |a, b| Ok(better(vals[a], vals[b], max)),
+        |best| {
+            *cells.next().expect("one window per cell") = best.map(|i| vals[i]);
+            Ok(())
+        },
+    );
+}
 
 /// Window shape of a simple sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,20 +140,6 @@ impl std::fmt::Display for WindowSpec {
     }
 }
 
-/// A full sequence specification: window shape plus positions `1..=n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SequenceSpec {
-    pub window: WindowSpec,
-    /// Cardinality of the underlying raw data.
-    pub n: i64,
-}
-
-impl SequenceSpec {
-    pub fn new(window: WindowSpec, n: i64) -> Self {
-        SequenceSpec { window, n }
-    }
-}
-
 /// A materialized **complete** sliding-window sequence: the sequence values
 /// for positions `1−h … n+l` (header + body + trailer), SUM semantics.
 ///
@@ -113,32 +163,16 @@ impl CompleteSequence {
     pub fn materialize(raw: &[f64], l: i64, h: i64) -> Result<Self> {
         WindowSpec::sliding(l, h)?;
         let n = raw.len() as i64;
-        if n.saturating_add(l).saturating_add(h) > MAX_MATERIALIZED_EXTENT {
-            return Err(RfvError::derivation(format!(
-                "complete ({l},{h}) sequence over n={n} would store \
-                 {} positions (max {MAX_MATERIALIZED_EXTENT})",
-                n.saturating_add(l).saturating_add(h)
-            )));
-        }
-        let lo = 1 - h;
-        let hi = n + l;
-        let mut values = Vec::with_capacity((hi - lo + 1).max(0) as usize);
-        // Running sum over the clipped window.
-        let get_raw = |p: i64| -> f64 {
+        check_extent(n, l, h)?;
+        let mut values = vec![0.0; (n + l + h) as usize];
+        let get_raw = |p: i64| {
             if (1..=n).contains(&p) {
                 raw[(p - 1) as usize]
             } else {
                 0.0
             }
         };
-        let mut sum: f64 = (lo - l..=lo + h).map(get_raw).sum();
-        for k in lo..=hi {
-            if k > lo {
-                // x̃_k = x̃_{k−1} + x_{k+h} − x_{k−l−1}
-                sum += get_raw(k + h) - get_raw(k - l - 1);
-            }
-            values.push(sum);
-        }
+        roll_sums(&mut values, 1 - h, (l, h), get_raw);
         Ok(CompleteSequence { l, h, n, values })
     }
 
@@ -293,6 +327,70 @@ mod tests {
         assert_eq!(positions, vec![-1, 0, 1, 2, 3]);
     }
 
+    /// The window operator's MIN/MAX — its `f64` lane, and its `Value`
+    /// lane, which a trailing NULL row forces — and the materialized
+    /// sequence pick the same element on windows of signed zeros and NaNs.
+    #[test]
+    fn minmax_materialize_picks_what_the_operator_picks() {
+        use rfv_exec::window::execute_window;
+        use rfv_exec::{ParStats, SortKey, WindowExprSpec, WindowFrame, WindowMode};
+        use rfv_expr::{AggFunc, Expr};
+        use rfv_types::{Gov, Row, Value};
+
+        let nan = f64::NAN;
+        let raw = [0.0, -0.0, nan, 1.0, -0.0, 0.0, 2.0, nan, -1.0, 0.0, -0.0];
+        let operator = |vals: Vec<Value>, func, (l, h): (i64, i64)| -> Vec<Value> {
+            let rows = (1..)
+                .zip(vals)
+                .map(|(k, v)| Row::new(vec![Value::Int(k), v]));
+            let spec = WindowExprSpec::agg(
+                func,
+                Some(Expr::col(1)),
+                WindowFrame::sliding(l as u64, h as u64),
+            );
+            let out = execute_window(
+                rows.collect(),
+                &[],
+                &[SortKey::asc(Expr::col(0))],
+                &[spec],
+                &[],
+                WindowMode::Pipelined,
+                &mut ParStats::default(),
+                &Gov::none(),
+            )
+            .unwrap();
+            out.iter()
+                .map(|r| r.get(2).clone())
+                .take(raw.len())
+                .collect()
+        };
+        let bits = |v: &Value| match v {
+            Value::Float(f) => f.to_bits(),
+            other => panic!("not a float: {other:?}"),
+        };
+        for (l, h) in [(1, 1), (0, 2), (2, 0), (3, 3)] {
+            for (func, max) in [(AggFunc::Min, false), (AggFunc::Max, true)] {
+                let seq = CompleteMinMaxSequence::materialize(&raw, l, h, max).unwrap();
+                let want: Vec<u64> = seq.body().iter().map(|v| v.unwrap().to_bits()).collect();
+                let floats = raw.iter().map(|&f| Value::Float(f)).collect();
+                let with_null = raw
+                    .iter()
+                    .map(|&f| Value::Float(f))
+                    .chain([Value::Null])
+                    .collect();
+                for (lane, vals) in [("f64", floats), ("Value", with_null)] {
+                    let got: Vec<u64> = operator(vals, func, (l, h)).iter().map(bits).collect();
+                    assert_eq!(got, want, "{func} ({l},{h}) {lane} lane");
+                }
+            }
+        }
+        // The earlier of two equal zeros is kept, by MIN as by MAX.
+        for max in [false, true] {
+            let seq = CompleteMinMaxSequence::materialize(&[0.0, -0.0], 1, 0, max).unwrap();
+            assert_eq!(seq.get(2).map(f64::to_bits), Some(0.0f64.to_bits()));
+        }
+    }
+
     /// Materialized values match the brute-force window sum everywhere,
     /// header and trailer included. Runs on the adversarial value mix
     /// (heavy tails, tie runs, zeros) with a magnitude-scaled tolerance.
@@ -391,13 +489,11 @@ pub struct CumulativeSequence {
 impl CumulativeSequence {
     /// Materialize from raw data in `O(n)`.
     pub fn materialize(raw: &[f64]) -> Self {
-        let mut values = Vec::with_capacity(raw.len());
-        let mut sum = 0.0;
-        for &v in raw {
-            sum += v;
-            values.push(sum);
-        }
-        CumulativeSequence { values }
+        let mut seq = CumulativeSequence {
+            values: Vec::with_capacity(raw.len()),
+        };
+        seq.restart_at(1, raw.iter().copied());
+        seq
     }
 
     /// Construct from stored running sums (positions `1..=n`).
@@ -452,13 +548,14 @@ pub struct CompleteMinMaxSequence {
 }
 
 impl CompleteMinMaxSequence {
-    /// Materialize over `raw` with a `(l, h)` window.
+    /// Materialize over `raw` with a `(l, h)` window, in one `O(n + l + h)`
+    /// pass of the sliding-extremum kernel.
     pub fn materialize(raw: &[f64], l: i64, h: i64, max: bool) -> Result<Self> {
-        let window = WindowSpec::sliding(l, h)?;
+        WindowSpec::sliding(l, h)?;
         let n = raw.len() as i64;
-        let values = ((1 - h)..=(n + l))
-            .map(|k| crate::compute::compute_minmax_at(raw, window, k, max))
-            .collect();
+        check_extent(n, l, h)?;
+        let mut values = vec![None; (n + l + h) as usize];
+        roll_extrema(&mut values, 1 - h, (l, h), (1, raw), max);
         Ok(CompleteMinMaxSequence {
             l,
             h,

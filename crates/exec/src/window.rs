@@ -18,10 +18,10 @@
 //! order and appends one column per window expression.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use rfv_expr::agg::sliding_extremum;
 use rfv_expr::{AggFunc, AvgAcc, CountAcc, Expr, SumAcc, TypedRetract};
 use rfv_types::{Gov, Result, RfvError, Row, Value};
 
@@ -632,8 +632,8 @@ fn eval_pipelined<T: Lane, A: TypedRetract>(
     Ok(())
 }
 
-/// Sliding MIN/MAX via a monotonic deque of candidate indices. NULLs are
-/// skipped on entry (SQL aggregates ignore NULL).
+/// Sliding MIN/MAX: every partition's frames, in order, through the one
+/// sliding-extremum kernel. NULLs are skipped (SQL aggregates ignore NULL).
 fn eval_minmax_deque<T: Lane>(
     args: &[T],
     func: AggFunc,
@@ -651,42 +651,24 @@ fn eval_minmax_deque<T: Lane>(
             )))
         }
     };
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    for &(plo, phi) in ranges {
-        deque.clear();
-        let mut cur_hi = plo;
-        for i in plo..phi {
-            gov.checkpoint(i)?;
+    // Partitions are ascending, so their frames' ends never decrease either.
+    let windows = ranges.iter().flat_map(|&(plo, phi)| {
+        (plo..phi).map(move |i| {
             let (lo, hi) = frame.indices(i - plo, phi - plo);
-            while cur_hi < plo + hi {
-                let v = &args[cur_hi];
-                if !v.is_null() {
-                    while let Some(&back) = deque.back() {
-                        // Keep the deque monotone: drop candidates dominated by v.
-                        let dominated = match args[back].sql_cmp(v)? {
-                            Some(o) => o != want && o != Ordering::Equal,
-                            None => false,
-                        };
-                        if dominated {
-                            deque.pop_back();
-                        } else {
-                            break;
-                        }
-                    }
-                    deque.push_back(cur_hi);
-                }
-                cur_hi += 1;
-            }
-            while deque.front().is_some_and(|&f| f < plo + lo) {
-                deque.pop_front();
-            }
-            out.push(match deque.front() {
-                Some(&f) => args[f].value(),
-                None => Value::Null,
-            });
-        }
-    }
-    Ok(())
+            (plo + lo, plo + hi)
+        })
+    });
+    let mut rows = ranges.iter().flat_map(|&(plo, phi)| plo..phi);
+    sliding_extremum(
+        windows,
+        |i| args[i].is_null(),
+        |a, b| Ok(args[a].sql_cmp(&args[b])? == Some(want)),
+        |best| {
+            gov.checkpoint(rows.next().unwrap_or_default())?;
+            out.push(best.map_or(Value::Null, |f| args[f].value()));
+            Ok(())
+        },
+    )
 }
 
 impl WindowFuncKind {

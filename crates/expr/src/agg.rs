@@ -8,6 +8,7 @@
 //! *semi-algebraic* (the paper's term) and cannot retract.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::fmt;
 
 use rfv_types::{DataType, Result, RfvError, Value};
@@ -141,6 +142,48 @@ pub trait TypedRetract: RetractAccumulator + Default {
     fn add_float(&mut self, f: f64);
     fn retract_int(&mut self, i: i64);
     fn retract_float(&mut self, f: f64);
+}
+
+/// The sliding extremum, MIN/MAX's recurrence (they cannot retract, so a
+/// monotone deque of candidate indices stands in for [`TypedRetract`]).
+///
+/// For each of `windows` — half-open index ranges `[lo, hi)` whose two ends
+/// never decrease — emits the index of that window's extremum, or `None`
+/// when every element in it is `skip`ped (NULL). `better(a, b)` says element
+/// `a` is strictly better than element `b`; an element displaces another
+/// only if strictly better, so the earliest of equal elements wins. Every
+/// index enters and leaves the deque at most once: `O(len + m)` over `len`
+/// elements and `m` windows, with at most `2·len` calls of `better`, each
+/// on two elements of one window.
+pub fn sliding_extremum<E>(
+    windows: impl IntoIterator<Item = (usize, usize)>,
+    mut skip: impl FnMut(usize) -> bool,
+    mut better: impl FnMut(usize, usize) -> std::result::Result<bool, E>,
+    mut emit: impl FnMut(Option<usize>) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let mut deque: VecDeque<usize> = VecDeque::new();
+    let mut next = 0;
+    for (lo, hi) in windows {
+        while deque.front().is_some_and(|&f| f < lo) {
+            deque.pop_front();
+        }
+        // Elements before `lo` can be in no later window either.
+        next = next.max(lo);
+        while next < hi {
+            if !skip(next) {
+                while let Some(&back) = deque.back() {
+                    if !better(next, back)? {
+                        break;
+                    }
+                    deque.pop_back();
+                }
+                deque.push_back(next);
+            }
+            next += 1;
+        }
+        emit(deque.front().copied())?;
+    }
+    Ok(())
 }
 
 /// SUM over ints stays exact (i128 internally to dodge transient overflow);
@@ -604,5 +647,150 @@ mod tests {
         acc.update(&Value::Int(5)).unwrap();
         acc.reset();
         assert_eq!(acc.finish().unwrap(), Value::Null);
+    }
+
+    /// Windows with non-decreasing ends over `len` elements, built from
+    /// `steps` so that any shrunk step list still yields valid windows;
+    /// empty windows included.
+    fn windows_of(len: usize, steps: &[(u8, u8)]) -> Vec<(usize, usize)> {
+        let (mut lo, mut hi) = (0, 0);
+        (steps.iter())
+            .map(|&(a, b)| {
+                lo = (lo + a as usize % 3).min(len);
+                hi = (hi + b as usize % 4).clamp(lo, len);
+                (lo, hi)
+            })
+            .collect()
+    }
+
+    /// The kernel over `vals` (`None` is skipped), MAX when `max`; returns
+    /// the picks and how often `better` was called.
+    fn extrema(
+        vals: &[Option<i64>],
+        windows: &[(usize, usize)],
+        max: bool,
+    ) -> (Vec<Option<usize>>, usize) {
+        let want = if max {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+        let (mut picks, mut calls) = (Vec::new(), 0);
+        let Ok(()) = sliding_extremum::<std::convert::Infallible>(
+            windows.iter().copied(),
+            |i| vals[i].is_none(),
+            |a, b| {
+                calls += 1;
+                Ok(vals[a].cmp(&vals[b]) == want)
+            },
+            |best| {
+                picks.push(best);
+                Ok(())
+            },
+        );
+        (picks, calls)
+    }
+
+    #[test]
+    fn sliding_extremum_matches_a_linear_scan() {
+        rfv_testkit::check(
+            "sliding_extremum_matches_a_linear_scan",
+            |rng| {
+                let len = rng.usize_in(0, 40);
+                let vals: Vec<Option<i64>> = (0..len)
+                    .map(|_| (!rng.chance(1, 5)).then(|| rng.i64_in(-3, 3)))
+                    .collect();
+                let steps: Vec<(u8, u8)> = (0..rng.usize_in(0, 50))
+                    .map(|_| (rng.u64_below(256) as u8, rng.u64_below(256) as u8))
+                    .collect();
+                (vals, steps, rng.bool())
+            },
+            |(vals, steps, max)| {
+                let windows = windows_of(vals.len(), steps);
+                let (picks, calls) = extrema(vals, &windows, *max);
+                for (&(lo, hi), pick) in windows.iter().zip(&picks) {
+                    // The first strictly better non-NULL element wins.
+                    let scan = (lo..hi).filter(|&i| vals[i].is_some()).reduce(|b, i| {
+                        let better = if *max {
+                            vals[i] > vals[b]
+                        } else {
+                            vals[i] < vals[b]
+                        };
+                        if better {
+                            i
+                        } else {
+                            b
+                        }
+                    });
+                    assert_eq!(*pick, scan, "window [{lo}, {hi}) of {vals:?}");
+                }
+                assert_eq!(picks.len(), windows.len());
+                assert!(calls <= 2 * (vals.len() + windows.len()));
+            },
+        );
+    }
+
+    /// Every element enters and leaves the deque once, so `better` is
+    /// called at most `2·(len + m)` times — also on the inputs that make
+    /// every arrival pop (rising data under MAX) and none, so that the
+    /// deque holds the whole window (falling data under MAX).
+    #[test]
+    fn sliding_extremum_compares_at_most_twice_per_element() {
+        let len = 1000usize;
+        let rising: Vec<Option<i64>> = (0..len as i64).map(Some).collect();
+        let falling: Vec<Option<i64>> = rising.iter().rev().copied().collect();
+        for w in [1, 2, 7, 100, len] {
+            let windows: Vec<(usize, usize)> = (0..len)
+                .map(|k| (k.saturating_sub(w - 1), (k + 1).min(len)))
+                .collect();
+            for (vals, up) in [(&rising, true), (&falling, false)] {
+                for max in [false, true] {
+                    let (picks, calls) = extrema(vals, &windows, max);
+                    // The window's last element where the data moves the
+                    // wanted way, its first otherwise.
+                    let want = windows
+                        .iter()
+                        .map(|&(lo, hi)| Some(if up == max { hi - 1 } else { lo }));
+                    assert!(picks.iter().copied().eq(want), "w={w} max={max} up={up}");
+                    assert!(
+                        calls <= 2 * (len + windows.len()),
+                        "w={w} max={max}: {calls} comparisons"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The tie and NaN rule pinned on `f64` data: unordered values compare
+    /// equal, and an equal value never displaces the earlier pick.
+    #[test]
+    fn sliding_extremum_pins_signed_zeros_and_nan() {
+        let picks = |vals: &[f64], max: bool| {
+            let want = if max {
+                Ordering::Greater
+            } else {
+                Ordering::Less
+            };
+            let mut picks = Vec::new();
+            let windows = (0..vals.len()).map(|k| (k.saturating_sub(1), (k + 2).min(vals.len())));
+            let Ok(()) = sliding_extremum::<std::convert::Infallible>(
+                windows,
+                |_| false,
+                |a, b| Ok(vals[a].partial_cmp(&vals[b]) == Some(want)),
+                |best| {
+                    picks.push(best.unwrap());
+                    Ok(())
+                },
+            );
+            picks
+        };
+        // Both zeros are equal: the earlier one stays, for MIN and MAX.
+        assert_eq!(picks(&[0.0, -0.0, 0.0], false), [0, 0, 1]);
+        assert_eq!(picks(&[-0.0, 0.0, -0.0], true), [0, 0, 1]);
+        // A NaN is equal to everything, so it is never displaced, and it
+        // shields the candidate before it: MAX of {1, NaN, 2} is 1.
+        assert_eq!(picks(&[f64::NAN, 1.0, 2.0, 3.0], true), [0, 0, 3, 3]);
+        assert_eq!(picks(&[1.0, f64::NAN, 2.0], true), [0, 0, 1]);
+        assert_eq!(picks(&[1.0, f64::NAN, 2.0, 0.5], false), [0, 0, 1, 3]);
     }
 }

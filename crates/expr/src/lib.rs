@@ -8,7 +8,7 @@
 //! paper builds on (§2.1 fixes `F_A` to these), including *retractable*
 //! accumulators used by the pipelined sliding-window evaluator (§2.2).
 
-mod agg;
+pub mod agg;
 mod expr;
 mod fold;
 

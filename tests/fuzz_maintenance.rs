@@ -344,7 +344,15 @@ fn assert_bodies_match(
     }
 }
 
-fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, context: &str) {
+/// Runs the case; returns the database the batched leg maintained.
+fn run_case(
+    vals: &[f64],
+    l: i64,
+    h: i64,
+    batch: &MaintBatch,
+    exact: bool,
+    context: &str,
+) -> Database {
     let db_batch = db_with(vals, l, h);
     let db_row = db_with(vals, l, h);
     let db_single = db_with(vals, l, h);
@@ -402,6 +410,7 @@ fn run_case(vals: &[f64], l: i64, h: i64, batch: &MaintBatch, exact: bool, conte
     for (db, leg) in [&db_batch, &db_row, &db_single].into_iter().zip(LEGS) {
         assert_error_cases(db, leg, context);
     }
+    db_batch
 }
 
 #[test]
@@ -467,6 +476,57 @@ fn large_batches_merge_across_header_and_trailer() {
                 return;
             }
             run_case(vals, *l, *h, &batch, true, "large-batch case");
+        },
+    );
+}
+
+/// Wide windows over long sequences: `l, h` up to 64 and up to 300 rows,
+/// so a MIN/MAX patch runs the sliding-extremum kernel over raw runs far
+/// longer than its window, and edits land anywhere in the body, not only
+/// near its start. Sorted data keeps a whole window in the kernel's deque.
+/// Integer data: all legs byte-identical, and every MIN/MAX mirror row —
+/// header and trailer included — equal to a brute-force scan of the
+/// final base data.
+#[test]
+fn wide_window_maintenance_matches_row_at_a_time_and_remat() {
+    check(
+        "batched ≡ row-at-a-time ≡ remat (windows up to (64, 64), n up to 300)",
+        |rng| {
+            let mut vals = gen::int_values(0, 300)(rng);
+            match rng.u64_below(3) {
+                0 => vals.sort_by(f64::total_cmp),
+                1 => vals.sort_by(|a, b| b.total_cmp(a)),
+                _ => {}
+            }
+            let (l, h) = gen::window(64)(rng);
+            let shape = rng.u64_below(3) as u8;
+            let ops: Vec<RawOp> = (raw_ops(12, false)(rng).into_iter())
+                .map(|(kind, _, val)| (kind, rng.usize_in(0, 400), val))
+                .collect();
+            (vals, l, h, shape, ops)
+        },
+        |(vals, l, h, shape, ops)| {
+            let batch = resolve_batch(vals.len() as i64, *shape, ops);
+            if batch.is_empty() {
+                return;
+            }
+            let db = run_case(vals, *l, *h, &batch, true, "wide-window case");
+            let mut raw = vals.clone();
+            for op in batch.ops() {
+                match *op {
+                    BatchOp::Update { k, val } => raw[k as usize - 1] = val,
+                    BatchOp::Insert { k, val } => raw.insert(k as usize - 1, val),
+                    BatchOp::Delete { k } => {
+                        raw.remove(k as usize - 1);
+                    }
+                }
+            }
+            for (view, max, (lo, hi)) in [("mv_max", true, (*l, *h)), ("mv_min", false, (*h, *l))] {
+                for (pos, got) in view_body(&db, view) {
+                    let want = oracle::brute_minmax_at(&raw, pos - lo, pos + hi, max);
+                    assert_eq!(got, want, "{view} pos {pos} vs brute force");
+                }
+            }
         },
     );
 }

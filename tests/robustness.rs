@@ -119,6 +119,43 @@ fn extreme_frame_offsets_error_cleanly_not_wrap() {
         .is_err());
 }
 
+/// A MIN/MAX view whose frame reaches the largest accepted offset would
+/// store `n + 2⁴⁰` positions: it is refused with the same derivation error
+/// as a SUM view, before anything is allocated, and the engine goes on.
+#[test]
+fn minmax_views_with_huge_frames_are_refused_not_aborted() {
+    let db = seq_db(3);
+    let w = 1u64 << 40;
+    for func in ["MIN", "MAX"] {
+        for frame in [
+            format!("{w} PRECEDING AND CURRENT ROW"),
+            format!("CURRENT ROW AND {w} FOLLOWING"),
+        ] {
+            let sql = format!(
+                "CREATE MATERIALIZED VIEW mv AS SELECT pos, {func}(val) OVER \
+                 (ORDER BY pos ROWS BETWEEN {frame}) AS s FROM seq"
+            );
+            match db.execute(&sql) {
+                Err(rfv_types::RfvError::Derivation(m)) => {
+                    assert!(m.contains("would store"), "{func} {frame}: {m}")
+                }
+                other => panic!("{func} {frame}: expected a derivation error, got {other:?}"),
+            }
+        }
+    }
+    let maxes = db
+        .execute("SELECT pos, MAX(val) OVER (ORDER BY pos ROWS 1 PRECEDING) FROM seq")
+        .unwrap()
+        .column_f64(1)
+        .unwrap();
+    assert_eq!(maxes, [Some(1.0), Some(2.0), Some(3.0)]);
+    db.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT pos, MAX(val) OVER \
+         (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS s FROM seq",
+    )
+    .unwrap();
+}
+
 #[test]
 fn integer_sum_overflow_errors_instead_of_wrapping() {
     let db = Database::new();
